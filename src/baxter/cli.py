@@ -15,6 +15,12 @@ from . import frobenius, serialize, solutions, spin_chain, suite, verify
 from .solutions import Realization, SpectralRMatrix
 from .tensor import TensorMatrix, permutation_op, structure_op
 
+MATRIX = (TensorMatrix,)
+SPECTRAL = (SpectralRMatrix,)
+_KIND_NAMES = {TensorMatrix: "matrix", SpectralRMatrix: "spectral R-matrix",
+               spin_chain.TransferFamily: "transfer family",
+               verify.VerificationReport: "report"}
+
 
 def _realization(args) -> Realization:
     return Realization(args.realization)
@@ -39,8 +45,31 @@ def _emit(report, args) -> int:
     return 0 if report.passed else 1
 
 
-def _load(path):
-    return serialize.load(path)
+def _load(path, kinds):
+    """The object in a serialized file, which must be one of kinds."""
+    obj = serialize.load(path)
+    if not isinstance(obj, kinds):
+        wanted = " or ".join(_KIND_NAMES[k] for k in kinds)
+        raise ValueError(f"{path}: expected a {wanted} file, "
+                         f"found a {_KIND_NAMES[type(obj)]}")
+    return obj
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one line on stderr and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 # -- build -------------------------------------------------------------------
@@ -63,10 +92,7 @@ def _build(args) -> int:
     if kind == "example1-R":
         return _write(solutions.example1_R(args.n, _scalar(args.xi)), args)
     if kind == "baxterize":
-        constant = _load(args.input)
-        if not isinstance(constant, TensorMatrix):
-            raise ValueError("baxterize expects a constant matrix file")
-        return _write(solutions.baxterize(constant), args)
+        return _write(solutions.baxterize(_load(args.input, MATRIX)), args)
     if kind == "yangian-sl":
         return _write(solutions.yangian_sl_R(args.n), args)
     if kind == "yangian-so":
@@ -81,11 +107,8 @@ def _build(args) -> int:
     if kind == "example2":
         return _write(solutions.example2_solution(args.N, _realization(args)), args)
     if kind == "twist":
-        target = _load(args.input)
-        cocycle = _load(args.f0)
-        if not isinstance(cocycle, TensorMatrix):
-            raise ValueError("--f0 must hold a constant matrix")
-        return _write(solutions.apply_twist(target, cocycle), args)
+        target = _load(args.input, MATRIX + SPECTRAL)
+        return _write(solutions.apply_twist(target, _load(args.f0, MATRIX)), args)
     if kind == "frobenius-r":
         basis, functional = frobenius.example1_pair(args.n)
         cocycle = frobenius.cocycle_from_functional(basis, functional)
@@ -103,10 +126,12 @@ def _verify(args) -> int:
         report = frobenius.check_cocycle(
             frobenius.cocycle_from_functional(basis, functional))
         return _emit(report, args)
-    target = _load(args.input)
+    kinds = MATRIX + SPECTRAL if which in ("ybe", "unitarity", "regularity") else MATRIX
+    target = _load(args.input, kinds)
     if which == "cybe":
         if args.rational:
-            omega = _load(args.omega) if args.omega else permutation_op(target.site_dim)
+            omega = (_load(args.omega, MATRIX) if args.omega
+                     else permutation_op(target.site_dim))
             report = verify.check_cybe(target, omega=omega, mode="rational")
         else:
             report = verify.check_cybe(target)
@@ -119,7 +144,7 @@ def _verify(args) -> int:
     elif which == "regularity":
         report = verify.check_regularity(target)
     elif which == "classical-limit":
-        against = _load(args.against)
+        against = _load(args.against, MATRIX)
         report = verify.check_classical_limit(target, against)
     else:
         raise ValueError(f"unknown identity {which!r}")
@@ -135,15 +160,15 @@ def _chain(args) -> int:
         spec = spin_chain.ChainSpec(args.sites, args.boundary, _scalar(args.xi))
         return _write(spin_chain.remark_hamiltonian(spec), args)
     if what == "derive":
-        spectral = _load(args.input)
+        spectral = _load(args.input, SPECTRAL)
         spec = spin_chain.ChainSpec(args.sites, args.boundary)
         return _write(spin_chain.derive_hamiltonian(spectral, spec), args)
     if what == "transfer":
-        spectral = _load(args.input)
+        spectral = _load(args.input, SPECTRAL)
         family = spin_chain.transfer_matrix(spectral, spin_chain.ChainSpec(args.sites))
         return _write(family, args)
     if what == "commute":
-        spectral = _load(args.input)
+        spectral = _load(args.input, SPECTRAL)
         spec = spin_chain.ChainSpec(args.sites)
         family = spin_chain.transfer_matrix(spectral, spec)
         first = spin_chain.check_commutation(family, family,
@@ -176,7 +201,7 @@ def _suite(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="baxter",
         description="Exact constructions and verifiers for rational Yang-Baxter R-matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -213,7 +238,7 @@ def _parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--omega", help="cybe: file with the omega matrix (default P)")
     ver_p.add_argument("--against", help="classical-limit: file with the expected r")
     ver_p.add_argument("--method", choices=["grid", "poly"], default="grid")
-    ver_p.add_argument("--grid-margin", type=int, default=1)
+    ver_p.add_argument("--grid-margin", type=_non_negative, default=1)
     ver_p.add_argument("--report", help="write the verification report to this file")
     ver_p.set_defaults(func=_verify)
 
@@ -225,7 +250,7 @@ def _parser() -> argparse.ArgumentParser:
     chain.add_argument("--xi", default="0", help="deformation scalar")
     chain.add_argument("--tau", default="0", help="twist-side parameter for calibrate")
     chain.add_argument("--in", dest="input", help="spectral R-matrix file")
-    chain.add_argument("--grid-margin", type=int, default=1)
+    chain.add_argument("--grid-margin", type=_non_negative, default=1)
     chain.add_argument("--report", help="write the (worst) report to this file")
     common(chain)
     chain.set_defaults(func=_chain)

@@ -3,8 +3,13 @@
 Entries are ints, Fractions, Ext values, or Poly values.  Products take a
 fast route when they can: rational matrices are scaled to integers and
 multiplied as int64 (with a proven no-overflow bound, falling back to
-arbitrary precision), extension-field matrices go through their four
-rational components, and polynomial matrices use the generic object dot.
+arbitrary precision), extension-field matrices are scaled to four integer
+components and multiplied by the same kernel, and polynomial matrices use
+the generic object dot.
+
+The integer kernel (int_product, apply_two_leg) works on matrices already
+cleared to integers, given as component lists: one array for a rational
+matrix, four for a Q(i, sqrt2) matrix on the basis (1, sqrt2, i, i*sqrt2).
 """
 
 from __future__ import annotations
@@ -60,22 +65,101 @@ def scale_to_int(a: np.ndarray):
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of integer object matrices; int64 when provably safe."""
-    inner = a.shape[1]
-    max_a = max(map(abs, a.ravel().tolist()), default=0)
-    max_b = max(map(abs, b.ravel().tolist()), default=0)
-    if max(max_a, max_b, inner * max_a * max_b) < _INT64_SAFE:
-        c = np.array(a.tolist(), dtype=np.int64) @ np.array(b.tolist(), dtype=np.int64)
-        return c.astype(object)
-    return a.dot(b)
+    return int_product([a], [b])[0].astype(object)
 
 
-def _ext_components(a: np.ndarray):
-    comps = [np.empty(a.shape, dtype=object) for _ in range(4)]
-    for idx, x in np.ndenumerate(a):
-        parts = x.components() if isinstance(x, Ext) else (x, 0, 0, 0)
-        for comp, part in zip(comps, parts):
-            comp[idx] = part
-    return comps
+# basis_i * basis_j = coefficient * basis_k on the basis (1, sqrt2, i, i*sqrt2).
+_EXT_RULE = {
+    (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
+    (1, 0): (1, 1), (1, 1): (0, 2), (1, 2): (3, 1), (1, 3): (2, 2),
+    (2, 0): (2, 1), (2, 1): (3, 1), (2, 2): (0, -1), (2, 3): (1, -1),
+    (3, 0): (3, 1), (3, 1): (2, 2), (3, 2): (1, -1), (3, 3): (0, -2),
+}
+
+
+def max_abs(a: np.ndarray) -> int:
+    """Largest absolute entry of an integer array (int64 or Python ints)."""
+    if a.dtype == object:
+        return max(map(abs, a.ravel().tolist()), default=0)
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def narrow(a: np.ndarray) -> np.ndarray:
+    """An integer array as int64 when every entry is below 2**62 in
+    absolute value, otherwise as Python-int objects."""
+    return a.astype(np.int64) if max_abs(a) < _INT64_SAFE else a.astype(object)
+
+
+def int_product(a: list, b: list) -> list:
+    """Exact product of integer matrices given as component lists.
+
+    Each operand is a list of one (rational) or four (Q(i, sqrt2))
+    integer arrays, int64 or Python-int objects.  The product runs in
+    int64 when every operand entry and inner * sum |coefficient| *
+    max|a_i| * max|b_j| for each output component stay below 2**62, and
+    in Python ints otherwise.  The result has four components when
+    either operand has.
+    """
+    inner = a[0].shape[1]
+    max_a = [max_abs(x) for x in a]
+    max_b = [max_abs(x) for x in b]
+    width = max(len(a), len(b))
+    bound = [0] * width
+    for i, ma in enumerate(max_a):
+        for j, mb in enumerate(max_b):
+            k, coeff = _EXT_RULE[i, j]
+            bound[k] += abs(coeff) * ma * mb
+    if max(*max_a, *max_b, inner * max(bound)) < _INT64_SAFE:
+        dtype = np.int64
+    else:
+        dtype = object
+    cols = b[0].shape[1]
+    stacked = np.concatenate([x.astype(dtype, copy=False) for x in b], axis=1)
+    out = [np.zeros((a[0].shape[0], cols), dtype=dtype) for _ in range(width)]
+    for i, x in enumerate(a):
+        prod = x.astype(dtype, copy=False) @ stacked
+        for j in range(len(b)):
+            k, coeff = _EXT_RULE[i, j]
+            out[k] += coeff * prod[:, j * cols:(j + 1) * cols]
+    return out
+
+
+# Axis order that brings the legs of a pair to the front of an (n, n, n, cols)
+# tensor, with the remaining leg third.
+_PAIR_AXES = {(1, 2): (0, 1, 2, 3), (1, 3): (0, 2, 1, 3), (2, 3): (1, 2, 0, 3)}
+
+
+def apply_two_leg(r: list, x: list, pair) -> list:
+    """R_pair applied to an (n, n, n, cols) integer tensor, component-wise.
+
+    r holds the components of an (n^2, n^2) two-leg matrix; x those of a
+    tensor whose first three axes are the legs.  The pair's legs are moved
+    to the front and contracted over n^2 by int_product, so no n^3 x n^3
+    embedding is built and a product costs n^5 * cols.
+    """
+    axes = _PAIR_AXES[tuple(pair)]
+    n = x[0].shape[0]
+    moved = [c.transpose(axes).reshape(n * n, -1) for c in x]
+    back = np.argsort(axes)
+    return [c.reshape(n, n, n, -1).transpose(back) for c in int_product(r, moved)]
+
+
+def _ext_int_components(a: np.ndarray):
+    """(four integer component arrays, s): s times the components of a."""
+    parts = [x.components() if isinstance(x, Ext) else (x, 0, 0, 0)
+             for x in a.ravel().tolist()]
+    stacked = np.empty((4, len(parts)), dtype=object)
+    stacked[:] = list(zip(*parts))
+    ints, scale = scale_to_int(stacked)
+    return [c.reshape(a.shape) for c in ints], scale
+
+
+def ext_value(parts, scale: int = 1):
+    """The scalar with integer components parts / scale on the basis
+    (1, sqrt2, i, i*sqrt2): a Fraction when it is rational, else an Ext."""
+    if not any(parts[1:]):
+        return Fraction(parts[0], scale)
+    return Ext(*(Fraction(p, scale) for p in parts))
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,23 +169,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if kind == "poly":
         return a.dot(b)
     if kind == "ext":
-        a0, a1, a2, a3 = _ext_components(a)
-        b0, b1, b2, b3 = _ext_components(b)
-        prod = {}
-        for i, ai in enumerate((a0, a1, a2, a3)):
-            for j, bj in enumerate((b0, b1, b2, b3)):
-                prod[i, j] = matmul(ai, bj)
-        # Components of (a0 + a1*s + a2*i + a3*i*s)(b0 + b1*s + b2*i + b3*i*s).
-        c0 = prod[0, 0] + 2 * prod[1, 1] - prod[2, 2] - 2 * prod[3, 3]
-        c1 = prod[0, 1] + prod[1, 0] - prod[2, 3] - prod[3, 2]
-        c2 = prod[0, 2] + prod[2, 0] + 2 * prod[1, 3] + 2 * prod[3, 1]
-        c3 = prod[0, 3] + prod[3, 0] + prod[1, 2] + prod[2, 1]
-        out = np.empty((a.shape[0], b.shape[1]), dtype=object)
-        for idx in np.ndindex(out.shape):
-            value = Ext(Fraction(c0[idx]), Fraction(c1[idx]),
-                        Fraction(c2[idx]), Fraction(c3[idx]))
-            out[idx] = value.as_fraction() if value.is_rational else value
-        return out
+        comps_a, sa = _ext_int_components(a)
+        comps_b, sb = _ext_int_components(b)
+        prod = [c.ravel().tolist() for c in int_product(comps_a, comps_b)]
+        out = np.empty(a.shape[0] * b.shape[1], dtype=object)
+        out[:] = [ext_value(parts, sa * sb) for parts in zip(*prod)]
+        return out.reshape(a.shape[0], b.shape[1])
     a_int, sa = scale_to_int(a)
     b_int, sb = scale_to_int(b)
     c = int_matmul(a_int, b_int)

@@ -210,17 +210,18 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
 
     var_a, deg_a = span(ma)
     var_b, deg_b = span(mb)
-    scale_a, data_a = verify.uniform_int_scale(ma)
-    scale_b, data_b = verify.uniform_int_scale(mb)
+    scale_a, stack_a = verify.int_coefficients(ma, var_a)
+    scale_b, stack_b = verify.int_coefficients(mb, var_b)
     cache_a, cache_b = {}, {}
 
     def diff_at(x, y):
         if x not in cache_a:
-            cache_a[x] = verify.evaluate_matrix(data_a, var_a or "u", x)
+            cache_a[x] = verify.int_values(stack_a, x)
         if y not in cache_b:
-            cache_b[y] = verify.evaluate_matrix(data_b, var_b or "u", y)
+            cache_b[y] = verify.int_values(stack_b, y)
         left, right = cache_a[x], cache_b[y]
-        return linalg.matmul(left, right) - linalg.matmul(right, left)
+        return [p - q for p, q in zip(linalg.int_product(left, right),
+                                      linalg.int_product(right, left))]
 
     return verify.grid_report("commutation", diff_at, deg_a, deg_b,
                               grid_margin=grid_margin, scale=scale_a * scale_b)

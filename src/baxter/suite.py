@@ -82,7 +82,9 @@ def yangian_families() -> list:
 def twisted_orthogonal() -> list:
     """N in 4..6: the closed-form twisted solution passes the spectral
     identity, agrees with the twist route entrywise, is conjugate to the
-    skew realization at N=4, and has the jordanian r as classical limit."""
+    skew realization at N=4, and has the jordanian r as classical limit.
+    The skew realization at N=4, over Q(i, sqrt2), passes the spectral
+    identity directly."""
     problems = []
     for n in range(4, 7):
         data = solutions.so_jordanian_data(n)
@@ -107,6 +109,8 @@ def twisted_orthogonal() -> list:
     _expect(problems, conjugated == skew.numerator
             and anti.denominator == skew.denominator,
             "N=4: conjugation does not map antidiag to skew")
+    _expect(problems, verify.check_ybe(skew).passed,
+            "N=4 skew: spectral braid identity fails over Q(i, sqrt2)")
     return problems
 
 
@@ -219,12 +223,22 @@ def _non_solution_matrix() -> TensorMatrix:
     return solutions.example1_r(2) + kron(e, e)
 
 
-def _cli(workdir, *argv) -> int:
+def _cli_env() -> dict:
+    """The process environment with this checkout's src first on PYTHONPATH.
+
+    An empty PYTHONPATH entry would put the working directory on sys.path,
+    so the old value is appended only when it is non-empty.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    old = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + os.pathsep + old if old else src
+    return env
+
+
+def _cli(workdir, *argv) -> int:
     proc = subprocess.run([sys.executable, "-m", "baxter.cli", *argv],
-                          cwd=workdir, capture_output=True, text=True, env=env)
+                          cwd=workdir, capture_output=True, text=True, env=_cli_env())
     return proc.returncode
 
 

@@ -23,8 +23,8 @@ import numpy as np
 from . import linalg
 from .poly import Poly
 from .scalars import Ext
-from .tensor import (TensorMatrix, _leg_reorder, embed_pair, permutation_op,
-                     poly_substitute, swap_factors)
+from .tensor import (TensorMatrix, embed_pair, permutation_op, poly_substitute,
+                     swap_factors)
 
 
 @dataclass(frozen=True)
@@ -134,21 +134,55 @@ def evaluate_matrix(data: np.ndarray, var: str, value: int) -> np.ndarray:
     return out
 
 
-def _embed_raw(data: np.ndarray, n: int, pair) -> np.ndarray:
-    """Raw-array counterpart of embed_pair, for evaluated grid matrices."""
-    eye = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        eye[i, i] = 1
-    if pair == (2, 3):
-        left, right = eye, data
-    else:
-        left, right = data, eye
-    la, lb = left.shape[0], right.shape[0]
-    wide = np.multiply.outer(left, right).transpose(0, 2, 1, 3).reshape(la * lb, la * lb)
-    if pair == (1, 3):
-        perm = _leg_reorder(n, 3, (1, 3, 2))
-        wide = wide[np.ix_(perm, perm)]
-    return wide
+def int_coefficients(m: TensorMatrix, var: str | None):
+    """(scale, stack): the integer coefficients of scale * m by powers of var.
+
+    stack is a list of one (rational) or four (Q(i, sqrt2)) arrays of
+    Python ints with shape (degree + 1, size, size); scale is the least
+    common denominator of every coefficient component, as in
+    uniform_int_scale.  With var None every entry must be constant.
+    """
+    entries = m.data.ravel().tolist()
+    terms = []
+    for idx, x in enumerate(entries):
+        if not isinstance(x, Poly):
+            if x:
+                terms.append((idx, 0, x))
+            continue
+        pos = x.vars.index(var) if var in x.vars else None
+        for exps, coeff in x.coeffs.items():
+            if any(e for k, e in enumerate(exps) if k != pos):
+                raise ValueError(f"entry {idx} depends on {x.vars}, expected {var}")
+            terms.append((idx, 0 if pos is None else exps[pos], coeff))
+    scale = 1
+    for _, _, coeff in terms:
+        scale = _denominator_lcm(coeff, scale)
+    width = 4 if any(isinstance(coeff, Ext) for _, _, coeff in terms) else 1
+    degree = max((power for _, power, _ in terms), default=0)
+    stack = [np.zeros((degree + 1, len(entries)), dtype=object) for _ in range(width)]
+    for idx, power, coeff in terms:
+        parts = coeff.components() if isinstance(coeff, Ext) else (coeff,)
+        for comp, part in zip(stack, parts):
+            comp[power, idx] = part.numerator * (scale // part.denominator)
+    return scale, [comp.reshape(degree + 1, *m.data.shape) for comp in stack]
+
+
+def int_values(stack: list, value: int) -> list:
+    """Components of the stacked polynomial matrix at var = value (Horner),
+    as int64 arrays when every entry fits the kernel's bound."""
+    out = []
+    for comp in stack:
+        acc = comp[-1]
+        for layer in comp[-2::-1]:
+            acc = acc * value + layer
+        out.append(linalg.narrow(acc))
+    return out
+
+
+def _int_entry(comps: list, row: int, col: int):
+    """Exact scalar of one entry of a component list: int, Fraction or Ext."""
+    parts = [int(c[row, col]) for c in comps]
+    return parts[0] if len(parts) == 1 else linalg.ext_value(parts)
 
 
 def interpolate_grid(xs, ys, table):
@@ -165,14 +199,17 @@ def grid_report(identity_name, diff_at, degree_a, degree_b,
                 grid_margin=1, scale=1) -> VerificationReport:
     """Check a bivariate polynomial matrix identity on a conclusive grid.
 
-    diff_at(x, y) returns the scaled difference matrix at integer points;
-    the grid strictly exceeds the stated degree bound in each variable, so
-    all-zero on the grid proves the identity.  Witness values are divided
-    by scale to return to unscaled units.
+    diff_at(x, y) returns the integer components (see linalg.int_product)
+    of the scaled difference matrix at integer points; the grid strictly
+    exceeds the stated degree bound in each variable, so all-zero on the
+    grid proves the identity.  Witness values are divided by scale to
+    return to unscaled units.
     """
     pts_a = degree_a + 1 + grid_margin
     pts_b = degree_b + 1 + grid_margin
-    assert pts_a > degree_a and pts_b > degree_b
+    if pts_a <= degree_a or pts_b <= degree_b:
+        raise ValueError(f"grid {pts_a}x{pts_b} does not exceed the degree bound "
+                         f"({degree_a}, {degree_b}); grid_margin must be >= 0")
     xs = list(range(pts_a))
     ys = list(range(pts_b))
     diffs = {}
@@ -180,14 +217,16 @@ def grid_report(identity_name, diff_at, degree_a, degree_b,
         for y in ys:
             diffs[x, y] = diff_at(x, y)
     mask = None
-    for d in diffs.values():
-        m = d != 0
-        mask = m if mask is None else (mask | m)
-    hit = _first_nonzero(mask)
-    if hit is None:
+    for comps in diffs.values():
+        for d in comps:
+            m = d != 0
+            mask = m if mask is None else (mask | m)
+    hits = np.argwhere(mask)
+    if not len(hits):
         return VerificationReport(identity_name, True, grid_size=(pts_a, pts_b))
-    row, col = hit
-    table = [[_unscale(diffs[x, y][row, col], scale) for y in ys] for x in xs]
+    row, col = (int(k) for k in hits[0])
+    table = [[_unscale(_int_entry(diffs[x, y], row, col), scale) for y in ys]
+             for x in xs]
     coeff = interpolate_grid(xs, ys, table)
     for i in range(pts_a):
         for j in range(pts_b):
@@ -227,28 +266,26 @@ def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationRepor
     var = _single_variable(num)
     n = num.site_dim
     degree = num.max_degree(var)
-    scale, scaled = uniform_int_scale(num)
+    scale, stack = int_coefficients(num, var)
     values = {}
 
     def value_at(t):
         if t not in values:
-            values[t] = evaluate_matrix(scaled, var, t)
+            values[t] = int_values(stack, t)
         return values[t]
 
-    embeds = {}
-
-    def embed_at(pair, t):
-        if (pair, t) not in embeds:
-            embeds[pair, t] = _embed_raw(value_at(t), n, pair)
-        return embeds[pair, t]
+    eye = np.eye(n, dtype=np.int64)
 
     def diff_at(x, y):
-        a = embed_at((1, 2), x)
-        b = embed_at((1, 3), x + y)
-        c = embed_at((2, 3), y)
-        lhs = linalg.matmul(linalg.matmul(a, b), c)
-        rhs = linalg.matmul(linalg.matmul(c, b), a)
-        return lhs - rhs
+        a, b, c = value_at(x), value_at(x + y), value_at(y)
+        # The first factor of each side is embedded directly, the other two
+        # are applied on their legs: lhs = R12(x) R13(x+y) R23(y), rhs =
+        # R23(y) R13(x+y) R12(x).
+        lhs = [np.kron(eye, m).reshape(n, n, n, -1) for m in c]
+        rhs = [np.kron(m, eye).reshape(n, n, n, -1) for m in a]
+        lhs = linalg.apply_two_leg(a, linalg.apply_two_leg(b, lhs, (1, 3)), (1, 2))
+        rhs = linalg.apply_two_leg(c, linalg.apply_two_leg(b, rhs, (1, 3)), (2, 3))
+        return [(p - q).reshape(n ** 3, n ** 3) for p, q in zip(lhs, rhs)]
 
     return grid_report("ybe-spectral", diff_at, 2 * degree, 2 * degree,
                        grid_margin=grid_margin, scale=scale ** 3)

@@ -137,6 +137,38 @@ def test_argparse_rejections():
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("action", ["derive", "transfer", "commute"])
+def test_chain_rejects_constant_matrix_input(tmp_path, capsys, action):
+    path = tmp_path / "P.yb"
+    save(permutation_op(2), path)
+    assert main(["chain", action, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "expected a spectral R-matrix file, found a matrix" in err
+
+
+def test_verify_rejects_wrong_kind(tmp_path, capsys):
+    spectral = tmp_path / "so3.yb"
+    save(yangian_so_R(3), spectral)
+    assert main(["verify", "cybe", "--in", str(spectral)]) == 2
+    report = tmp_path / "rep.json"
+    assert main(["verify", "ybe", "--in", str(spectral), "--report", str(report)]) == 0
+    assert main(["verify", "unitarity", "--in", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "expected a matrix file, found a spectral R-matrix" in err
+    assert "expected a matrix or spectral R-matrix file, found a report" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "ybe", "--in", "x.yb"],
+                                  ["chain", "commute", "--in", "x.yb"]])
+def test_negative_grid_margin_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--grid-margin", "-1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--grid-margin: must be >= 0" in err
+
+
 def test_installed_script_runs(baxter_command):
     argv, env = baxter_command
     cmd = [*argv, "build", "permutation", "--n", "2"]

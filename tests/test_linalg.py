@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baxter import linalg
 from baxter.poly import Poly
 from baxter.scalars import Ext, SQRT2
+from baxter.tensor import TensorMatrix, embed_pair
 
 
 def rand_frac_matrix(rng, n, span=9):
@@ -62,6 +64,17 @@ def test_matmul_matches_naive_extension():
         got = linalg.matmul(a, b)
         want = naive_matmul(a, b)
         assert (got == want).all()
+    for _ in range(8):
+        a = np.array([[Ext(*[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                             for _ in range(4)]) for _ in range(3)]
+                      for _ in range(2)], dtype=object)
+        b = np.array([[rng.choice([Fraction(1, 3), 2, SQRT2 * Fraction(5, 6)])
+                       for _ in range(2)] for _ in range(3)], dtype=object)
+        assert (linalg.matmul(a, b) == naive_matmul(a, b)).all()
+    # rational results come back as Fractions, not as rational Ext values
+    root = np.array([[SQRT2, 1]], dtype=object)
+    square = linalg.matmul(root, root.T)
+    assert type(square[0, 0]) is Fraction and square[0, 0] == 3
 
 
 def test_matmul_matches_naive_poly():
@@ -194,3 +207,111 @@ def test_solve():
     b3 = linalg.object_matrix([[1], [2]])
     x3 = linalg.solve(a2, b3)
     assert (linalg.matmul(a2, x3) == b3).all()
+
+
+# -- integer kernel -----------------------------------------------------------
+
+
+def components(a):
+    """Integer component list of an object matrix: 1 if rational, else 4."""
+    if not any(isinstance(x, Ext) for x in a.flat):
+        return [a.astype(object)]
+    parts = [np.empty(a.shape, dtype=object) for _ in range(4)]
+    for idx, x in np.ndenumerate(a):
+        for part, value in zip(parts, Ext.of(x).components()):
+            part[idx] = int(value)
+    return parts
+
+
+def assemble(comps):
+    """Object matrix of exact scalars from an integer component list."""
+    if len(comps) == 1:
+        return comps[0].astype(object)
+    out = np.empty(comps[0].shape, dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = Ext(*(int(c[idx]) for c in comps))
+    return out
+
+
+def int_entries(ext, big):
+    limit = 2 ** 40 if big else 3
+    ints = st.integers(-limit, limit)
+    if not ext:
+        return ints
+    return st.builds(Ext, ints, ints, ints, ints)
+
+
+@st.composite
+def leg_cases(draw):
+    n = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 4))
+    big = draw(st.booleans())
+    r_entries = int_entries(draw(st.booleans()), big)
+    x_entries = int_entries(draw(st.booleans()), big)
+    r = np.array(draw(st.lists(r_entries, min_size=n ** 4, max_size=n ** 4)),
+                 dtype=object).reshape(n * n, n * n)
+    x = np.array(draw(st.lists(x_entries, min_size=n ** 3 * cols,
+                               max_size=n ** 3 * cols)),
+                 dtype=object).reshape(n ** 3, cols)
+    return n, r, x, draw(st.sampled_from([(1, 2), (1, 3), (2, 3)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(leg_cases())
+def test_apply_two_leg_matches_dense_embedding(case):
+    n, r, x, pair = case
+    # the entry-by-entry object product of the dense embedding, which
+    # shares no code with the kernel
+    want = naive_matmul(embed_pair(TensorMatrix(n, 2, r), pair).data, x)
+    xs = [c.reshape(n, n, n, -1) for c in components(x)]
+    got = linalg.apply_two_leg(components(r), xs, pair)
+    got = assemble([c.reshape(n ** 3, -1) for c in got])
+    assert (got == want).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+def test_int_product_matches_object_product(size, ext_a, ext_b, data):
+    def matrix(ext):
+        big = data.draw(st.booleans())
+        values = data.draw(st.lists(int_entries(ext, big), min_size=size * size,
+                                    max_size=size * size))
+        return np.array(values, dtype=object).reshape(size, size)
+
+    a, b = matrix(ext_a), matrix(ext_b)
+    got = assemble(linalg.int_product(components(a), components(b)))
+    assert (got == naive_matmul(a, b)).all()
+
+
+def test_int_product_bound_edge():
+    # inner * max|a| * max|b| just below 2**62 runs in int64, at 2**62 it
+    # falls back to Python ints, and both are exact
+    a = np.full((4, 4), 2 ** 30, dtype=object)
+    below = np.full((4, 4), 2 ** 30 - 1, dtype=object)
+    at = np.full((4, 4), 2 ** 30, dtype=object)
+    low = linalg.int_product([a], [below])[0]
+    assert low.dtype == np.int64
+    assert (low == 4 * 2 ** 30 * (2 ** 30 - 1)).all()
+    high = linalg.int_product([a], [at])[0]
+    assert high.dtype == object
+    assert (high == 2 ** 62).all()
+
+
+def test_int_product_ext_bound_sums_rule_coefficients():
+    # one component product fits, but the 1*1 + 2*1 + 1*1 + 2*1 = 6 terms
+    # of the rational component do not: the whole product goes to Python ints
+    m = 2 ** 30
+    assert 2 * m * m < 2 ** 62 <= 6 * 2 * m * m
+    a = [np.full((2, 2), m, dtype=object) for _ in range(4)]
+    got = linalg.int_product(a, a)
+    assert all(c.dtype == object for c in got)
+    want = naive_matmul(assemble(a), assemble(a))
+    assert (assemble(got) == want).all()
+
+
+def test_narrow():
+    small = np.array([[2 ** 62 - 1, -(2 ** 62 - 1)]], dtype=object)
+    assert linalg.narrow(small).dtype == np.int64
+    big = np.array([[2 ** 62, 0]], dtype=object)
+    wide = linalg.narrow(big)
+    assert wide.dtype == object and wide[0, 0] == 2 ** 62

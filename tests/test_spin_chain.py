@@ -1,5 +1,8 @@
 """Tests for chain Hamiltonians, transfer matrices, and calibration."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,3 +177,37 @@ def test_calibration_constants():
 
 if __name__ == "__main__":
     test_calibration_constants()
+
+
+def _degree_three_pair():
+    # A(u) = 1 + u(u-1)(u-2) E12 and B(u) = u E21 do not commute, but
+    # A - 1 vanishes on u = 0, 1, 2: a grid of three points in u would
+    # miss the difference.
+    u = Poly.variable("u")
+    a = TensorMatrix.identity(2, 1) + matrix_unit(2, 1, 2) * (u * (u - 1) * (u - 2))
+    return a, matrix_unit(2, 2, 1) * u
+
+
+def test_negative_grid_margin_is_rejected():
+    a, b = _degree_three_pair()
+    rep = check_commutation(a, b)
+    assert not rep.passed and rep.grid_size == (5, 3)
+    assert check_commutation(a, b, grid_margin=0).grid_size == (4, 2)
+    with pytest.raises(ValueError, match="grid_margin"):
+        check_commutation(a, b, grid_margin=-1)
+
+
+def test_negative_grid_margin_is_rejected_under_optimize():
+    # python -O strips assert statements; the guard must survive it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2])\n"
+            "from test_spin_chain import _degree_three_pair, check_commutation\n"
+            "try:\n"
+            "    print(check_commutation(*_degree_three_pair(), grid_margin=-1))\n"
+            "except ValueError as err:\n"
+            "    print('rejected:', err)\n")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, tests, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected:"), proc.stdout

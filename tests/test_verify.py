@@ -6,14 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from baxter import linalg
 from baxter.poly import Poly
+from baxter.scalars import IM, SQRT2, Ext
 from baxter.tensor import (TensorMatrix, kron, matrix_unit, permutation_op,
                            structure_op)
 from baxter.verify import (VerificationReport, Witness, check_classical_limit,
                            check_cybe, check_regularity, check_unitarity,
-                           check_ybe, interpolate_grid, uniform_int_scale)
-from baxter.solutions import example1_r, example1_R, yangian_sl_R
+                           check_ybe, evaluate_matrix, grid_report,
+                           int_coefficients, int_values, interpolate_grid,
+                           uniform_int_scale)
+from baxter.solutions import example1_r, example1_R, yangian_sl_R, yangian_so_R
 
+E11 = matrix_unit(2, 1, 1)
 E12 = matrix_unit(2, 1, 2)
 E21 = matrix_unit(2, 2, 1)
 H = matrix_unit(2, 1, 1) - matrix_unit(2, 2, 2)
@@ -184,3 +189,70 @@ def test_classical_limit():
 
 if __name__ == "__main__":
     test_spectral_ybe_grid_poly_agree()
+
+
+# -- integer grid engine --------------------------------------------------------
+
+
+def test_int_values_match_evaluate_matrix():
+    u = Poly.variable("u")
+    rng = random.Random(5)
+    scalars = [0, 1, -2, Fraction(3, 4), Fraction(-1, 6), SQRT2 * Fraction(1, 2), IM * 3]
+    for _ in range(10):
+        entries = [[sum((rng.choice(scalars) * u ** k for k in range(3)), Poly())
+                    if rng.random() < 0.7 else rng.choice(scalars)
+                    for _ in range(4)] for _ in range(4)]
+        m = TensorMatrix(2, 2, entries)
+        scale, stack = int_coefficients(m, "u")
+        assert scale == uniform_int_scale(m)[0]
+        for t in (0, 1, 5, -3):
+            want = evaluate_matrix(uniform_int_scale(m)[1], "u", t)
+            got = int_values(stack, t)
+            for (i, j), value in np.ndenumerate(want):
+                parts = [int(c[i, j]) for c in got]
+                assert (Ext(*parts) if len(parts) == 4 else parts[0]) == value
+
+
+def test_grid_and_poly_agree_on_perturbations():
+    u = Poly.variable("u")
+    rational = yangian_sl_R(2).numerator + kron(E12, E11) * (3 * u)
+    extension = yangian_sl_R(2).numerator + kron(E11, E11) * (IM * u)
+    for m in (rational, extension):
+        grid = check_ybe(m, method="grid")
+        poly = check_ybe(m, method="poly")
+        assert not grid.passed and not poly.passed
+        assert grid.witness == poly.witness
+    assert isinstance(check_ybe(extension).witness.value, Ext)
+
+
+def test_forced_overflow_takes_python_int_fallback(monkeypatch):
+    # The braid identity is homogeneous, so 2**40 times a solution is one;
+    # its grid products exceed the int64 bound and must run in Python ints.
+    dtypes = []
+    product = linalg.int_product
+
+    def spy(a, b):
+        out = product(a, b)
+        dtypes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(linalg, "int_product", spy)
+    assert check_ybe(yangian_so_R(4)).passed
+    assert set(dtypes) == {np.dtype(np.int64)}
+    dtypes.clear()
+    big = yangian_so_R(4).numerator * 2 ** 40
+    assert check_ybe(big).passed
+    assert np.dtype(object) in dtypes
+    u = Poly.variable("u")
+    bad = big + kron(matrix_unit(4, 1, 1), matrix_unit(4, 2, 2)) * u
+    grid = check_ybe(bad)
+    assert not grid.passed
+    assert grid.witness == check_ybe(bad, method="poly").witness
+
+
+def test_grid_margin_below_zero_is_rejected():
+    with pytest.raises(ValueError):
+        check_ybe(yangian_sl_R(2), grid_margin=-1)
+    with pytest.raises(ValueError):
+        grid_report("x", lambda x, y: [np.zeros((1, 1), dtype=np.int64)], 2, 0,
+                    grid_margin=-1)
