@@ -6,7 +6,7 @@ conclusive evaluation grids or direct polynomial algebra, never floats.
 """
 
 from .poly import Poly
-from .scalars import Ext, IM, OMEGA, SQRT2
+from .scalars import Ext, IM, SQRT2
 from .tensor import (
     TensorMatrix,
     anti_diagonal_form,
@@ -64,7 +64,6 @@ from .spin_chain import (
     compare_up_to_affine,
     derive_hamiltonian,
     remark_hamiltonian,
-    shift_operator,
     transfer_matrix,
 )
 from .serialize import ParseError, ShapeError, VersionError, decode, encode

@@ -83,7 +83,7 @@ def _build(args) -> int:
         form = solutions.realization_form(_realization(args), args.N)
         return _write(structure_op("K", args.N, form), args)
     if kind == "casimir":
-        name = "casimir_sl" if args.algebra == "sl" else "casimir_so"
+        name = "P" if args.algebra == "sl" else "casimir_so"
         size = args.N if args.algebra == "so" else args.n
         form = solutions.realization_form(_realization(args), size)
         return _write(structure_op(name, size, form if args.algebra == "so" else None), args)

@@ -7,9 +7,10 @@ arbitrary precision), extension-field matrices are scaled to four integer
 components and multiplied by the same kernel, and polynomial matrices use
 the generic object dot.
 
-The integer kernel (int_product, apply_two_leg) works on matrices already
-cleared to integers, given as component lists: one array for a rational
-matrix, four for a Q(i, sqrt2) matrix on the basis (1, sqrt2, i, i*sqrt2).
+The integer kernel (int_product, int_sum, apply_two_leg) works on matrices
+already cleared to integers, given as component lists: one array for a
+rational matrix, four for a Q(i, sqrt2) matrix on the basis (1, sqrt2, i,
+i*sqrt2).
 """
 
 from __future__ import annotations
@@ -124,24 +125,35 @@ def int_product(a: list, b: list) -> list:
     return out
 
 
-# Axis order that brings the legs of a pair to the front of an (n, n, n, cols)
-# tensor, with the remaining leg third.
-_PAIR_AXES = {(1, 2): (0, 1, 2, 3), (1, 3): (0, 2, 1, 3), (2, 3): (1, 2, 0, 3)}
-
-
 def apply_two_leg(r: list, x: list, pair) -> list:
-    """R_pair applied to an (n, n, n, cols) integer tensor, component-wise.
+    """R_pair applied to an integer tensor with one axis per leg, component-wise.
 
     r holds the components of an (n^2, n^2) two-leg matrix; x those of a
-    tensor whose first three axes are the legs.  The pair's legs are moved
-    to the front and contracted over n^2 by int_product, so no n^3 x n^3
-    embedding is built and a product costs n^5 * cols.
+    tensor of shape (n,) * legs + (cols,), and pair names two of its legs
+    (1-based).  The pair's legs are moved to the front and contracted over
+    n^2 by int_product, so no n^legs x n^legs embedding is built and a
+    product costs n^(legs + 2) * cols.
     """
-    axes = _PAIR_AXES[tuple(pair)]
-    n = x[0].shape[0]
-    moved = [c.transpose(axes).reshape(n * n, -1) for c in x]
+    s, t = pair[0] - 1, pair[1] - 1
+    axes = (s, t) + tuple(k for k in range(x[0].ndim) if k not in (s, t))
+    moved = [c.transpose(axes) for c in x]
+    shape = moved[0].shape
+    flat = [c.reshape(shape[0] * shape[1], -1) for c in moved]
     back = np.argsort(axes)
-    return [c.reshape(n, n, n, -1).transpose(back) for c in int_product(r, moved)]
+    return [c.reshape(shape).transpose(back) for c in int_product(r, flat)]
+
+
+def int_sum(*terms) -> list:
+    """Exact sum of integer component lists, the narrower ones padded with
+    zeros; int64 when the sum of the terms' largest entries stays below
+    2**62, Python ints otherwise."""
+    bound = sum(max_abs(c) for term in terms for c in term)
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    out = [np.zeros(terms[0][0].shape, dtype=dtype) for _ in range(max(map(len, terms)))]
+    for term in terms:
+        for acc, c in zip(out, term):
+            acc += c.astype(dtype, copy=False)
+    return out
 
 
 def _ext_int_components(a: np.ndarray):
@@ -187,6 +199,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def reciprocal(x):
+    """1 / x for a nonzero exact scalar: an Ext, or else a Fraction."""
+    return x.inverse() if isinstance(x, Ext) else 1 / Fraction(x)
+
+
 def _as_field(a: np.ndarray) -> np.ndarray:
     out = np.empty(a.shape, dtype=object)
     for idx, x in np.ndenumerate(a):
@@ -206,7 +223,7 @@ def rref(a: np.ndarray):
             continue
         if pivot != r:
             m[[r, pivot]] = m[[pivot, r]]
-        inv = m[r, c].inverse() if isinstance(m[r, c], Ext) else Fraction(1) / m[r, c]
+        inv = reciprocal(m[r, c])
         for j in range(c, cols):
             m[r, j] = m[r, j] * inv
         for i in range(rows):
@@ -257,6 +274,13 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return r[:, n:]
 
 
+def vandermonde_inverse(points) -> np.ndarray:
+    """Exact inverse of the Vandermonde matrix [x**j] on distinct points: row
+    j maps a polynomial's values at the points to its coefficient of t**j."""
+    return inverse(object_matrix([[Fraction(x) ** j for j in range(len(points))]
+                                  for x in points]))
+
+
 def det(a: np.ndarray):
     n, m = a.shape
     if n != m:
@@ -272,8 +296,7 @@ def det(a: np.ndarray):
             work[[c, pivot]] = work[[pivot, c]]
             sign = -sign
         value = value * work[c, c]
-        inv = (work[c, c].inverse() if isinstance(work[c, c], Ext)
-               else Fraction(1) / work[c, c])
+        inv = reciprocal(work[c, c])
         for i in range(c + 1, n):
             if work[i, c]:
                 factor = work[i, c] * inv

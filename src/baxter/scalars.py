@@ -104,10 +104,6 @@ class Ext:
         """Conjugate sending i -> -i."""
         return Ext(self.a, self.b, -self.c, -self.d)
 
-    def conj_sqrt2(self) -> "Ext":
-        """Conjugate sending sqrt2 -> -sqrt2."""
-        return Ext(self.a, -self.b, self.c, -self.d)
-
     def inverse(self) -> "Ext":
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(i, sqrt2)")
@@ -163,8 +159,6 @@ class Ext:
 
 SQRT2 = Ext(0, 1)
 IM = Ext(0, 0, 1)
-# Primitive eighth root of unity (1 + i)/sqrt2; OMEGA**2 == IM.
-OMEGA = Ext(0, Fraction(1, 2), 0, Fraction(1, 2))
 
 
 def is_exact_scalar(x) -> bool:

@@ -43,6 +43,15 @@ class ShapeError(ValueError):
     pass
 
 
+def _require(ok: bool, message: str, location: str) -> None:
+    if not ok:
+        raise ParseError(message, location)
+
+
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 # -- scalars -------------------------------------------------------------
 
 
@@ -205,8 +214,12 @@ def _decode_loose(obj, location: str):
     if isinstance(obj, dict) and "text" in obj:
         return obj["text"]
     if isinstance(obj, dict) and "coefficients" in obj:
+        variables = obj.get("variables", ["u"])
+        _require(isinstance(variables, list) and len(variables) == 1
+                 and isinstance(variables[0], str),
+                 "variables must be a list of one name", f"{location}.variables")
         return _decode_entry(obj["coefficients"], obj.get("field", FIELD_RATIONAL),
-                             tuple(obj.get("variables", ("u",))), location)
+                             tuple(variables), location)
     raise ParseError(f"unrecognized value {obj!r}", location)
 
 
@@ -230,23 +243,40 @@ def _report_payload(report: VerificationReport) -> dict:
 
 
 def _decode_report_payload(payload: dict) -> VerificationReport:
-    witness = payload.get("witness")
+    passed, witness = payload.get("passed"), payload.get("witness")
+    _require(isinstance(payload.get("identity"), str), "identity must be a string",
+             "identity")
+    _require(isinstance(passed, bool), "passed must be true or false", "passed")
+    _require(passed == (witness is None), "a witness must be present exactly on failure",
+             "witness")
     if witness is not None:
+        _require(isinstance(witness, dict), "witness must be an object or null",
+                 "witness")
+        for key in ("row", "col"):
+            _require(_is_index(witness.get(key)), f"{key} must be a non-negative integer",
+                     f"witness.{key}")
+        exponents = witness.get("exponents")
+        _require(isinstance(exponents, list) and all(map(_is_index, exponents)),
+                 "exponents must be a list of non-negative integers", "witness.exponents")
+        _require("value" in witness, "missing value", "witness.value")
         witness = Witness(
             row=witness["row"],
             col=witness["col"],
-            exponents=tuple(witness["exponents"]),
+            exponents=tuple(exponents),
             value=_decode_loose(witness["value"], "witness.value"),
         )
     grid = payload.get("grid_size")
+    _require(grid is None or isinstance(grid, list) and all(map(_is_index, grid)),
+             "grid_size must be null or a list of non-negative integers", "grid_size")
+    details = payload.get("details", {})
+    _require(isinstance(details, dict), "details must be an object", "details")
     return VerificationReport(
         identity_name=payload["identity"],
-        passed=payload["passed"],
+        passed=passed,
         witness=witness,
         scalar_factor=_decode_loose(payload.get("scalar_factor"), "scalar_factor"),
         grid_size=tuple(grid) if grid else None,
-        details={k: _decode_loose(v, f"details.{k}")
-                 for k, v in payload.get("details", {}).items()},
+        details={k: _decode_loose(v, f"details.{k}") for k, v in details.items()},
     )
 
 

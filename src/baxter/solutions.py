@@ -64,31 +64,6 @@ class SpectralRMatrix:
         """Numerator at a point; the scalar denominator is not divided out."""
         return self.numerator.substitute({self.variable: point})
 
-    def denominator_value(self, point):
-        if self.denominator.is_constant():
-            return self.denominator.constant_value()
-        return self.denominator.substitute({self.variable: point})
-
-    def is_canonical(self) -> bool:
-        """True when the denominator divides no common factor out of the numerator.
-
-        Implemented for the denominators this module produces (degree <= 1).
-        """
-        den = self.denominator
-        if den.is_zero():
-            return False
-        if den.is_constant():
-            return True
-        var = self.variable
-        if den.degree(var) > 1:
-            raise NotImplementedError("only linear denominators are handled")
-        c0, c1 = den.coefficient((0,)), den.coefficient((1,))
-        if isinstance(c0, Ext) or isinstance(c1, Ext):
-            root = -Ext.of(c0) / Ext.of(c1)
-        else:
-            root = -Fraction(c0) / Fraction(c1)
-        return not self.evaluate(root).is_zero()
-
 
 # -- the triangular constant family -------------------------------------------
 

@@ -15,26 +15,12 @@ import numpy as np
 
 from . import linalg, verify
 from .poly import Poly
-from .scalars import Ext, IM
 from .solutions import SpectralRMatrix
-from .tensor import (
-    TensorMatrix,
-    embed_two_leg,
-    kron,
-    matrix_unit,
-    partial_trace_first,
-    permutation_op,
-)
-
-HALF = Fraction(1, 2)
+from .tensor import TensorMatrix, embed_two_leg, kron, matrix_unit, permutation_op
 
 
 def sigma_x() -> TensorMatrix:
     return matrix_unit(2, 1, 2) + matrix_unit(2, 2, 1)
-
-
-def sigma_y() -> TensorMatrix:
-    return (matrix_unit(2, 2, 1) - matrix_unit(2, 1, 2)) * IM
 
 
 def sigma_z() -> TensorMatrix:
@@ -96,12 +82,6 @@ def remark_hamiltonian(spec: ChainSpec) -> TensorMatrix:
     return _bond_sum(density, spec)
 
 
-def _scalar_inverse(c):
-    if isinstance(c, Ext):
-        return c.inverse()
-    return Fraction(1) / Fraction(c)
-
-
 def derive_hamiltonian(r: SpectralRMatrix, spec: ChainSpec) -> TensorMatrix:
     """Logarithmic-derivative density P N'(0) / c for a regular R-matrix.
 
@@ -113,7 +93,7 @@ def derive_hamiltonian(r: SpectralRMatrix, spec: ChainSpec) -> TensorMatrix:
         raise ValueError("R-matrix is not regular at the origin")
     var = r.variable
     slope = r.numerator.derivative(var).substitute({var: 0})
-    density = (permutation_op(r.site_dim) @ slope) * _scalar_inverse(report.scalar_factor)
+    density = (permutation_op(r.site_dim) @ slope) * linalg.reciprocal(report.scalar_factor)
     return _bond_sum(density, spec)
 
 
@@ -132,55 +112,42 @@ class TransferFamily:
         return names[0] if names else "u"
 
 
-def shift_operator(sites: int, site_dim: int = 2) -> TensorMatrix:
-    """Cyclic one-site shift e_{s1..sL} -> e_{sL s1..s_{L-1}}."""
-    size = site_dim ** sites
-    entries = {}
-    for col in range(size):
-        digits = []
-        rest = col
-        for _ in range(sites):
-            digits.append(rest % site_dim)
-            rest //= site_dim
-        digits.reverse()
-        rotated = [digits[-1]] + digits[:-1]
-        row = 0
-        for d in rotated:
-            row = row * site_dim + d
-        entries[(row, col)] = 1
-    return TensorMatrix.from_entries(site_dim, sites, entries)
-
-
 def transfer_matrix(r: SpectralRMatrix, spec: ChainSpec) -> TransferFamily:
     """t(u) = tr_0 [ N_{0L}(u) ... N_{01}(u) ] built on the numerator.
 
-    Entries are interpolated exactly from evaluations at 0..L*d, where d is
-    the numerator degree, so the result is the true polynomial family.
+    At each of the points 0..L*d, where d is the numerator degree, the
+    cleared numerator is applied on legs (0, k) of an integer tensor that
+    starts as the identity on L + 1 legs, and leg 0 is traced out.  Entries
+    are interpolated exactly from those values, so the result is the true
+    polynomial family; a scalar is built only for its coefficients.
     """
     if spec.boundary != "periodic":
         raise ValueError("transfer matrices need a periodic chain")
     n = r.site_dim
     sites = spec.sites
     var = r.variable
-    degree = r.numerator.max_degree(var)
-    points = range(sites * degree + 1)
+    scale, stack = verify.int_coefficients(r.numerator, var)
+    points = range(sites * (len(stack[0]) - 1) + 1)
+    size = n ** sites
+    eye = [np.eye(n * size, dtype=np.int64).reshape((n,) * (sites + 1) + (-1,))]
     tables = []
     for x in points:
-        numerator_x = r.evaluate(x)
-        prod = TensorMatrix.identity(n, sites + 1)
-        for k in range(sites, 0, -1):
-            prod = prod @ embed_two_leg(numerator_x, sites + 1, (1, k + 1))
-        tables.append(partial_trace_first(prod).data)
-    vandermonde = linalg.object_matrix(
-        [[Fraction(x) ** j for j in range(len(points))] for x in points])
-    inverse = linalg.inverse(vandermonde)
-    size = n ** sites
-    coeff = [sum(inverse[c, x] * tables[x] for x in points) for c in range(len(points))]
-    data = np.empty((size, size), dtype=object)
-    for i in range(size):
-        for j in range(size):
-            data[i, j] = Poly.univariate(var, [coeff[c][i, j] for c in range(len(points))])
-    family = TensorMatrix(n, sites, data)
+        value = verify.int_values(stack, x)
+        prod = eye
+        for k in range(1, sites + 1):
+            prod = linalg.apply_two_leg(value, prod, (1, k + 1))
+        blocks = [[c.reshape(n, size, n, size)[a, :, a, :] for c in prod]
+                  for a in range(n)]
+        tables.append([c.reshape(1, -1) for c in linalg.int_sum(*blocks)])
+    weights, denominator = linalg.scale_to_int(linalg.vandermonde_inverse(points))
+    coeffs = linalg.int_product([linalg.narrow(weights)],
+                                [np.concatenate(c) for c in zip(*tables)])
+    denominator *= scale ** sites
+    data = np.empty(size * size, dtype=object)
+    data[:] = [Poly.univariate(var, [linalg.ext_value(parts, denominator)
+                                     for parts in zip(*entry)])
+               for entry in zip(*(c.T.tolist() for c in coeffs))]
+    family = TensorMatrix(n, sites, data.reshape(size, size))
     return TransferFamily(family, sites, n, f"transfer({r.label})" if r.label else "transfer")
 
 

@@ -299,18 +299,11 @@ CRITERIA = (
     ("baxterized-family", baxterized_family, 30),
     ("yangian-families", yangian_families, 60),
     ("twisted-orthogonal", twisted_orthogonal, 120),
-    ("frobenius-construction", frobenius_construction, None),
-    ("classical-equivalence", classical_equivalence, None),
-    ("chain-checks", chain_checks, 120),
+    ("frobenius-construction", frobenius_construction, 1),
+    ("classical-equivalence", classical_equivalence, 2),
+    ("chain-checks", chain_checks, 5),
     ("cli-interface", cli_interface, None),
 )
-
-
-def run_criterion(name: str) -> list:
-    for label, fn, budget in CRITERIA:
-        if label == name:
-            return fn()
-    raise ValueError(f"unknown criterion {name!r}")
 
 
 def run_all() -> bool:

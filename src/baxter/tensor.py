@@ -8,23 +8,11 @@ scalars or Poly values; floats never enter.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from . import linalg
 from .poly import Poly
 from .scalars import is_exact_scalar
-
-
-def composite_index(indices, n: int) -> int:
-    """Row-major composite index (0-based result, 1-based leg indices)."""
-    out = 0
-    for i in indices:
-        if not 1 <= i <= n:
-            raise ValueError(f"leg index {i} out of range 1..{n}")
-        out = out * n + (i - 1)
-    return out
 
 
 def _leg_reorder(n: int, legs: int, source: tuple) -> np.ndarray:
@@ -100,12 +88,6 @@ class TensorMatrix:
     @property
     def size(self) -> int:
         return self.site_dim ** self.legs
-
-    def rows(self):
-        return self.data.tolist()
-
-    def entry(self, i: int, j: int):
-        return self.data[i, j]
 
     # -- ring operations ---------------------------------------------------
 
@@ -238,11 +220,6 @@ def matrix_unit(n: int, i: int, j: int) -> TensorMatrix:
     return TensorMatrix.from_entries(n, 1, {(i - 1, j - 1): 1})
 
 
-def diagonal_matrix(values) -> TensorMatrix:
-    n = len(values)
-    return TensorMatrix.from_entries(n, 1, {(i, i): v for i, v in enumerate(values)})
-
-
 def anti_diagonal_form(n: int) -> TensorMatrix:
     """The bilinear form J with J[i, n+1-i] = 1."""
     return TensorMatrix.from_entries(n, 1, {(i, n - 1 - i): 1 for i in range(n)})
@@ -330,33 +307,19 @@ def form_transpose_first(m: TensorMatrix, form: TensorMatrix | None = None) -> T
 
 
 def structure_op(kind: str, n: int, form: TensorMatrix | None = None) -> TensorMatrix:
-    """Named two-leg operators: P, K, and the Casimir images.
+    """Named two-leg operators: P, K, and the orthogonal Casimir image.
 
-    casimir_sl is P; casimir_so is P - K, with K taken with respect to
-    the given bilinear form (identity when omitted).
+    casimir_so is P - K, with K taken with respect to the given bilinear
+    form (identity when omitted).
     """
     if kind == "P":
         return permutation_op(n)
     if kind == "K":
         return form_transpose_first(permutation_op(n), form)
-    if kind == "casimir_sl":
-        return permutation_op(n)
     if kind == "casimir_so":
         p = permutation_op(n)
         return p - form_transpose_first(p, form)
     raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def partial_trace_first(m: TensorMatrix) -> TensorMatrix:
-    """Trace out leg 1, leaving a matrix on the remaining legs."""
-    if m.legs < 2:
-        raise ValueError("need at least two legs to trace one out")
-    n = m.site_dim
-    rest = m.size // n
-    out = np.zeros((rest, rest), dtype=object)
-    for a in range(n):
-        out = out + m.data[a * rest:(a + 1) * rest, a * rest:(a + 1) * rest]
-    return TensorMatrix(m.site_dim, m.legs - 1, out)
 
 
 def poly_substitute(m: TensorMatrix, target, var: str | None = None) -> TensorMatrix:

@@ -152,7 +152,8 @@ def int_coefficients(m: TensorMatrix, var: str | None):
         pos = x.vars.index(var) if var in x.vars else None
         for exps, coeff in x.coeffs.items():
             if any(e for k, e in enumerate(exps) if k != pos):
-                raise ValueError(f"entry {idx} depends on {x.vars}, expected {var}")
+                raise ValueError(f"entry {idx} depends on {x.vars}, expected "
+                                 f"{var or 'a constant'}")
             terms.append((idx, 0 if pos is None else exps[pos], coeff))
     scale = 1
     for _, _, coeff in terms:
@@ -179,20 +180,23 @@ def int_values(stack: list, value: int) -> list:
     return out
 
 
-def _int_entry(comps: list, row: int, col: int):
-    """Exact scalar of one entry of a component list: int, Fraction or Ext."""
-    parts = [int(c[row, col]) for c in comps]
-    return parts[0] if len(parts) == 1 else linalg.ext_value(parts)
+def _first_int_hit(arrays):
+    """(row, col) of the first entry, in row-major order, that is nonzero in
+    any of the integer arrays, or None."""
+    hits = np.argwhere(np.logical_or.reduce([a != 0 for a in arrays]))
+    return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
+
+
+def _int_entry(comps: list, row: int, col: int, scale: int):
+    """Exact scalar of one entry of a component list divided by scale."""
+    return linalg.ext_value([int(c[row, col]) for c in comps], scale)
 
 
 def interpolate_grid(xs, ys, table):
     """Exact bivariate coefficients c[i][j] from values on a product grid."""
-    va = linalg.object_matrix([[Fraction(x) ** j for j in range(len(xs))] for x in xs])
-    vb = linalg.object_matrix([[Fraction(y) ** j for j in range(len(ys))] for y in ys])
     values = linalg.object_matrix(table)
-    coeff = linalg.matmul(linalg.matmul(linalg.inverse(va), values),
-                          linalg.inverse(vb).T)
-    return coeff
+    return linalg.matmul(linalg.matmul(linalg.vandermonde_inverse(xs), values),
+                         linalg.vandermonde_inverse(ys).T)
 
 
 def grid_report(identity_name, diff_at, degree_a, degree_b,
@@ -216,17 +220,11 @@ def grid_report(identity_name, diff_at, degree_a, degree_b,
     for x in xs:
         for y in ys:
             diffs[x, y] = diff_at(x, y)
-    mask = None
-    for comps in diffs.values():
-        for d in comps:
-            m = d != 0
-            mask = m if mask is None else (mask | m)
-    hits = np.argwhere(mask)
-    if not len(hits):
+    hit = _first_int_hit([d for comps in diffs.values() for d in comps])
+    if hit is None:
         return VerificationReport(identity_name, True, grid_size=(pts_a, pts_b))
-    row, col = (int(k) for k in hits[0])
-    table = [[_unscale(_int_entry(diffs[x, y], row, col), scale) for y in ys]
-             for x in xs]
+    row, col = hit
+    table = [[_int_entry(diffs[x, y], row, col, scale) for y in ys] for x in xs]
     coeff = interpolate_grid(xs, ys, table)
     for i in range(pts_a):
         for j in range(pts_b):
@@ -235,14 +233,6 @@ def grid_report(identity_name, diff_at, degree_a, degree_b,
                 return VerificationReport(identity_name, False, witness,
                                           grid_size=(pts_a, pts_b))
     raise AssertionError("nonzero grid value with zero interpolant")
-
-
-def _unscale(value, scale):
-    if scale == 1:
-        return value
-    if isinstance(value, Ext):
-        return value * Fraction(1, scale)
-    return Fraction(value, scale)
 
 
 # -- Yang-Baxter -------------------------------------------------------------
@@ -334,18 +324,6 @@ def check_ybe(r, mode: str | None = None, method: str = "grid",
 # -- classical Yang-Baxter ---------------------------------------------------
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return linalg.matmul(a, b) - linalg.matmul(b, a)
-
-
-def _cybe_residual(r: TensorMatrix) -> np.ndarray:
-    r12 = embed_pair(r, (1, 2)).data
-    r13 = embed_pair(r, (1, 3)).data
-    r23 = embed_pair(r, (2, 3)).data
-    return (_commutator(r12, r13) + _commutator(r12, r23)
-            + _commutator(r13, r23))
-
-
 def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
                mode: str = "constant") -> VerificationReport:
     """Classical Yang-Baxter identity for r, constant or rational.
@@ -353,56 +331,64 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
     Rational mode checks X(u, v) = omega/(u - v) + r in the two difference
     variables a = u1 - u2, b = u2 - u3 after clearing a (a+b) b; the
     residual's monomial coefficients are combinations of twelve constant
-    commutators, so the check is exact polynomial arithmetic.
+    commutators, so the check is exact polynomial arithmetic.  Both modes
+    clear r (and omega) by one common scale and apply each factor of a
+    commutator on its legs in integers; only the witness becomes a scalar.
     """
     if r.legs != 2:
         raise ValueError("classical Yang-Baxter check expects a two-leg matrix")
-    if mode == "constant":
-        residual = _cybe_residual(r)
-        hit = _first_nonzero(residual)
-        if hit is None:
-            return VerificationReport("cybe-constant", True)
-        return VerificationReport("cybe-constant", False,
-                                  Witness(hit[0], hit[1], (), residual[hit]))
-    if mode != "rational":
+    factors = {"r": r}
+    if mode == "rational":
+        if omega is None:
+            raise ValueError("rational mode needs the invariant tensor omega")
+        if (omega.site_dim, omega.legs) != (r.site_dim, r.legs):
+            raise ValueError("omega must match r in site_dim and legs")
+        factors["w"] = omega
+    elif mode != "constant":
         raise ValueError(f"unknown mode {mode!r}")
-    if omega is None:
-        raise ValueError("rational mode needs the invariant tensor omega")
-    if (omega.site_dim, omega.legs) != (r.site_dim, r.legs):
-        raise ValueError("omega must match r in site_dim and legs")
+    cleared = {name: int_coefficients(m, None) for name, m in factors.items()}
+    scale = math.lcm(*(s for s, _ in cleared.values()))
+    ints = {name: [linalg.narrow(c[0] * (scale // s)) for c in stack]
+            for name, (s, stack) in cleared.items()}
+    n = r.site_dim
+    eye = [np.eye(n ** 3, dtype=np.int64).reshape(n, n, n, -1)]
+    emb = {f"{name}{s}{t}": linalg.apply_two_leg(m, eye, (s, t))
+           for name, m in ints.items() for s, t in ((1, 2), (1, 3), (2, 3))}
 
-    emb = {}
-    for name, m in (("r", r), ("w", omega)):
-        for pair in ((1, 2), (1, 3), (2, 3)):
-            emb[name, pair] = embed_pair(m, pair).data
+    def com(x, y):
+        """[x, y] for embedded factors named like "r12" or "w23"; each product
+        applies its left factor on that factor's legs."""
+        xy = linalg.apply_two_leg(ints[x[0]], emb[y], (int(x[1]), int(x[2])))
+        yx = linalg.apply_two_leg(ints[y[0]], emb[x], (int(y[1]), int(y[2])))
+        return linalg.int_sum(xy, [-c for c in yx])
 
-    def com(na, pa, nb, pb):
-        return _commutator(emb[na, pa], emb[nb, pb])
-
-    cybe_r = _cybe_residual(r)
-    coefficients = {
-        (1, 0): com("w", (1, 2), "w", (2, 3)) + com("w", (1, 3), "w", (2, 3)),
-        (0, 1): com("w", (1, 2), "w", (1, 3)) + com("w", (1, 2), "w", (2, 3)),
-        (2, 0): com("r", (1, 2), "w", (2, 3)) + com("r", (1, 3), "w", (2, 3)),
-        (0, 2): com("w", (1, 2), "r", (1, 3)) + com("w", (1, 2), "r", (2, 3)),
-        (1, 1): (com("w", (1, 2), "r", (1, 3)) + com("r", (1, 2), "w", (1, 3))
-                 + com("w", (1, 2), "r", (2, 3)) + com("r", (1, 2), "w", (2, 3))
-                 + com("w", (1, 3), "r", (2, 3)) + com("r", (1, 3), "w", (2, 3))),
-        (2, 1): cybe_r,
-        (1, 2): cybe_r,
-    }
+    add = linalg.int_sum
+    cybe_r = add(com("r12", "r13"), com("r12", "r23"), com("r13", "r23"))
+    if mode == "constant":
+        coefficients = {(): cybe_r}
+    else:
+        coefficients = {
+            (1, 0): add(com("w12", "w23"), com("w13", "w23")),
+            (0, 1): add(com("w12", "w13"), com("w12", "w23")),
+            (2, 0): add(com("r12", "w23"), com("r13", "w23")),
+            (0, 2): add(com("w12", "r13"), com("w12", "r23")),
+            (1, 1): add(com("w12", "r13"), com("r12", "w13"), com("w12", "r23"),
+                        com("r12", "w23"), com("w13", "r23"), com("r13", "w23")),
+            (2, 1): cybe_r,
+            (1, 2): cybe_r,
+        }
+    name = f"cybe-{mode}"
     best = None
-    for exps in sorted(coefficients):
-        hit = _first_nonzero(coefficients[exps])
-        if hit is not None:
-            key = (hit[0], hit[1], exps)
-            if best is None or key < best:
-                best = key
+    for exps, comps in sorted(coefficients.items()):
+        comps = [c.reshape(n ** 3, n ** 3) for c in comps]
+        hit = _first_int_hit(comps)
+        if hit is not None and (best is None or (*hit, exps) < best[0]):
+            best = ((*hit, exps), comps)
     if best is None:
-        return VerificationReport("cybe-rational", True)
-    row, col, exps = best
-    return VerificationReport("cybe-rational", False,
-                              Witness(row, col, exps, coefficients[exps][row, col]))
+        return VerificationReport(name, True)
+    (row, col, exps), comps = best
+    value = _int_entry(comps, row, col, scale ** 2)
+    return VerificationReport(name, False, Witness(row, col, exps, value))
 
 
 # -- unitarity, regularity, classical limit ----------------------------------

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its exit codes."""
 
+import json
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from baxter.serialize import decode, load, save
 from baxter.solutions import example1_r, yangian_so_R
 from baxter.spin_chain import ChainSpec, remark_hamiltonian
 from baxter.tensor import kron, matrix_unit, permutation_op
+from baxter.verify import check_cybe
 from fractions import Fraction
 
 
@@ -157,6 +159,20 @@ def test_verify_rejects_wrong_kind(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "expected a matrix file, found a spectral R-matrix" in err
     assert "expected a matrix or spectral R-matrix file, found a report" in err
+
+
+@pytest.mark.parametrize("field, value", [("details", [1]), ("witness", [1]),
+                                          ("passed", 0)])
+def test_malformed_report_input_exits_2(tmp_path, capsys, field, value):
+    report = tmp_path / "rep.json"
+    save(check_cybe(permutation_op(2)), report)
+    payload = json.loads(report.read_text())
+    payload[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["verify", "ybe", "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and f"at {field}" in err
 
 
 @pytest.mark.parametrize("argv", [["verify", "ybe", "--in", "x.yb"],

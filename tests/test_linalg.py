@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from baxter import linalg
 from baxter.poly import Poly
 from baxter.scalars import Ext, SQRT2
-from baxter.tensor import TensorMatrix, embed_pair
+from baxter.tensor import TensorMatrix, embed_two_leg
 
 
 def rand_frac_matrix(rng, n, span=9):
@@ -243,29 +243,31 @@ def int_entries(ext, big):
 
 @st.composite
 def leg_cases(draw):
-    n = draw(st.integers(1, 3))
+    legs = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3 if legs < 4 else 2))
     cols = draw(st.integers(1, 4))
     big = draw(st.booleans())
     r_entries = int_entries(draw(st.booleans()), big)
     x_entries = int_entries(draw(st.booleans()), big)
     r = np.array(draw(st.lists(r_entries, min_size=n ** 4, max_size=n ** 4)),
                  dtype=object).reshape(n * n, n * n)
-    x = np.array(draw(st.lists(x_entries, min_size=n ** 3 * cols,
-                               max_size=n ** 3 * cols)),
-                 dtype=object).reshape(n ** 3, cols)
-    return n, r, x, draw(st.sampled_from([(1, 2), (1, 3), (2, 3)]))
+    size = n ** legs
+    x = np.array(draw(st.lists(x_entries, min_size=size * cols, max_size=size * cols)),
+                 dtype=object).reshape(size, cols)
+    pair = draw(st.permutations(range(1, legs + 1)))[:2]
+    return n, legs, r, x, tuple(pair)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(leg_cases())
 def test_apply_two_leg_matches_dense_embedding(case):
-    n, r, x, pair = case
+    n, legs, r, x, pair = case
     # the entry-by-entry object product of the dense embedding, which
-    # shares no code with the kernel
-    want = naive_matmul(embed_pair(TensorMatrix(n, 2, r), pair).data, x)
-    xs = [c.reshape(n, n, n, -1) for c in components(x)]
+    # shares no code with the kernel; pairs may be out of order, as (3, 1)
+    want = naive_matmul(embed_two_leg(TensorMatrix(n, 2, r), legs, pair).data, x)
+    xs = [c.reshape((n,) * legs + (-1,)) for c in components(x)]
     got = linalg.apply_two_leg(components(r), xs, pair)
-    got = assemble([c.reshape(n ** 3, -1) for c in got])
+    got = assemble([c.reshape(n ** legs, -1) for c in got])
     assert (got == want).all()
 
 
@@ -307,6 +309,18 @@ def test_int_product_ext_bound_sums_rule_coefficients():
     assert all(c.dtype == object for c in got)
     want = naive_matmul(assemble(a), assemble(a))
     assert (assemble(got) == want).all()
+
+
+def test_int_sum_pads_widths_and_guards_the_bound():
+    a = [np.full((2, 2), 2 ** 60, dtype=np.int64)]
+    b = [np.full((2, 2), 2 ** 60 - 1, dtype=np.int64), np.ones((2, 2), dtype=np.int64),
+         np.zeros((2, 2), dtype=np.int64), np.full((2, 2), -3, dtype=np.int64)]
+    low = linalg.int_sum([-c for c in a], b)
+    assert [c.dtype for c in low] == [np.dtype(np.int64)] * 4
+    assert [int(c[0, 1]) for c in low] == [-1, 1, 0, -3]
+    # 2**61 + 2**61 reaches 2**62: the sum runs in Python ints and is exact
+    high = linalg.int_sum([a[0] * 2], [a[0] * 2])
+    assert high[0].dtype == object and high[0][1, 1] == 2 ** 62
 
 
 def test_narrow():

@@ -189,5 +189,43 @@ def test_report_round_trip_preserves_witness():
     assert back.scalar_factor == rep.scalar_factor
 
 
+def _failing_report_payload():
+    rep = check_unitarity(TensorMatrix.identity(2, 2)
+                          + kron(matrix_unit(2, 1, 2), matrix_unit(2, 1, 2)))
+    return json.loads(encode(rep))
+
+
+@pytest.mark.parametrize("path, value, location", [
+    (("identity",), 3, "identity"),
+    (("passed",), 0, "passed"),
+    (("passed",), True, "witness"),
+    (("witness",), [1], "witness"),
+    (("witness", "row"), "1", "witness.row"),
+    (("witness", "row"), 1.5, "witness.row"),
+    (("witness", "col"), -1, "witness.col"),
+    (("witness", "col"), False, "witness.col"),
+    (("witness", "exponents"), 3, "witness.exponents"),
+    (("witness", "exponents"), ["0"], "witness.exponents"),
+    (("witness", "value"), None, "witness.value"),
+    (("witness", "value"), {"coefficients": ["1"], "variables": 3},
+     "witness.value.variables"),
+    (("grid_size",), "ab", "grid_size"),
+    (("grid_size",), [2, "3"], "grid_size"),
+    (("details",), [1], "details"),
+])
+def test_report_decoder_rejects_bad_fields(path, value, location):
+    payload = _failing_report_payload()
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    if value is None:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    with pytest.raises(ParseError) as err:
+        decode(json.dumps(payload))
+    assert err.value.location == location
+
+
 if __name__ == "__main__":
     test_round_trips_bit_exact()

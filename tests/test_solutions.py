@@ -25,7 +25,7 @@ def test_constant_solution_frozen():
             [0, 0, 0, half],
             [0, 0, 0, -half],
             [0, 0, 0, 0]]
-    assert [list(row) for row in example1_r(2).rows()] == want
+    assert example1_r(2).data.tolist() == want
 
 
 def test_constant_solution_skew_nilpotent():
@@ -46,7 +46,7 @@ def test_exponential_frozen():
             [0, 1, 0, half],
             [0, 0, 1, -half],
             [0, 0, 0, 1]]
-    assert [list(row) for row in example1_R(2).rows()] == want
+    assert example1_R(2).data.tolist() == want
 
 
 def test_exponential_is_truncated_series():
@@ -91,8 +91,6 @@ def test_yangian_sl():
     assert y.variable == "u"
     assert y.denominator == Poly.variable("u")
     assert y.evaluate(0) == permutation_op(2)
-    assert y.denominator_value(3) == 3
-    assert y.is_canonical()
     u = Poly.variable("u")
     assert y.numerator == TensorMatrix.identity(2, 2) * u + permutation_op(2)
 
@@ -111,8 +109,6 @@ def test_yangian_so():
         u = Poly.variable("u")
         assert y.denominator == Poly.lift(k, ("u",)) + u
         assert y.evaluate(0) == permutation_op(n) * k
-        assert y.denominator_value(0) == k
-        assert y.is_canonical()
         rep = check_unitarity(y)
         one = Poly.lift(1, ("u",))
         kk = Poly.lift(k * k, ("u",))
@@ -167,7 +163,7 @@ def test_conjugator():
     # odd size pins the middle entry
     t = conjugator_T(5)
     omega = (Ext.of(1) + IM) * (Ext(0, 1, 0, 0) / 2)
-    assert t.entry(2, 2) == omega
+    assert t.data[2, 2] == omega
     assert omega ** 8 == Ext.of(1)
 
 
@@ -198,7 +194,6 @@ def test_twist_by_identity_is_identity_map():
 def test_twisted_solution_properties():
     e2 = example2_solution(4)
     assert check_ybe(e2).passed
-    assert e2.is_canonical()
     rep = check_unitarity(e2)
     k = orthogonal_half_level(4)
     u = Poly.variable("u")
@@ -223,12 +218,6 @@ def test_classical_limit_of_twist_family():
     one = TensorMatrix.identity(4, 2)
     family = (one - kron(d.e, d.h) * xi) @ (one + kron(d.h, d.e) * xi)
     assert check_classical_limit(family, d.r0).passed
-
-
-def test_is_canonical_rejects_common_factor():
-    u = Poly.variable("u")
-    reducible = SpectralRMatrix(permutation_op(2) * u, Poly.variable("u"))
-    assert not reducible.is_canonical()
 
 
 def test_two_entry_variables_rejected():

@@ -5,17 +5,50 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from baxter import linalg
 from baxter.poly import Poly
-from baxter.solutions import SpectralRMatrix, baxterize, example1_R, yangian_sl_R
+from baxter.scalars import IM
+from baxter.solutions import (Realization, SpectralRMatrix, baxterize, example1_R,
+                              example2_solution, yangian_sl_R)
 from baxter.spin_chain import (ChainSpec, bonds, calibrate, check_commutation,
                                compare_up_to_affine, derive_hamiltonian,
                                exchange_density, remark_hamiltonian,
-                               shift_operator, sigma_minus, sigma_x, sigma_y,
-                               sigma_z, substitute_square, transfer_matrix)
+                               sigma_minus, sigma_x, sigma_z, substitute_square,
+                               transfer_matrix)
 from baxter.tensor import (TensorMatrix, embed_two_leg, kron, matrix_unit,
                            permutation_op)
+
+
+def sigma_y():
+    return (matrix_unit(2, 2, 1) - matrix_unit(2, 1, 2)) * IM
+
+
+def shift_operator(sites, site_dim=2):
+    """Cyclic one-site shift e_{s1..sL} -> e_{sL s1..s_{L-1}}."""
+    entries = {}
+    for col in range(site_dim ** sites):
+        head, last = divmod(col, site_dim)
+        entries[last * site_dim ** (sites - 1) + head, col] = 1
+    return TensorMatrix.from_entries(site_dim, sites, entries)
+
+
+def partial_trace_first(m):
+    """Trace out leg 1 of a dense matrix, block by block."""
+    n, rest = m.site_dim, m.size // m.site_dim
+    blocks = m.data.reshape(n, rest, n, rest)
+    return TensorMatrix(n, m.legs - 1, sum(blocks[a, :, a, :] for a in range(n)))
+
+
+def dense_transfer(r, sites, point):
+    """tr_1 [ N_{1,L+1} ... N_{12} ] at a point, by dense embeddings and products."""
+    value = r.evaluate(point)
+    prod = TensorMatrix.identity(r.site_dim, sites + 1)
+    for k in range(sites, 0, -1):
+        prod = prod @ embed_two_leg(value, sites + 1, (1, k + 1))
+    return partial_trace_first(prod)
 
 
 def test_exchange_density_is_pauli_sum():
@@ -122,6 +155,33 @@ def test_transfer_matrix_at_origin_is_shift():
         assert fam.sites == sites and fam.aux_dim == 2
         assert fam.matrix.substitute({"u": 0}) == shift_operator(sites)
         assert fam.matrix.max_degree("u") <= sites
+
+
+def test_transfer_matches_dense_product(monkeypatch):
+    # the reference trace peels tr(a) off a tensor product a (x) b
+    a = TensorMatrix.from_entries(2, 1, {(0, 0): 3, (0, 1): 5, (1, 1): -1})
+    b = kron(sigma_x(), sigma_z()) + permutation_op(2)
+    assert partial_trace_first(kron(a, b)) == b * 2
+    dtypes = []
+    product = linalg.int_product
+
+    def spy(x, y):
+        out = product(x, y)
+        dtypes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(linalg, "int_product", spy)
+    # 2**25 times u + P: a product of three factors passes the int64 bound
+    big = SpectralRMatrix(yangian_sl_R(2).numerator * 2 ** 25, Poly.variable("u"))
+    cases = [(baxterize(example1_R(2, Fraction(1, 3))), 3),
+             (example2_solution(4, Realization.SKEW), 2),
+             (big, 3)]
+    for r, sites in cases:
+        dtypes.clear()
+        fam = transfer_matrix(r, ChainSpec(sites))
+        for point in (-2, Fraction(1, 2), 3, 9):
+            assert fam.matrix.substitute({"u": point}) == dense_transfer(r, sites, point)
+    assert np.dtype(object) in dtypes
 
 
 def test_transfer_matrix_needs_periodic():

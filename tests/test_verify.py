@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baxter import linalg
 from baxter.poly import Poly
 from baxter.scalars import IM, SQRT2, Ext
-from baxter.tensor import (TensorMatrix, kron, matrix_unit, permutation_op,
+from baxter.tensor import (TensorMatrix, embed_pair, kron, matrix_unit, permutation_op,
                            structure_op)
 from baxter.verify import (VerificationReport, Witness, check_classical_limit,
                            check_cybe, check_regularity, check_unitarity,
@@ -78,7 +79,7 @@ def test_constant_cybe():
 
 
 def test_rational_cybe():
-    omega = structure_op("casimir_sl", 2)
+    omega = structure_op("P", 2)
     r = example1_r(2)
     assert check_cybe(r, omega=omega, mode="rational").passed
     sym = kron(H, E12) + kron(E12, H)
@@ -99,6 +100,95 @@ def test_rational_cybe_validation():
         check_cybe(TensorMatrix.identity(2, 1))
     with pytest.raises(ValueError):
         check_cybe(r, mode="sideways")
+    with pytest.raises(ValueError, match="expected a constant"):
+        check_cybe(r * Poly.variable("u"))
+
+
+def dense_cybe(r, omega=None):
+    """First nonzero (row, col, exponents, value) of the classical residual,
+    or None, by embed_pair and @ on TensorMatrix objects.
+
+    Without omega the residual is [r12, r13] + [r12, r23] + [r13, r23].
+    With omega, X = omega/(u - v) + r is cleared by a (a+b) b, where a =
+    u1 - u2 and b = u2 - u3, and the residual b [Y12, Y13] + (a+b) [Y12, Y23]
+    + a [Y13, Y23], with Y12 = omega12 + a r12, Y13 = omega13 + (a+b) r13 and
+    Y23 = omega23 + b r23, is kept as {(power of a, power of b): matrix}.
+    """
+    def add(*terms):
+        out = {}
+        for term in terms:
+            for exps, m in term.items():
+                out[exps] = out[exps] + m if exps in out else m
+        return out
+
+    def shift(e, f):
+        return tuple(x + y for x, y in zip(e, f))
+
+    def mul(x, y):
+        return add(*({shift(ex, ey): mx @ my}
+                     for ex, mx in x.items() for ey, my in y.items()))
+
+    def com(x, y):
+        return add(mul(x, y), {exps: -m for exps, m in mul(y, x).items()})
+
+    def times(x, *monomials):
+        return add(*({shift(exps, f): m} for exps, m in x.items() for f in monomials))
+
+    pairs = ((1, 2), (1, 3), (2, 3))
+    e = {p: embed_pair(r, p) for p in pairs}
+    if omega is None:
+        y12, y13, y23 = ({(): e[p]} for p in pairs)
+        residual = add(com(y12, y13), com(y12, y23), com(y13, y23))
+    else:
+        w = {p: embed_pair(omega, p) for p in pairs}
+        a, b, one = (1, 0), (0, 1), (0, 0)
+        y12 = {one: w[1, 2], a: e[1, 2]}
+        y13 = {one: w[1, 3], a: e[1, 3], b: e[1, 3]}
+        y23 = {one: w[2, 3], b: e[2, 3]}
+        residual = add(times(com(y12, y13), b), times(com(y12, y23), a, b),
+                       times(com(y13, y23), a))
+    return min(((i, j, exps, value) for exps, m in residual.items()
+                for (i, j), value in np.ndenumerate(m.data) if value),
+               key=lambda hit: hit[:3], default=None)
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SCALARS = st.one_of(SMALL, st.builds(Ext, SMALL, SMALL, SMALL, SMALL))
+# A sparse two-site matrix over Q or Q(i, sqrt2).
+CHANGES = st.builds(lambda d: TensorMatrix.from_entries(2, 2, d),
+                    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                    SCALARS, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(lambda c, d: example1_r(2) * c + d, SCALARS, CHANGES),
+       st.none() | st.builds(lambda d: permutation_op(2) + d, CHANGES))
+def test_cybe_matches_dense_residual(r, omega):
+    # r is a multiple of the triangular solution, which satisfies both
+    # identities with omega = P, plus a change that mostly breaks them;
+    # omega is P or a changed P, whose own commutators then stop vanishing
+    # (with r = 0 they are all that is left of the rational residual)
+    want = dense_cybe(r, omega)
+    rep = check_cybe(r, omega=omega, mode="constant" if omega is None else "rational")
+    assert rep.passed == (want is None)
+    if want is not None:
+        w = rep.witness
+        assert (w.row, w.col, w.exponents, w.value) == want
+
+
+def test_cybe_matches_dense_residual_over_extension():
+    # the skew jordanian r0 at N = 4 lives over Q(i, sqrt2) and solves the
+    # constant identity; a perturbed copy fails it, in both modes
+    from baxter.solutions import Realization, so_jordanian_data
+    r0 = so_jordanian_data(4, Realization.SKEW).r0
+    assert check_cybe(r0).passed and dense_cybe(r0) is None
+    bad = r0 + TensorMatrix.from_entries(4, 2, {(1, 9): IM * Fraction(2, 3) + SQRT2})
+    rep = check_cybe(bad)
+    assert (rep.witness.row, rep.witness.col, (), rep.witness.value) == dense_cybe(bad)
+    omega = permutation_op(4)
+    rep = check_cybe(bad, omega=omega, mode="rational")
+    w = rep.witness
+    assert (w.row, w.col, w.exponents, w.value) == dense_cybe(bad, omega)
 
 
 def test_cybe_conjugation_invariance():
