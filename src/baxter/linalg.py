@@ -1,22 +1,25 @@
 """Exact dense linear algebra on numpy object arrays.
 
-Entries are ints, Fractions, Ext values, or Poly values.  Products take a
-fast route when they can: rational matrices are scaled to integers and
-multiplied as int64 (with a proven no-overflow bound, falling back to
-arbitrary precision), extension-field matrices are scaled to four integer
-components and multiplied by the same kernel, and polynomial matrices use
-the generic object dot.
+Entries are ints, Fractions, Ext values, or Poly values.  Every product
+takes one route: each operand is cleared once (clear) to integer
+coefficient arrays indexed by monomial exponents, with one component over
+Q or four over Q(i, sqrt2) and one common denominator; the coefficient
+arrays are convolved over monomials by the integer kernel, and the entries
+are rebuilt once (rebuild).  A rational or Q(i, sqrt2) matrix is the
+degree-0 case.
 
 The integer kernel (int_product, int_sum, apply_two_leg) works on matrices
 already cleared to integers, given as component lists: one array for a
 rational matrix, four for a Q(i, sqrt2) matrix on the basis (1, sqrt2, i,
-i*sqrt2).
+i*sqrt2).  A product runs in int64 when a bound proves it cannot overflow,
+and in Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -156,16 +159,6 @@ def int_sum(*terms) -> list:
     return out
 
 
-def _ext_int_components(a: np.ndarray):
-    """(four integer component arrays, s): s times the components of a."""
-    parts = [x.components() if isinstance(x, Ext) else (x, 0, 0, 0)
-             for x in a.ravel().tolist()]
-    stacked = np.empty((4, len(parts)), dtype=object)
-    stacked[:] = list(zip(*parts))
-    ints, scale = scale_to_int(stacked)
-    return [c.reshape(a.shape) for c in ints], scale
-
-
 def ext_value(parts, scale: int = 1):
     """The scalar with integer components parts / scale on the basis
     (1, sqrt2, i, i*sqrt2): a Fraction when it is rational, else an Ext."""
@@ -174,29 +167,92 @@ def ext_value(parts, scale: int = 1):
     return Ext(*(Fraction(p, scale) for p in parts))
 
 
+def clear(a: np.ndarray, names=()):
+    """(scale, stack): the integer coefficients of scale * a, scale being the
+    least common denominator of every coefficient component.
+
+    stack holds one (rational) or four (Q(i, sqrt2)) integer arrays of shape
+    grid + a.shape, one grid axis per variable in names as long as its
+    highest power plus one; element (e, i, j) is the coefficient of x^e in
+    scale * a[i, j].  Entries in a variable outside names raise ValueError.
+    """
+    values = a.ravel().tolist()
+    if set(map(type, values)) <= {int, Fraction}:
+        ints, scale = scale_to_int(a)
+        return scale, [ints.reshape((1,) * len(names) + a.shape)]
+    terms, origin = [], (0,) * len(names)
+    for idx, x in enumerate(values):
+        if not isinstance(x, Poly):
+            if x:
+                terms.append((origin + (idx,), x))
+            continue
+        for exps, coeff in x.coeffs.items():
+            power = dict(zip(x.vars, exps))
+            if any(power[v] for v in x.vars if v not in names):
+                raise ValueError(f"entry {idx} depends on {x.vars}, expected "
+                                 f"{', '.join(names) or 'a constant'}")
+            terms.append((tuple(power.get(v, 0) for v in names) + (idx,), coeff))
+    width = 4 if any(isinstance(c, Ext) for _, c in terms) else 1
+    parts = np.empty((width, len(terms)), dtype=object)
+    parts[:] = list(zip(*(c.components() if isinstance(c, Ext) else (c, 0, 0, 0)
+                          for _, c in terms)))[:width]
+    ints, scale = scale_to_int(parts)
+    at = np.array([e for e, _ in terms], dtype=np.intp).reshape(-1, len(names) + 1).T
+    grid = tuple(max(row, default=0) + 1 for row in at[:-1].tolist())
+    stack = np.zeros((width,) + grid + (len(values),), dtype=object)
+    stack[(slice(None), *at)] = ints
+    return scale, list(stack.reshape((width,) + grid + a.shape))
+
+
+def rebuild(scale: int, names, stack: list, polys: dict) -> np.ndarray:
+    """The object matrix stack / scale for a stack laid out as clear's; polys
+    maps the flat index of each Poly entry to its variables.  Scalars and
+    coefficients are Python ints when the stack is rational and scale is 1,
+    else ext_value's."""
+    m, n = stack[0].shape[len(names):]
+    layers = [c.reshape(-1, m * n) for c in stack]
+    plain = len(stack) == 1 and scale == 1
+    out = np.empty(m * n, dtype=object)
+    out[:] = (layers[0][0].tolist() if plain else
+              [ext_value(parts, scale) for parts in zip(*(c[0].tolist() for c in layers))])
+    exps = list(product(*map(range, stack[0].shape[:len(names)]))) if polys else []
+    by_entry = [c.T.tolist() for c in layers] if polys else []
+    for p, own in polys.items():
+        keep = [names.index(v) for v in own]
+        coeffs = zip(exps, zip(*(c[p] for c in by_entry)))
+        out[p] = Poly(own, {tuple(e[k] for k in keep): parts[0] if plain
+                            else ext_value(parts, scale) for e, parts in coeffs if any(parts)})
+    return out.reshape(m, n)
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two matrices of exact scalars or Poly values: both are
+    cleared over the union of their variables, and the coefficient of x^e in
+    the product is the integer sum of A[ea] B[eb] over ea + eb = e.  As in
+    the entry-by-entry product, an entry is a Poly in the variables of its
+    row of a and column of b when those hold one."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    kind = classify(a, b)
-    if kind == "poly":
-        return a.dot(b)
-    if kind == "ext":
-        comps_a, sa = _ext_int_components(a)
-        comps_b, sb = _ext_int_components(b)
-        prod = [c.ravel().tolist() for c in int_product(comps_a, comps_b)]
-        out = np.empty(a.shape[0] * b.shape[1], dtype=object)
-        out[:] = [ext_value(parts, sa * sb) for parts in zip(*prod)]
-        return out.reshape(a.shape[0], b.shape[1])
-    a_int, sa = scale_to_int(a)
-    b_int, sb = scale_to_int(b)
-    c = int_matmul(a_int, b_int)
-    scale = sa * sb
-    if scale == 1:
-        return c
-    out = np.empty(c.shape, dtype=object)
-    for idx, v in np.ndenumerate(c):
-        out[idx] = Fraction(v, scale)
-    return out
+    # per row of a and column of b: None without a Poly entry, else the
+    # sorted variables of its Poly entries
+    rows, cols = ([tuple(sorted({v for x in line if type(x) is Poly for v in x.vars}))
+                   if Poly in set(map(type, line)) else None for line in lines]
+                  for lines in (a.tolist(), b.T.tolist()))
+    names = tuple(sorted({v for line in rows + cols if line for v in line}))
+    (scale_a, stack_a), (scale_b, stack_b) = clear(a, names), clear(b, names)
+    sums = {}
+    for ea in product(*map(range, stack_a[0].shape[:len(names)])):
+        for eb in product(*map(range, stack_b[0].shape[:len(names)])):
+            e = tuple(x + y for x, y in zip(ea, eb))
+            term = int_product([c[ea] for c in stack_a], [c[eb] for c in stack_b])
+            sums[e] = int_sum(sums[e], term) if e in sums else term
+    grid = tuple(x + 1 for x in max(sums))
+    stack = [np.array(c).reshape(grid + c[0].shape)
+             for c in zip(*(sums[e] for e in sorted(sums)))]
+    polys = {i * len(cols) + j: tuple(sorted({*(r or ()), *(c or ())}))
+             for i, r in enumerate(rows) for j, c in enumerate(cols)
+             if r is not None or c is not None} if set(rows + cols) != {None} else {}
+    return rebuild(scale_a * scale_b, names, stack, polys)
 
 
 def reciprocal(x):

@@ -49,7 +49,7 @@ class Poly:
             if not is_exact_scalar(value) and not isinstance(value, Poly):
                 raise TypeError(f"inexact coefficient {value!r}")
             if value:
-                table[exps] = table.get(exps, 0) + value
+                table[exps] = table[exps] + value if exps in table else value
                 if not table[exps]:
                     del table[exps]
         object.__setattr__(self, "vars", vars)

@@ -19,7 +19,7 @@ from .poly import Poly
 from .scalars import Ext
 from .solutions import SpectralRMatrix
 from .spin_chain import TransferFamily
-from .tensor import TensorMatrix
+from .tensor import ShapeError, TensorMatrix, dense_dim
 from .verify import VerificationReport, Witness
 
 FORMAT_VERSION = 1
@@ -36,10 +36,6 @@ class ParseError(ValueError):
 
 
 class VersionError(ValueError):
-    pass
-
-
-class ShapeError(ValueError):
     pass
 
 
@@ -168,7 +164,7 @@ def _decode_matrix_payload(payload: dict) -> TensorMatrix:
     if (not isinstance(variables, list) or len(variables) > 1
             or any(not isinstance(v, str) for v in variables)):
         raise ParseError("variables must be a list of at most one name", "variables")
-    size = site_dim ** legs
+    size = dense_dim(site_dim, legs)
     entries = payload.get("entries")
     if not isinstance(entries, list) or len(entries) != size:
         raise ShapeError(f"expected {size} rows for site_dim {site_dim} and legs {legs}")

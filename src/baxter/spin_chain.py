@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg, verify
+from . import linalg, tensor, verify
 from .poly import Poly
 from .solutions import SpectralRMatrix
 from .tensor import TensorMatrix, embed_two_leg, kron, matrix_unit, permutation_op
@@ -125,10 +125,10 @@ def transfer_matrix(r: SpectralRMatrix, spec: ChainSpec) -> TransferFamily:
         raise ValueError("transfer matrices need a periodic chain")
     n = r.site_dim
     sites = spec.sites
+    size = tensor.dense_dim(n, sites + 1) // n
     var = r.variable
-    scale, stack = verify.int_coefficients(r.numerator, var)
+    scale, stack = linalg.clear(r.numerator.data, (var,))
     points = range(sites * (len(stack[0]) - 1) + 1)
-    size = n ** sites
     eye = [np.eye(n * size, dtype=np.int64).reshape((n,) * (sites + 1) + (-1,))]
     tables = []
     for x in points:
@@ -142,12 +142,10 @@ def transfer_matrix(r: SpectralRMatrix, spec: ChainSpec) -> TransferFamily:
     weights, denominator = linalg.scale_to_int(linalg.vandermonde_inverse(points))
     coeffs = linalg.int_product([linalg.narrow(weights)],
                                 [np.concatenate(c) for c in zip(*tables)])
-    denominator *= scale ** sites
-    data = np.empty(size * size, dtype=object)
-    data[:] = [Poly.univariate(var, [linalg.ext_value(parts, denominator)
-                                     for parts in zip(*entry)])
-               for entry in zip(*(c.T.tolist() for c in coeffs))]
-    family = TensorMatrix(n, sites, data.reshape(size, size))
+    data = linalg.rebuild(denominator * scale ** sites, (var,),
+                          [c.reshape(-1, size, size) for c in coeffs],
+                          dict.fromkeys(range(size * size), (var,)))
+    family = TensorMatrix(n, sites, data)
     return TransferFamily(family, sites, n, f"transfer({r.label})" if r.label else "transfer")
 
 
@@ -167,18 +165,14 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
     if ma.site_dim != mb.site_dim or ma.legs != mb.legs:
         raise ValueError("operands act on different spaces")
 
-    def span(m):
+    def cleared(m):
         names = m.variables()
         if len(names) > 1:
             raise ValueError(f"expected at most one variable, found {names}")
-        if not names:
-            return None, 0
-        return names[0], m.max_degree(names[0])
+        # a constant is a polynomial of degree 0 in a placeholder variable
+        return linalg.clear(m.data, names or ("u",))
 
-    var_a, deg_a = span(ma)
-    var_b, deg_b = span(mb)
-    scale_a, stack_a = verify.int_coefficients(ma, var_a)
-    scale_b, stack_b = verify.int_coefficients(mb, var_b)
+    (scale_a, stack_a), (scale_b, stack_b) = cleared(ma), cleared(mb)
     cache_a, cache_b = {}, {}
 
     def diff_at(x, y):
@@ -190,7 +184,8 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
         return [p - q for p, q in zip(linalg.int_product(left, right),
                                       linalg.int_product(right, left))]
 
-    return verify.grid_report("commutation", diff_at, deg_a, deg_b,
+    return verify.grid_report("commutation", diff_at, len(stack_a[0]) - 1,
+                              len(stack_b[0]) - 1,
                               grid_margin=grid_margin, scale=scale_a * scale_b)
 
 

@@ -298,7 +298,7 @@ CRITERIA = (
     ("triangular-family", triangular_family, 10),
     ("baxterized-family", baxterized_family, 30),
     ("yangian-families", yangian_families, 60),
-    ("twisted-orthogonal", twisted_orthogonal, 120),
+    ("twisted-orthogonal", twisted_orthogonal, 20),
     ("frobenius-construction", frobenius_construction, 1),
     ("classical-equivalence", classical_equivalence, 2),
     ("chain-checks", chain_checks, 5),

@@ -15,26 +15,32 @@ from .poly import Poly
 from .scalars import is_exact_scalar
 
 
+# The largest dense dimension site_dim ** legs: a matrix of that side has
+# 2**24 entries, and a three-leg check works in site_dim ** 3.
+MAX_DENSE_DIM = 4096
+
+
+class ShapeError(ValueError):
+    pass
+
+
+def dense_dim(site_dim: int, legs: int) -> int:
+    """site_dim ** legs, refused with ShapeError above MAX_DENSE_DIM before
+    anything of that size, or the power itself for huge legs, is computed."""
+    if (site_dim > 1 and legs > MAX_DENSE_DIM.bit_length()
+            or site_dim ** legs > MAX_DENSE_DIM):
+        raise ShapeError(f"{site_dim}^{legs} exceeds the dense limit {MAX_DENSE_DIM}")
+    return site_dim ** legs
+
+
 def _leg_reorder(n: int, legs: int, source: tuple) -> np.ndarray:
     """Index map p with p[new] = old, where old leg k is new leg source[k].
 
     Reindexing a matrix M by p on rows and columns therefore makes old
     leg k act on the new leg position source[k].
     """
-    size = n ** legs
-    out = np.empty(size, dtype=np.intp)
-    for idx in range(size):
-        digits = []
-        rest = idx
-        for _ in range(legs):
-            digits.append(rest % n)
-            rest //= n
-        digits.reverse()
-        old = 0
-        for k in range(legs):
-            old = old * n + digits[source[k] - 1]
-        out[idx] = old
-    return out
+    axes = np.argsort([s - 1 for s in source])
+    return np.arange(n ** legs).reshape((n,) * legs).transpose(axes).ravel()
 
 
 class TensorMatrix:
@@ -43,7 +49,7 @@ class TensorMatrix:
     def __init__(self, site_dim: int, legs: int, entries):
         if site_dim < 1 or legs < 1:
             raise ValueError("site_dim and legs must be positive")
-        size = site_dim ** legs
+        size = dense_dim(site_dim, legs)
         if isinstance(entries, np.ndarray):
             data = entries.astype(object, copy=True)
         else:
@@ -65,7 +71,7 @@ class TensorMatrix:
 
     @classmethod
     def identity(cls, site_dim: int, legs: int = 1) -> "TensorMatrix":
-        size = site_dim ** legs
+        size = dense_dim(site_dim, legs)
         data = np.zeros((size, size), dtype=object)
         for i in range(size):
             data[i, i] = 1
@@ -73,13 +79,13 @@ class TensorMatrix:
 
     @classmethod
     def zero(cls, site_dim: int, legs: int = 1) -> "TensorMatrix":
-        size = site_dim ** legs
+        size = dense_dim(site_dim, legs)
         return cls(site_dim, legs, np.zeros((size, size), dtype=object))
 
     @classmethod
     def from_entries(cls, site_dim, legs, mapping) -> "TensorMatrix":
         """Build from {(row, col): value} with 0-based composite indices."""
-        size = site_dim ** legs
+        size = dense_dim(site_dim, legs)
         data = np.zeros((size, size), dtype=object)
         for (i, j), value in mapping.items():
             data[i, j] = value
@@ -232,6 +238,7 @@ def kron(a: TensorMatrix, b: TensorMatrix) -> TensorMatrix:
     """Tensor product; legs add, leg 1 of the result is leg 1 of a."""
     if a.site_dim != b.site_dim:
         raise ValueError(f"site_dim mismatch {a.site_dim} vs {b.site_dim}")
+    dense_dim(a.site_dim, a.legs + b.legs)
     prod = np.multiply.outer(a.data, b.data)
     data = prod.transpose(0, 2, 1, 3).reshape(a.size * b.size, a.size * b.size)
     return TensorMatrix(a.site_dim, a.legs + b.legs, data)
@@ -239,6 +246,7 @@ def kron(a: TensorMatrix, b: TensorMatrix) -> TensorMatrix:
 
 def permutation_op(n: int) -> TensorMatrix:
     """P with P(x tensor y) = y tensor x."""
+    dense_dim(n, 2)
     entries = {}
     for i in range(n):
         for j in range(n):

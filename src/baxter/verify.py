@@ -14,17 +14,14 @@ reported in unscaled numerator units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
 from .poly import Poly
-from .scalars import Ext
-from .tensor import (TensorMatrix, embed_pair, permutation_op, poly_substitute,
-                     swap_factors)
+from .tensor import (TensorMatrix, dense_dim, embed_pair, permutation_op,
+                     poly_substitute, swap_factors)
 
 
 @dataclass(frozen=True)
@@ -88,31 +85,10 @@ def _single_variable(m: TensorMatrix) -> str:
     return names[0]
 
 
-def _denominator_lcm(value, acc: int) -> int:
-    if isinstance(value, Fraction):
-        return math.lcm(acc, value.denominator)
-    if isinstance(value, Ext):
-        for part in value.components():
-            acc = math.lcm(acc, part.denominator)
-        return acc
-    if isinstance(value, Poly):
-        for coeff in value.coeffs.values():
-            acc = _denominator_lcm(coeff, acc)
-        return acc
-    return acc
-
-
 def uniform_int_scale(m: TensorMatrix):
     """(scale, scaled entries) with every coefficient an integer."""
-    scale = 1
-    for x in m.data.flat:
-        scale = _denominator_lcm(x, scale)
-    if scale == 1:
-        return 1, m.data
-    out = np.empty(m.data.shape, dtype=object)
-    for idx, x in np.ndenumerate(m.data):
-        out[idx] = x * scale
-    return scale, out
+    scale = linalg.clear(m.data, m.variables())[0]
+    return scale, m.data if scale == 1 else (m * scale).data
 
 
 def _eval_entry(x, var: str, value: int):
@@ -132,40 +108,6 @@ def evaluate_matrix(data: np.ndarray, var: str, value: int) -> np.ndarray:
     for idx, x in np.ndenumerate(data):
         out[idx] = _eval_entry(x, var, value)
     return out
-
-
-def int_coefficients(m: TensorMatrix, var: str | None):
-    """(scale, stack): the integer coefficients of scale * m by powers of var.
-
-    stack is a list of one (rational) or four (Q(i, sqrt2)) arrays of
-    Python ints with shape (degree + 1, size, size); scale is the least
-    common denominator of every coefficient component, as in
-    uniform_int_scale.  With var None every entry must be constant.
-    """
-    entries = m.data.ravel().tolist()
-    terms = []
-    for idx, x in enumerate(entries):
-        if not isinstance(x, Poly):
-            if x:
-                terms.append((idx, 0, x))
-            continue
-        pos = x.vars.index(var) if var in x.vars else None
-        for exps, coeff in x.coeffs.items():
-            if any(e for k, e in enumerate(exps) if k != pos):
-                raise ValueError(f"entry {idx} depends on {x.vars}, expected "
-                                 f"{var or 'a constant'}")
-            terms.append((idx, 0 if pos is None else exps[pos], coeff))
-    scale = 1
-    for _, _, coeff in terms:
-        scale = _denominator_lcm(coeff, scale)
-    width = 4 if any(isinstance(coeff, Ext) for _, _, coeff in terms) else 1
-    degree = max((power for _, power, _ in terms), default=0)
-    stack = [np.zeros((degree + 1, len(entries)), dtype=object) for _ in range(width)]
-    for idx, power, coeff in terms:
-        parts = coeff.components() if isinstance(coeff, Ext) else (coeff,)
-        for comp, part in zip(stack, parts):
-            comp[power, idx] = part.numerator * (scale // part.denominator)
-    return scale, [comp.reshape(degree + 1, *m.data.shape) for comp in stack]
 
 
 def int_values(stack: list, value: int) -> list:
@@ -256,7 +198,7 @@ def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationRepor
     var = _single_variable(num)
     n = num.site_dim
     degree = num.max_degree(var)
-    scale, stack = int_coefficients(num, var)
+    scale, stack = linalg.clear(num.data, (var,))
     values = {}
 
     def value_at(t):
@@ -310,6 +252,7 @@ def check_ybe(r, mode: str | None = None, method: str = "grid",
         mode = "spectral" if num.variables() else "constant"
     if num.legs != 2:
         raise ValueError("Yang-Baxter check expects a two-leg matrix")
+    dense_dim(num.site_dim, 3)
     if mode == "constant":
         return _ybe_constant(num)
     if mode == "spectral":
@@ -346,12 +289,10 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
         factors["w"] = omega
     elif mode != "constant":
         raise ValueError(f"unknown mode {mode!r}")
-    cleared = {name: int_coefficients(m, None) for name, m in factors.items()}
-    scale = math.lcm(*(s for s, _ in cleared.values()))
-    ints = {name: [linalg.narrow(c[0] * (scale // s)) for c in stack]
-            for name, (s, stack) in cleared.items()}
+    scale, stack = linalg.clear(np.stack([m.data for m in factors.values()]))
+    ints = {name: [linalg.narrow(c[k]) for c in stack] for k, name in enumerate(factors)}
     n = r.site_dim
-    eye = [np.eye(n ** 3, dtype=np.int64).reshape(n, n, n, -1)]
+    eye = [np.eye(dense_dim(n, 3), dtype=np.int64).reshape(n, n, n, -1)]
     emb = {f"{name}{s}{t}": linalg.apply_two_leg(m, eye, (s, t))
            for name, m in ints.items() for s, t in ((1, 2), (1, 3), (2, 3))}
 

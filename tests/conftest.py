@@ -1,4 +1,5 @@
-"""Shared fixtures: how to launch the `baxter` console script."""
+"""Shared fixtures: how to launch the `baxter` console script, and the
+entry-by-entry object matrix product the fast paths are tested against."""
 
 import os
 import re
@@ -6,6 +7,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,3 +48,19 @@ def baxter_command():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return argv, env
+
+
+def naive_matmul(a, b):
+    """a @ b entry by entry over the entries' own arithmetic (ints,
+    Fractions, Ext and Poly values), sharing no code with linalg."""
+    n, k = a.shape
+    k2, m = b.shape
+    assert k == k2
+    out = np.zeros((n, m), dtype=object)
+    for i in range(n):
+        for j in range(m):
+            acc = 0
+            for t in range(k):
+                acc = acc + a[i, t] * b[t, j]
+            out[i, j] = acc
+    return out

@@ -185,6 +185,21 @@ def test_negative_grid_margin_exits_2(capsys, argv):
     assert err.count("\n") == 1 and "--grid-margin: must be >= 0" in err
 
 
+def test_dense_size_ceiling_exits_2(tmp_path, capsys):
+    # each size is refused before its dense matrix or entry dict is built:
+    # 1000^2, 2^16 and 2^17 all exceed the ceiling of 4096
+    spectral = tmp_path / "sl2.yb"
+    assert main(["build", "yangian-sl", "--n", "2", "--out", str(spectral)]) == 0
+    capsys.readouterr()
+    for argv in (["build", "yangian-so", "--N", "1000"],
+                 ["chain", "hamiltonian", "--sites", "16"],
+                 ["chain", "transfer", "--in", str(spectral), "--sites", "16"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "exceeds the dense limit" in captured.err
+
+
 def test_installed_script_runs(baxter_command):
     argv, env = baxter_command
     cmd = [*argv, "build", "permutation", "--n", "2"]

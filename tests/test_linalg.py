@@ -12,26 +12,13 @@ from baxter import linalg
 from baxter.poly import Poly
 from baxter.scalars import Ext, SQRT2
 from baxter.tensor import TensorMatrix, embed_two_leg
+from conftest import naive_matmul
 
 
 def rand_frac_matrix(rng, n, span=9):
     rows = [[Fraction(rng.randint(-span, span), rng.randint(1, 4))
              for _ in range(n)] for _ in range(n)]
     return linalg.object_matrix(rows)
-
-
-def naive_matmul(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=object)
-    for i in range(n):
-        for j in range(m):
-            acc = 0
-            for t in range(k):
-                acc = acc + a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def naive_scale_to_int(a):
@@ -52,6 +39,9 @@ def test_matmul_matches_naive_rational():
         a = rand_frac_matrix(rng, 4)
         b = rand_frac_matrix(rng, 4)
         assert (linalg.matmul(a, b) == naive_matmul(a, b)).all()
+    # a product of integer matrices comes back as Python ints
+    ints = linalg.object_matrix([[1, -2], [3, 0]])
+    assert all(type(x) is int for x in linalg.matmul(ints, ints).flat)
 
 
 def test_matmul_matches_naive_extension():
@@ -82,6 +72,56 @@ def test_matmul_matches_naive_poly():
     a = linalg.object_matrix([[u, 1], [0, u ** 2]])
     b = linalg.object_matrix([[1, u], [u, 2]])
     assert (linalg.matmul(a, b) == naive_matmul(a, b)).all()
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+COEFFS = st.one_of(SMALL, st.builds(Ext, SMALL, SMALL, SMALL, SMALL))
+
+
+def polys(names):
+    """Poly values in the given variables, the zero Poly among them."""
+    exps = st.tuples(*(st.integers(0, 2) for _ in names))
+    return st.builds(lambda table: Poly(names, table),
+                     st.dictionaries(exps, COEFFS, max_size=3))
+
+
+# One case uses the variable u or the variables a and b, never all three,
+# which the entries of one product could not hold.
+ENTRY_KINDS = {
+    "u": st.one_of(polys(("u",)), polys(())),
+    "ab": st.one_of(polys(("a",)), polys(("b",)), polys(("a", "b")), polys(())),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(ENTRY_KINDS)), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.data())
+def test_matmul_matches_naive_on_mixed_entries(kind, m, k, n, data):
+    entries = st.one_of(st.integers(-4, 4), SMALL, COEFFS, ENTRY_KINDS[kind])
+
+    def matrix(rows, cols):
+        values = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        out = np.empty(rows * cols, dtype=object)
+        out[:] = values
+        return out.reshape(rows, cols)
+
+    a, b = matrix(m, k), matrix(k, n)
+    got, want = linalg.matmul(a, b), naive_matmul(a, b)
+    for idx, w in np.ndenumerate(want):
+        g = got[idx]
+        assert g == w
+        assert isinstance(g, Poly) == isinstance(w, Poly)
+        if isinstance(w, Poly):
+            assert g.vars == w.vars
+
+
+def test_matmul_rejects_three_variables_like_the_object_product():
+    u, a, b = (Poly.variable(x) for x in "uab")
+    left = linalg.object_matrix([[u, 1]])
+    right = linalg.object_matrix([[1], [a * b]])
+    for product in (linalg.matmul, naive_matmul):
+        with pytest.raises(ValueError, match="more than 2 variables"):
+            product(left, right)
 
 
 def test_int_matmul_overflow_falls_back_exactly():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baxter.poly import Poly
 from baxter.scalars import Ext, SQRT2
@@ -67,6 +68,36 @@ def test_ring_axioms_on_random_samples():
         assert a * b == b * a
         assert a - a == Poly(("u",), {})
         assert (a * b) * c == a * (b * c)
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+SCALARS = st.one_of(st.integers(-3, 3), RATIONALS,
+                    st.builds(Ext, RATIONALS, RATIONALS, RATIONALS, RATIONALS))
+
+
+@st.composite
+def polys(draw):
+    names = draw(st.sampled_from([(), ("u",), ("v",), ("u", "v")]))
+    exps = st.tuples(*(st.integers(0, 2) for _ in names))
+    return Poly(names, draw(st.dictionaries(exps, SCALARS, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), polys(), polys(), SCALARS)
+def test_ring_axioms(a, b, c, s):
+    zero, one = Poly(), Poly.lift(1)
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + zero == a and a - a == zero and a + (-a) == zero
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * one == a and a * zero == zero
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a
+    # scalars act as constant polynomials, on either side
+    assert a * s == s * a == a * Poly.lift(s)
+    assert a + s == s + a == a + Poly.lift(s)
+    assert hash(a * b) == hash(b * a)
 
 
 def test_mixed_variable_unification():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from baxter.poly import Poly
 from baxter.scalars import Ext
@@ -102,6 +103,13 @@ def test_shape_errors():
     doc["sites"] = 5
     with pytest.raises(ShapeError):
         decode(json.dumps(doc))
+    # a claimed dimension over the dense limit is refused before 2**(2**70)
+    # is computed or anything is allocated
+    for site_dim, legs in ((2, 2 ** 70), (10 ** 6, 2)):
+        doc = json.loads(flat_matrix(["0"] * 4))
+        doc["site_dim"], doc["legs"] = site_dim, legs
+        with pytest.raises(ShapeError, match="dense limit"):
+            decode(json.dumps(doc))
 
 
 def test_unknown_kind():
@@ -225,6 +233,55 @@ def test_report_decoder_rejects_bad_fields(path, value, location):
     with pytest.raises(ParseError) as err:
         decode(json.dumps(payload))
     assert err.value.location == location
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["0", "1/2", "-3", "Q", "Q(i,sqrt2)", "u"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3),
+                                                                inner, max_size=3),
+    max_leaves=5)
+
+
+def _slots(node):
+    """Every (container, key) pair of a decoded JSON tree."""
+    keys = list(node) if isinstance(node, dict) else \
+        range(len(node)) if isinstance(node, list) else ()
+    return [slot for key in keys for slot in [(node, key), *_slots(node[key])]]
+
+
+@pytest.fixture(scope="module")
+def encoded():
+    return [encode(obj) for obj in (
+        permutation_op(2), conjugator_T(2), yangian_sl_R(2),
+        transfer_matrix(yangian_sl_R(2), ChainSpec(2)),
+        check_unitarity(yangian_sl_R(2)), decode(json.dumps(_failing_report_payload())))]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_payloads_raise_only_decoder_errors(encoded, data):
+    text = data.draw(st.sampled_from(encoded))
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(text) - 1))
+        text = text[:at] + data.draw(st.text(max_size=2)) + text[at + 1:]
+    else:
+        payload = json.loads(text)
+        for _ in range(data.draw(st.integers(1, 3))):
+            slots = _slots(payload)
+            if not slots:
+                break
+            node, key = data.draw(st.sampled_from(slots))
+            if data.draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = data.draw(JSON_VALUES)
+        text = json.dumps(payload)
+    try:
+        decode(text)
+    except (ParseError, ShapeError, VersionError):
+        pass
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ import pytest
 
 from baxter.poly import Poly
 from baxter.tensor import (
+    MAX_DENSE_DIM,
     TensorMatrix,
     anti_diagonal_form,
+    dense_dim,
     embed_pair,
     embed_two_leg,
     form_transpose_first,
@@ -21,6 +23,7 @@ from baxter.tensor import (
     structure_op,
     swap_factors,
 )
+from baxter.verify import check_ybe
 
 HALF = Fraction(1, 2)
 
@@ -223,6 +226,15 @@ def test_shape_validation():
         TensorMatrix(2, 2, np.zeros((3, 3), dtype=object))
     with pytest.raises(TypeError):
         TensorMatrix(2, 1, np.array([[0.5, 0], [0, 0]], dtype=object))
+    # the dense-size ceiling, checked before anything is allocated
+    assert dense_dim(2, 12) == MAX_DENSE_DIM == 4096 and dense_dim(1, 10 ** 9) == 1
+    for build in (lambda: TensorMatrix.zero(2, 40), lambda: TensorMatrix.identity(4097),
+                  lambda: permutation_op(65), lambda: kron(TensorMatrix.identity(2, 6),
+                                                           TensorMatrix.identity(2, 7))):
+        with pytest.raises(ValueError, match="dense limit"):
+            build()
+    with pytest.raises(ValueError, match="dense limit"):
+        check_ybe(TensorMatrix.zero(17, 2))
 
 
 if __name__ == "__main__":

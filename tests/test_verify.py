@@ -11,13 +11,14 @@ from baxter import linalg
 from baxter.poly import Poly
 from baxter.scalars import IM, SQRT2, Ext
 from baxter.tensor import (TensorMatrix, embed_pair, kron, matrix_unit, permutation_op,
-                           structure_op)
+                           poly_substitute, structure_op)
 from baxter.verify import (VerificationReport, Witness, check_classical_limit,
                            check_cybe, check_regularity, check_unitarity,
                            check_ybe, evaluate_matrix, grid_report,
-                           int_coefficients, int_values, interpolate_grid,
+                           int_values, interpolate_grid,
                            uniform_int_scale)
 from baxter.solutions import example1_r, example1_R, yangian_sl_R, yangian_so_R
+from conftest import naive_matmul
 
 E11 = matrix_unit(2, 1, 1)
 E12 = matrix_unit(2, 1, 2)
@@ -293,7 +294,7 @@ def test_int_values_match_evaluate_matrix():
                     if rng.random() < 0.7 else rng.choice(scalars)
                     for _ in range(4)] for _ in range(4)]
         m = TensorMatrix(2, 2, entries)
-        scale, stack = int_coefficients(m, "u")
+        scale, stack = linalg.clear(m.data, ("u",))
         assert scale == uniform_int_scale(m)[0]
         for t in (0, 1, 5, -3):
             want = evaluate_matrix(uniform_int_scale(m)[1], "u", t)
@@ -338,6 +339,40 @@ def test_forced_overflow_takes_python_int_fallback(monkeypatch):
     grid = check_ybe(bad)
     assert not grid.passed
     assert grid.witness == check_ybe(bad, method="poly").witness
+
+
+def object_ybe_witness(num):
+    """First nonzero (row, col, exponents, value) of R12(a) R13(a+b) R23(b) -
+    R23(b) R13(a+b) R12(a), or None, from embed_pair and the entry-by-entry
+    product of Poly objects."""
+    a = embed_pair(poly_substitute(num, "a"), (1, 2)).data
+    b = embed_pair(poly_substitute(num, "a+b"), (1, 3)).data
+    c = embed_pair(poly_substitute(num, "b"), (2, 3)).data
+    diff = naive_matmul(naive_matmul(a, b), c) - naive_matmul(naive_matmul(c, b), a)
+    for (i, j), entry in np.ndenumerate(diff):
+        if entry:
+            return (i, j, *Poly.lift(entry).monomials()[0])
+    return None
+
+
+@pytest.mark.parametrize("name", ["sl2", "baxterized2", "so3"])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_poly_method_matches_object_product(name, perturbed):
+    from baxter.solutions import baxterize
+    num = {"sl2": lambda: yangian_sl_R(2), "so3": lambda: yangian_so_R(3),
+           "baxterized2": lambda: baxterize(example1_R(2))}[name]().numerator
+    if perturbed:
+        u = Poly.variable("u")
+        n = num.site_dim
+        num = num + TensorMatrix.from_entries(
+            n, 2, {(1, n): IM * u + Fraction(1, 3), (n * n - 1, 0): SQRT2 * u * u})
+    want = object_ybe_witness(num)
+    rep = check_ybe(num, method="poly")
+    assert rep.passed == (want is None) == (not perturbed)
+    if want is not None:
+        w = rep.witness
+        assert (w.row, w.col, w.exponents, w.value) == want
+        assert len(w.exponents) == 2
 
 
 def test_grid_margin_below_zero_is_rejected():
