@@ -8,7 +8,7 @@ arrays are convolved over monomials by the integer kernel, and the entries
 are rebuilt once (rebuild).  A rational or Q(i, sqrt2) matrix is the
 degree-0 case.
 
-The integer kernel (int_product, int_sum, apply_two_leg) works on matrices
+The integer kernel (int_product, int_sum, apply_legs) works on matrices
 already cleared to integers, given as component lists: one array for a
 rational matrix, four for a Q(i, sqrt2) matrix on the basis (1, sqrt2, i,
 i*sqrt2).  A product runs in int64 when a bound proves it cannot overflow,
@@ -53,6 +53,13 @@ def classify(*matrices) -> str:
     return "rational"
 
 
+def _rational_ints(values: list):
+    """(numerators over the common denominator, that denominator) of a list
+    of ints and Fractions."""
+    scale = math.lcm(*{x.denominator for x in values if type(x) is not int})
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def scale_to_int(a: np.ndarray):
     """(integer matrix, s) with matrix = s * original and s a positive int."""
     values = a.ravel().tolist()
@@ -61,9 +68,9 @@ def scale_to_int(a: np.ndarray):
     if not all(issubclass(k, (Fraction, int)) for k in set(map(type, values))):
         bad = next(x for x in values if not isinstance(x, (Fraction, int)))
         raise TypeError(f"rational entry expected, got {type(bad).__name__}")
-    scale = math.lcm(*{x.denominator for x in values if type(x) is not int})
+    ints, scale = _rational_ints(values)
     out = np.empty(len(values), dtype=object)
-    out[:] = [x.numerator * (scale // x.denominator) for x in values]
+    out[:] = ints
     return out.reshape(a.shape), scale
 
 
@@ -117,6 +124,8 @@ def int_product(a: list, b: list) -> list:
         dtype = np.int64
     else:
         dtype = object
+    if width == 1:
+        return [a[0].astype(dtype, copy=False) @ b[0].astype(dtype, copy=False)]
     cols = b[0].shape[1]
     stacked = np.concatenate([x.astype(dtype, copy=False) for x in b], axis=1)
     out = [np.zeros((a[0].shape[0], cols), dtype=dtype) for _ in range(width)]
@@ -128,20 +137,21 @@ def int_product(a: list, b: list) -> list:
     return out
 
 
-def apply_two_leg(r: list, x: list, pair) -> list:
-    """R_pair applied to an integer tensor with one axis per leg, component-wise.
+def apply_legs(r: list, x: list, legs) -> list:
+    """R applied on the given legs of an integer tensor, component-wise.
 
-    r holds the components of an (n^2, n^2) two-leg matrix; x those of a
-    tensor of shape (n,) * legs + (cols,), and pair names two of its legs
-    (1-based).  The pair's legs are moved to the front and contracted over
-    n^2 by int_product, so no n^legs x n^legs embedding is built and a
-    product costs n^(legs + 2) * cols.
+    x holds the components of a tensor of shape (n,) * count + (cols,), one
+    axis per leg, and legs names k of them (1-based, in any order); r holds
+    those of an (n^k, n^k) matrix whose i-th tensor factor acts on legs[i].
+    The legs are moved to the front and contracted over n^k by int_product,
+    so no n^count x n^count embedding is built and a product costs
+    n^(count + k) * cols.
     """
-    s, t = pair[0] - 1, pair[1] - 1
-    axes = (s, t) + tuple(k for k in range(x[0].ndim) if k not in (s, t))
+    at = tuple(leg - 1 for leg in legs)
+    axes = at + tuple(k for k in range(x[0].ndim) if k not in at)
     moved = [c.transpose(axes) for c in x]
     shape = moved[0].shape
-    flat = [c.reshape(shape[0] * shape[1], -1) for c in moved]
+    flat = [c.reshape(math.prod(shape[:len(at)]), -1) for c in moved]
     back = np.argsort(axes)
     return [c.reshape(shape).transpose(back) for c in int_product(r, flat)]
 
@@ -177,9 +187,17 @@ def clear(a: np.ndarray, names=()):
     scale * a[i, j].  Entries in a variable outside names raise ValueError.
     """
     values = a.ravel().tolist()
-    if set(map(type, values)) <= {int, Fraction}:
-        ints, scale = scale_to_int(a)
-        return scale, [ints.reshape((1,) * len(names) + a.shape)]
+    return _clear(values, set(map(type, values)), a.shape, names)
+
+
+def _clear(values: list, kinds: set, shape: tuple, names):
+    """clear for the flat entries of a matrix of that shape whose entry
+    types, kinds, the caller has already collected."""
+    if kinds <= {int, Fraction}:
+        ints, scale = _rational_ints(values)
+        out = np.empty(len(values), dtype=object)
+        out[:] = ints
+        return scale, [out.reshape((1,) * len(names) + shape)]
     terms, origin = [], (0,) * len(names)
     for idx, x in enumerate(values):
         if not isinstance(x, Poly):
@@ -201,7 +219,7 @@ def clear(a: np.ndarray, names=()):
     grid = tuple(max(row, default=0) + 1 for row in at[:-1].tolist())
     stack = np.zeros((width,) + grid + (len(values),), dtype=object)
     stack[(slice(None), *at)] = ints
-    return scale, list(stack.reshape((width,) + grid + a.shape))
+    return scale, list(stack.reshape((width,) + grid + shape))
 
 
 def rebuild(scale: int, names, stack: list, polys: dict) -> np.ndarray:
@@ -233,13 +251,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     row of a and column of b when those hold one."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    # per row of a and column of b: None without a Poly entry, else the
-    # sorted variables of its Poly entries
-    rows, cols = ([tuple(sorted({v for x in line if type(x) is Poly for v in x.vars}))
-                   if Poly in set(map(type, line)) else None for line in lines]
-                  for lines in (a.tolist(), b.T.tolist()))
-    names = tuple(sorted({v for line in rows + cols if line for v in line}))
-    (scale_a, stack_a), (scale_b, stack_b) = clear(a, names), clear(b, names)
+    values_a, values_b = a.ravel().tolist(), b.ravel().tolist()
+    kinds_a, kinds_b = set(map(type, values_a)), set(map(type, values_b))
+    names, polys = (), {}
+    if Poly in kinds_a or Poly in kinds_b:
+        # per row of a and column of b: None without a Poly entry, else the
+        # sorted variables of its Poly entries
+        rows, cols = ([tuple(sorted({v for x in line if type(x) is Poly for v in x.vars}))
+                       if Poly in set(map(type, line)) else None for line in lines]
+                      for lines in (a.tolist(), b.T.tolist()))
+        names = tuple(sorted({v for line in rows + cols if line for v in line}))
+        polys = {i * len(cols) + j: tuple(sorted({*(r or ()), *(c or ())}))
+                 for i, r in enumerate(rows) for j, c in enumerate(cols)
+                 if r is not None or c is not None}
+    scale_a, stack_a = _clear(values_a, kinds_a, a.shape, names)
+    scale_b, stack_b = _clear(values_b, kinds_b, b.shape, names)
+    if not names:
+        return rebuild(scale_a * scale_b, names, int_product(stack_a, stack_b), polys)
     sums = {}
     for ea in product(*map(range, stack_a[0].shape[:len(names)])):
         for eb in product(*map(range, stack_b[0].shape[:len(names)])):
@@ -249,9 +277,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     grid = tuple(x + 1 for x in max(sums))
     stack = [np.array(c).reshape(grid + c[0].shape)
              for c in zip(*(sums[e] for e in sorted(sums)))]
-    polys = {i * len(cols) + j: tuple(sorted({*(r or ()), *(c or ())}))
-             for i, r in enumerate(rows) for j, c in enumerate(cols)
-             if r is not None or c is not None} if set(rows + cols) != {None} else {}
     return rebuild(scale_a * scale_b, names, stack, polys)
 
 

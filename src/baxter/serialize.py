@@ -137,11 +137,13 @@ def _decode_entry(obj, field: str, variables, location: str):
     return Poly.univariate(variables[0], coeffs)
 
 
-def _matrix_payload(m: TensorMatrix, force_variables=None) -> dict:
+def _matrix_payload(m: TensorMatrix, force_variables=None, also=()) -> dict:
+    """The matrix fields of a payload; the field also covers the values in
+    also, which are encoded beside the matrix."""
     variables = list(force_variables) if force_variables else list(m.variables())
     if len(variables) > 1:
         raise ValueError("matrices in two variables are not serialized")
-    field = FIELD_EXTENSION if _needs_extension(m.data.flat) else FIELD_RATIONAL
+    field = FIELD_EXTENSION if _needs_extension([*m.data.flat, *also]) else FIELD_RATIONAL
     entries = [[_encode_entry(x, field, variables) for x in row] for row in m.data]
     return {
         "field": field,
@@ -283,7 +285,7 @@ def encode(obj) -> str:
     if isinstance(obj, TensorMatrix):
         payload = {"kind": "matrix", **_matrix_payload(obj)}
     elif isinstance(obj, SpectralRMatrix):
-        body = _matrix_payload(obj.numerator, force_variables=[obj.variable])
+        body = _matrix_payload(obj.numerator, [obj.variable], [obj.denominator])
         payload = {
             "kind": "spectral",
             **body,

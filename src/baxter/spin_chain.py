@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg, tensor, verify
 from .poly import Poly
 from .solutions import SpectralRMatrix
-from .tensor import TensorMatrix, embed_two_leg, kron, matrix_unit, permutation_op
+from .tensor import TensorMatrix, kron, matrix_unit, permutation_op
 
 
 def sigma_x() -> TensorMatrix:
@@ -58,11 +58,43 @@ def bonds(spec: ChainSpec):
     return out
 
 
+def _bond_stack(density: TensorMatrix, spec: ChainSpec):
+    """(names, scale, stack): the bond sum of density cleared as linalg.clear
+    clears it, over the density's variables.
+
+    The density is cleared once; each of its monomial layers is applied on
+    every bond of an integer identity tensor with one axis per site, and
+    the results are summed, so no dense embedding is built.
+    """
+    n, sites = density.site_dim, spec.sites
+    size = tensor.dense_dim(n, sites)
+    names = density.variables()
+    scale, stack = linalg.clear(density.data, names)
+    grid = stack[0].shape[:len(names)]
+    eye = [np.eye(size, dtype=np.int64).reshape((n,) * sites + (size,))]
+    layers = [linalg.int_sum(*(linalg.apply_legs([c[e] for c in stack], eye, pair)
+                               for pair in bonds(spec)))
+              for e in np.ndindex(grid)]
+    return names, scale, [np.stack([layer[k] for layer in layers]).reshape(grid + (size, size))
+                          for k in range(len(stack))]
+
+
 def _bond_sum(density: TensorMatrix, spec: ChainSpec) -> TensorMatrix:
-    total = TensorMatrix.zero(density.site_dim, spec.sites)
-    for pair in bonds(spec):
-        total = total + embed_two_leg(density, spec.sites, pair)
-    return total
+    """The sum of density over the bonds; its entries are polynomials in
+    the density's variables when the density has any."""
+    names, scale, stack = _bond_stack(density, spec)
+    size = stack[0].shape[-1]
+    polys = dict.fromkeys(range(size * size), names) if names else {}
+    return TensorMatrix(density.site_dim, spec.sites,
+                        linalg.rebuild(scale, names, stack, polys))
+
+
+def _remark_density(xi) -> TensorMatrix:
+    low = sigma_minus()
+    one = TensorMatrix.identity(2, 1)
+    return (exchange_density()
+            + kron(low, low) * (xi * xi)
+            + (kron(low, one) - kron(one, low)) * xi)
 
 
 def remark_hamiltonian(spec: ChainSpec) -> TensorMatrix:
@@ -73,13 +105,16 @@ def remark_hamiltonian(spec: ChainSpec) -> TensorMatrix:
     periodic chain the linear part telescopes away; on an open chain the
     two boundary terms survive.
     """
-    xi = spec.deformation
-    low = sigma_minus()
-    one = TensorMatrix.identity(2, 1)
-    density = (exchange_density()
-               + kron(low, low) * (xi * xi)
-               + (kron(low, one) - kron(one, low)) * xi)
-    return _bond_sum(density, spec)
+    return _bond_sum(_remark_density(spec.deformation), spec)
+
+
+def _derived_density(r: SpectralRMatrix) -> TensorMatrix:
+    report = verify.check_regularity(r)
+    if not report.passed:
+        raise ValueError("R-matrix is not regular at the origin")
+    var = r.variable
+    slope = r.numerator.derivative(var).substitute({var: 0})
+    return (permutation_op(r.site_dim) @ slope) * linalg.reciprocal(report.scalar_factor)
 
 
 def derive_hamiltonian(r: SpectralRMatrix, spec: ChainSpec) -> TensorMatrix:
@@ -88,13 +123,7 @@ def derive_hamiltonian(r: SpectralRMatrix, spec: ChainSpec) -> TensorMatrix:
     c is the regularity scalar with N(0) = c P.  Non-regular input is
     rejected.
     """
-    report = verify.check_regularity(r)
-    if not report.passed:
-        raise ValueError("R-matrix is not regular at the origin")
-    var = r.variable
-    slope = r.numerator.derivative(var).substitute({var: 0})
-    density = (permutation_op(r.site_dim) @ slope) * linalg.reciprocal(report.scalar_factor)
-    return _bond_sum(density, spec)
+    return _bond_sum(_derived_density(r), spec)
 
 
 @dataclass(frozen=True)
@@ -135,7 +164,7 @@ def transfer_matrix(r: SpectralRMatrix, spec: ChainSpec) -> TransferFamily:
         value = verify.int_values(stack, x)
         prod = eye
         for k in range(1, sites + 1):
-            prod = linalg.apply_two_leg(value, prod, (1, k + 1))
+            prod = linalg.apply_legs(value, prod, (1, k + 1))
         blocks = [[c.reshape(n, size, n, size)[a, :, a, :] for c in prod]
                   for a in range(n)]
         tables.append([c.reshape(1, -1) for c in linalg.int_sum(*blocks)])
@@ -159,7 +188,8 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
     """[A(x), B(y)] = 0 for all arguments, on a conclusive integer grid.
 
     Either operand may be a constant matrix (its argument is then dropped)
-    or a polynomial family such as a transfer matrix.
+    or a polynomial family such as a transfer matrix.  An operand passed as
+    both is cleared and evaluated once.
     """
     ma, mb = _family_matrix(a), _family_matrix(b)
     if ma.site_dim != mb.site_dim or ma.legs != mb.legs:
@@ -172,8 +202,10 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
         # a constant is a polynomial of degree 0 in a placeholder variable
         return linalg.clear(m.data, names or ("u",))
 
-    (scale_a, stack_a), (scale_b, stack_b) = cleared(ma), cleared(mb)
-    cache_a, cache_b = {}, {}
+    scale_a, stack_a = cleared(ma)
+    scale_b, stack_b = (scale_a, stack_a) if mb is ma else cleared(mb)
+    cache_a = {}
+    cache_b = cache_a if mb is ma else {}
 
     def diff_at(x, y):
         if x not in cache_a:
@@ -189,42 +221,56 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
                               grid_margin=grid_margin, scale=scale_a * scale_b)
 
 
+def _affine_fit(first, second, n: int, legs: int, conj):
+    """(alpha, beta) with h1 = alpha * (C h2 C^{-1}) + beta * 1, or None.
+
+    first and second are linalg.clear's (scale, stack) of h1 and h2 on one
+    monomial grid.  C, the one-site conj repeated on every site, is
+    applied on each row leg of h2, and the transposed inverse of conj on
+    each column leg.  Each nonzero coefficient, and the constant term of
+    each diagonal entry, gives one equation in (alpha, beta).
+    """
+    (scale1, stack1), (scale2, stack2) = first, second
+    size = n ** legs
+    if conj is not None:
+        scale_c, c = linalg.clear(conj.data)
+        scale_i, inv_t = linalg.clear(conj.inverse().data.T)
+        grid2 = stack2[0].shape[:-2]
+        # one axis per row leg, one per column leg, then the monomials
+        x = [np.moveaxis(comp.reshape(-1, size * size), 0, -1).reshape((n,) * (2 * legs) + (-1,))
+             for comp in stack2]
+        for k in range(1, legs + 1):
+            x = linalg.apply_legs(inv_t, linalg.apply_legs(c, x, (k,)), (legs + k,))
+        stack2 = [np.moveaxis(comp.reshape(size * size, -1), -1, 0).reshape(grid2 + (size, size))
+                  for comp in x]
+        scale2 *= (scale_c * scale_i) ** legs
+    width = max(len(stack1), len(stack2))
+    zero = np.zeros(stack1[0].shape, dtype=np.int64)
+    h1, h2 = (stack + [zero] * (width - len(stack)) for stack in (stack1, stack2))
+    diagonal = np.zeros(zero.shape, dtype=bool)
+    diagonal[(0,) * (zero.ndim - 2)] = np.eye(size, dtype=bool)
+    at = np.nonzero(np.logical_or.reduce([c != 0 for c in h1 + h2] + [diagonal]))
+    # h2 / scale2 * alpha + beta = h1 / scale1, times scale1 * scale2
+    equations = dict.fromkeys(zip(zip(*(c[at].tolist() for c in h2)), diagonal[at].tolist(),
+                                  zip(*(c[at].tolist() for c in h1))))
+    rows = [[linalg.ext_value(a) * scale1, scale1 * scale2 if d else 0] for a, d, _ in equations]
+    rhs = [[linalg.ext_value(b) * scale2] for _, _, b in equations]
+    solution = linalg.solve(linalg.object_matrix(rows), linalg.object_matrix(rhs))
+    if solution is None:
+        return None
+    return solution[0, 0], solution[1, 0]
+
+
 def compare_up_to_affine(h1: TensorMatrix, h2: TensorMatrix, conj: TensorMatrix = None):
     """Solve h1 = alpha * (C h2 C^{-1}) + beta * 1 exactly.
 
     conj, when given, is a one-site matrix applied on every site to h2.
     Returns (alpha, beta) or None when no exact match exists.
     """
-    if conj is not None:
-        full = conj
-        full_inv = conj.inverse()
-        for _ in range(h2.legs - 1):
-            full = kron(full, conj)
-            full_inv = kron(full_inv, conj.inverse())
-        h2 = full @ h2 @ full_inv
-    names = sorted(set(h1.variables()) | set(h2.variables()))
-    zero = Poly(tuple(names), {})
-    origin = (0,) * len(names)
-
-    def lifted(value):
-        if isinstance(value, Poly):
-            return value + zero
-        return Poly.lift(value, tuple(names))
-
-    rows, rhs = [], []
-    for (i, j), target in np.ndenumerate(h1.data):
-        p1 = lifted(target)
-        p2 = lifted(h2.data[i, j])
-        exps = set(p1.coeffs) | set(p2.coeffs)
-        if i == j:
-            exps.add(origin)
-        for e in sorted(exps):
-            rows.append([p2.coefficient(e), 1 if (i == j and e == origin) else 0])
-            rhs.append([p1.coefficient(e)])
-    solution = linalg.solve(linalg.object_matrix(rows), linalg.object_matrix(rhs))
-    if solution is None:
-        return None
-    return solution[0, 0], solution[1, 0]
+    names = tuple(sorted(set(h1.variables()) | set(h2.variables())))
+    scale, stack = linalg.clear(np.stack([h1.data, h2.data]), names)
+    return _affine_fit((scale, [c[..., 0, :, :] for c in stack]),
+                       (scale, [c[..., 1, :, :] for c in stack]), h2.site_dim, h2.legs, conj)
 
 
 def substitute_square(h: TensorMatrix, var: str, value) -> TensorMatrix:
@@ -255,17 +301,20 @@ def calibrate(sites: int, tau):
     linear part vanishes (periodic telescoping), substitutes xi^2 = tau^2/2,
     and solves for (alpha, beta) in
         H_remark = alpha * (F H_derived F^{-1}) + beta * 1
-    with F the all-site spin flip.  Returns (alpha, beta) or None.
+    with F the all-site spin flip.  Returns (alpha, beta) or None.  Both
+    chains stay cleared integer stacks throughout.
     """
     from . import solutions
 
     tau = Fraction(tau)
     spec = ChainSpec(sites)
     spectral = solutions.baxterize(solutions.example1_R(2, tau))
-    derived = derive_hamiltonian(spectral, spec)
-    xi = Poly.variable("xi")
-    remark = remark_hamiltonian(ChainSpec(sites, deformation=xi))
-    if not remark.coefficient("xi", 1).is_zero():
+    _, scale, (remark,) = _bond_stack(_remark_density(Poly.variable("xi")), spec)
+    if (remark[1] != 0).any():
         raise ValueError("linear deformation term did not telescope away")
-    matched = substitute_square(remark, "xi", tau * tau / 2)
-    return compare_up_to_affine(matched, derived, conj=sigma_x())
+    # xi^2 = tau^2 / 2 = p^2 / (2 q^2): the folded chain, times 2 q^2
+    p, q = tau.numerator, tau.denominator
+    folded = linalg.narrow(remark[0].astype(object) * (2 * q * q)
+                           + remark[2].astype(object) * (p * p))
+    _, scale_d, stack_d = _bond_stack(_derived_density(spectral), spec)
+    return _affine_fit((2 * q * q * scale, [folded]), (scale_d, stack_d), 2, sites, sigma_x())

@@ -301,7 +301,7 @@ CRITERIA = (
     ("twisted-orthogonal", twisted_orthogonal, 20),
     ("frobenius-construction", frobenius_construction, 1),
     ("classical-equivalence", classical_equivalence, 2),
-    ("chain-checks", chain_checks, 5),
+    ("chain-checks", chain_checks, 2),
     ("cli-interface", cli_interface, None),
 )
 

@@ -96,11 +96,8 @@ def _eval_entry(x, var: str, value: int):
         return x
     if var not in x.vars:
         return x.constant_value() if x.is_constant() else x
-    i = x.vars.index(var)
-    total = 0
-    for exps, coeff in x.coeffs.items():
-        total = total + coeff * value ** exps[i]
-    return total
+    # the other variable, if any, stays: a*b + b at a = 2 is 3b
+    return x.substitute({var: value})
 
 
 def evaluate_matrix(data: np.ndarray, var: str, value: int) -> np.ndarray:
@@ -215,8 +212,8 @@ def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationRepor
         # R23(y) R13(x+y) R12(x).
         lhs = [np.kron(eye, m).reshape(n, n, n, -1) for m in c]
         rhs = [np.kron(m, eye).reshape(n, n, n, -1) for m in a]
-        lhs = linalg.apply_two_leg(a, linalg.apply_two_leg(b, lhs, (1, 3)), (1, 2))
-        rhs = linalg.apply_two_leg(c, linalg.apply_two_leg(b, rhs, (1, 3)), (2, 3))
+        lhs = linalg.apply_legs(a, linalg.apply_legs(b, lhs, (1, 3)), (1, 2))
+        rhs = linalg.apply_legs(c, linalg.apply_legs(b, rhs, (1, 3)), (2, 3))
         return [(p - q).reshape(n ** 3, n ** 3) for p, q in zip(lhs, rhs)]
 
     return grid_report("ybe-spectral", diff_at, 2 * degree, 2 * degree,
@@ -293,14 +290,14 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
     ints = {name: [linalg.narrow(c[k]) for c in stack] for k, name in enumerate(factors)}
     n = r.site_dim
     eye = [np.eye(dense_dim(n, 3), dtype=np.int64).reshape(n, n, n, -1)]
-    emb = {f"{name}{s}{t}": linalg.apply_two_leg(m, eye, (s, t))
+    emb = {f"{name}{s}{t}": linalg.apply_legs(m, eye, (s, t))
            for name, m in ints.items() for s, t in ((1, 2), (1, 3), (2, 3))}
 
     def com(x, y):
         """[x, y] for embedded factors named like "r12" or "w23"; each product
         applies its left factor on that factor's legs."""
-        xy = linalg.apply_two_leg(ints[x[0]], emb[y], (int(x[1]), int(x[2])))
-        yx = linalg.apply_two_leg(ints[y[0]], emb[x], (int(y[1]), int(y[2])))
+        xy = linalg.apply_legs(ints[x[0]], emb[y], (int(x[1]), int(x[2])))
+        yx = linalg.apply_legs(ints[y[0]], emb[x], (int(y[1]), int(y[2])))
         return linalg.int_sum(xy, [-c for c in yx])
 
     add = linalg.int_sum

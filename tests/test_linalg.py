@@ -306,9 +306,42 @@ def test_apply_two_leg_matches_dense_embedding(case):
     # shares no code with the kernel; pairs may be out of order, as (3, 1)
     want = naive_matmul(embed_two_leg(TensorMatrix(n, 2, r), legs, pair).data, x)
     xs = [c.reshape((n,) * legs + (-1,)) for c in components(x)]
-    got = linalg.apply_two_leg(components(r), xs, pair)
+    got = linalg.apply_legs(components(r), xs, pair)
     got = assemble([c.reshape(n ** legs, -1) for c in got])
     assert (got == want).all()
+
+
+def index_embedding(m, n, count, legs):
+    """The n^count square matrix acting as m on legs (1-based, in order) and
+    as the identity elsewhere, entry by entry from the multi-indices."""
+    size = n ** count
+    out = np.zeros((size, size), dtype=object)
+    at = [leg - 1 for leg in legs]
+    for i in range(size):
+        for j in range(size):
+            row, col = np.unravel_index(i, (n,) * count), np.unravel_index(j, (n,) * count)
+            if all(row[k] == col[k] for k in range(count) if k not in at):
+                out[i, j] = m[np.ravel_multi_index([row[k] for k in at], (n,) * len(at)),
+                              np.ravel_multi_index([col[k] for k in at], (n,) * len(at))]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.booleans(), st.data())
+def test_apply_legs_matches_index_embedding(count, n, ext, big, data):
+    # any number of legs, in any order, against an embedding that shares no
+    # code with the kernel or with tensor's leg reorder
+    legs = tuple(data.draw(st.permutations(range(1, count + 1)))[:data.draw(
+        st.integers(1, count))])
+    side = n ** len(legs)
+    r = np.array(data.draw(st.lists(int_entries(ext, big), min_size=side * side,
+                                    max_size=side * side)), dtype=object).reshape(side, side)
+    x = np.array(data.draw(st.lists(int_entries(not ext, big), min_size=n ** count * 2,
+                                    max_size=n ** count * 2)), dtype=object).reshape(-1, 2)
+    want = naive_matmul(index_embedding(r, n, count, legs), x)
+    xs = [c.reshape((n,) * count + (-1,)) for c in components(x)]
+    got = linalg.apply_legs(components(r), xs, legs)
+    assert (assemble([c.reshape(n ** count, -1) for c in got]) == want).all()
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baxter.scalars import Ext, IM, SQRT2, as_fraction, is_exact_scalar, is_zero
 
@@ -119,3 +120,25 @@ def test_helpers():
 def test_repr_is_readable():
     assert "sqrt2" in repr(SQRT2)
     assert "i" in repr(IM)
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+EXTS = st.builds(Ext, RATIONALS, RATIONALS, RATIONALS, RATIONALS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(EXTS, EXTS, EXTS, RATIONALS)
+def test_field_axioms(x, y, z, q):
+    assert (x + y) + z == x + (y + z) and x + y == y + x
+    assert (x * y) * z == x * (y * z) and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x and x + (-x) == 0 and x - y == x + (-y)
+    # rationals act through the embedding Q -> Q(i, sqrt2)
+    assert x + q == x + Ext.of(q) == q + x and x * q == x * Ext.of(q) == q * x
+    if x:
+        assert x * x.inverse() == 1 and (y / x) * x == y
+        if y:
+            assert (x * y).inverse() == x.inverse() * y.inverse()
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()

@@ -13,9 +13,9 @@ from baxter.serialize import ParseError, ShapeError, VersionError, decode, \
     encode, load, save
 from baxter.solutions import (SpectralRMatrix, conjugator_T, example1_R,
                               example2_solution, yangian_sl_R, yangian_so_R)
-from baxter.spin_chain import ChainSpec, transfer_matrix
+from baxter.spin_chain import ChainSpec, TransferFamily, transfer_matrix
 from baxter.tensor import TensorMatrix, kron, matrix_unit, permutation_op
-from baxter.verify import check_unitarity, check_ybe
+from baxter.verify import VerificationReport, Witness, check_unitarity, check_ybe
 
 GOLDEN_PERMUTATION = """{
   "entries": [
@@ -137,6 +137,15 @@ def test_field_tag_tracks_entries():
     # an Ext value that happens to be rational does not force the big field
     m = TensorMatrix(2, 1, np.array([[Ext.of(3), 0], [0, 1]], dtype=object))
     assert json.loads(encode(m))["field"] == "Q"
+
+
+def test_spectral_field_covers_the_denominator():
+    # a rational numerator over a denominator in Q(i, sqrt2) is tagged with
+    # the big field, so that the denominator can be written
+    r = SpectralRMatrix(permutation_op(2), Poly.lift(Ext(1, 0, 1), ("u",)))
+    text = encode(r)
+    assert json.loads(text)["field"] == "Q(i,sqrt2)"
+    assert encode(decode(text)) == text and decode(text).denominator == r.denominator
 
 
 def test_round_trips_bit_exact():
@@ -286,3 +295,45 @@ def test_mutated_payloads_raise_only_decoder_errors(encoded, data):
 
 if __name__ == "__main__":
     test_round_trips_bit_exact()
+
+
+RATIONALS = st.fractions(min_value=-7, max_value=7, max_denominator=5)
+SCALARS = st.one_of(RATIONALS, st.integers(-2 ** 70, 2 ** 70),
+                    st.builds(Ext, RATIONALS, RATIONALS, RATIONALS, RATIONALS))
+POLYS = st.builds(lambda c: Poly.univariate("u", c), st.lists(SCALARS, max_size=4))
+
+
+@st.composite
+def encodable(draw):
+    """A matrix, spectral R-matrix, transfer family or report with random
+    exact entries: rational, Q(i, sqrt2) or polynomial in u."""
+    n, legs = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2)]))
+    entries = draw(st.sampled_from([RATIONALS, SCALARS, st.one_of(SCALARS, POLYS)]))
+    values = draw(st.lists(entries, min_size=n ** (2 * legs), max_size=n ** (2 * legs)))
+    m = TensorMatrix(n, legs, np.array(values, dtype=object).reshape(n ** legs, -1))
+    kind = draw(st.sampled_from(["matrix", "spectral", "chain", "report"]))
+    if kind == "spectral":
+        return SpectralRMatrix(m, Poly.lift(draw(st.one_of(POLYS, SCALARS.filter(bool))),
+                                            ("u",)), draw(st.text(max_size=5)))
+    if kind == "chain":
+        return TransferFamily(m, legs, n, draw(st.text(max_size=5)))
+    if kind == "report":
+        value = draw(st.one_of(SCALARS, POLYS))
+        return VerificationReport(
+            draw(st.text(min_size=1, max_size=5)), False,
+            Witness(draw(st.integers(0, 9)), draw(st.integers(0, 9)),
+                    tuple(draw(st.lists(st.integers(0, 3), max_size=2))), value),
+            draw(st.one_of(st.none(), SCALARS)), None,
+            {"method": draw(st.one_of(SCALARS, st.text(max_size=4)))})
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(encodable())
+def test_encode_decode_round_trip_is_byte_exact(obj):
+    text = encode(obj)
+    back = decode(text)
+    assert encode(back) == text
+    assert type(back) is type(obj)
+    if isinstance(obj, TensorMatrix):
+        assert back == obj

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from baxter import linalg
+from baxter import linalg, serialize, spin_chain
 from baxter.poly import Poly
-from baxter.scalars import IM
+from baxter.scalars import IM, SQRT2, Ext
 from baxter.solutions import (Realization, SpectralRMatrix, baxterize, example1_R,
                               example2_solution, yangian_sl_R)
 from baxter.spin_chain import (ChainSpec, bonds, calibrate, check_commutation,
@@ -139,6 +140,127 @@ def test_compare_up_to_affine():
     assert compare_up_to_affine(synthetic, h) is None
 
 
+# -- the integer chain builders against the dense object path -----------------
+
+
+def dense_bond_sum(density, spec):
+    """The sum of dense embed_two_leg embeddings of density over the bonds."""
+    total = TensorMatrix.zero(density.site_dim, spec.sites)
+    for pair in bonds(spec):
+        total = total + embed_two_leg(density, spec.sites, pair)
+    return total
+
+
+def lifted_rows_fit(h1, h2, conj=None):
+    """The affine fit by a kron chain of conj over the sites, object
+    products, and one equation per coefficient of the lifted entries."""
+    if conj is not None:
+        full, full_inv = conj, conj.inverse()
+        for _ in range(h2.legs - 1):
+            full, full_inv = kron(full, conj), kron(full_inv, conj.inverse())
+        h2 = full @ h2 @ full_inv
+    names = tuple(sorted(set(h1.variables()) | set(h2.variables())))
+    origin = (0,) * len(names)
+    rows, rhs = [], []
+    for (i, j), target in np.ndenumerate(h1.data):
+        p1 = Poly.lift(target, names) + Poly(names, {})
+        p2 = Poly.lift(h2.data[i, j], names) + Poly(names, {})
+        exps = set(p1.coeffs) | set(p2.coeffs) | ({origin} if i == j else set())
+        for e in sorted(exps):
+            rows.append([p2.coefficient(e), 1 if (i == j and e == origin) else 0])
+            rhs.append([p1.coefficient(e)])
+    solution = linalg.solve(linalg.object_matrix(rows), linalg.object_matrix(rhs))
+    return None if solution is None else (solution[0, 0], solution[1, 0])
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+SCALARS = {
+    "Q": SMALL,
+    "Q(i,sqrt2)": st.one_of(SMALL, st.builds(Ext, SMALL, SMALL, SMALL, SMALL)),
+    "xi": st.one_of(SMALL, st.builds(lambda *c: Poly.univariate("xi", c), SMALL, SMALL, SMALL)),
+}
+
+
+@st.composite
+def densities(draw, n=2):
+    entries = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    values = draw(st.lists(entries, min_size=n ** 4, max_size=n ** 4))
+    return TensorMatrix(n, 2, np.array(values, dtype=object).reshape(n * n, n * n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_bond_sum_matches_dense_embeddings(data):
+    n = data.draw(st.sampled_from([2, 2, 3]))
+    sites = data.draw(st.integers(2, 5 if n == 2 else 3))
+    spec = ChainSpec(sites, data.draw(st.sampled_from(["periodic", "open"])))
+    density = data.draw(densities(n))
+    got, want = spin_chain._bond_sum(density, spec), dense_bond_sum(density, spec)
+    assert got == want and got.variables() == want.variables()
+    assert serialize.encode(got) == serialize.encode(want)
+
+
+def test_bond_sum_forced_overflow_takes_python_ints(monkeypatch):
+    dtypes = []
+    add = linalg.int_sum
+
+    def spy(*terms):
+        out = add(*terms)
+        dtypes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(linalg, "int_sum", spy)
+    # five bonds of 2**61 per entry: the diagonal reaches 5 * 2**61 > 2**63
+    density = permutation_op(2) * 2 ** 61 + TensorMatrix.identity(2, 2) * (2 ** 61 - 3)
+    got = spin_chain._bond_sum(density, ChainSpec(5))
+    assert dtypes == [np.dtype(object)]
+    assert got == dense_bond_sum(density, ChainSpec(5))
+    assert max(got.data.flat) > 2 ** 63
+
+
+def flip_conjugates():
+    """One-site conjugators: the spin flip, a rational and a Q(i, sqrt2) one."""
+    rational = TensorMatrix(2, 1, [[2, Fraction(1, 3)], [-1, 1]])
+    ext = TensorMatrix(2, 1, [[1, IM], [SQRT2, 1]])
+    return [None, sigma_x(), rational, ext]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_compare_up_to_affine_matches_lifted_rows_solve(data):
+    sites = data.draw(st.integers(2, 3))
+    spec = ChainSpec(sites, data.draw(st.sampled_from(["periodic", "open"])))
+    h2 = dense_bond_sum(data.draw(densities()), spec)
+    conj = data.draw(st.sampled_from(flip_conjugates()))
+    alpha, beta = data.draw(SCALARS["Q(i,sqrt2)"]), data.draw(SMALL)
+    h1 = h2
+    if conj is not None:
+        full, full_inv = conj, conj.inverse()
+        for _ in range(sites - 1):
+            full, full_inv = kron(full, conj), kron(full_inv, conj.inverse())
+        h1 = full @ h2 @ full_inv
+    h1 = h1 * alpha + TensorMatrix.identity(2, sites) * beta
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, 2 ** sites - 1)), data.draw(st.integers(0, 2 ** sites - 1))
+        bump = np.zeros(h1.data.shape, dtype=object)
+        bump[i, j] = data.draw(SCALARS["xi"])
+        h1 = h1 + TensorMatrix(2, sites, bump)
+    assert compare_up_to_affine(h1, h2, conj) == lifted_rows_fit(h1, h2, conj)
+
+
+def test_compare_up_to_affine_over_the_extension():
+    h = remark_hamiltonian(ChainSpec(3, deformation=Poly.variable("xi")))
+    conj = flip_conjugates()[-1]
+    alpha = Ext(1, 2, 0, -1)
+    full = kron(kron(conj, conj), conj)
+    target = (full @ h @ full.inverse()) * alpha + TensorMatrix.identity(2, 3) * IM
+    assert compare_up_to_affine(target, h, conj) == (alpha, IM)
+    assert lifted_rows_fit(target, h, conj) == (alpha, IM)
+    # without the conjugation no affine match exists
+    assert compare_up_to_affine(target, h) is None
+    assert lifted_rows_fit(target, h) is None
+
+
 def test_shift_operator():
     assert shift_operator(2) == permutation_op(2)
     s = shift_operator(3)
@@ -233,6 +355,15 @@ def test_calibration_constants():
     for sites in (3, 4):
         for tau in (0, 1, 2):
             assert calibrate(sites, tau) == (2, -sites)
+
+
+def test_calibrate_rejects_an_untelescoped_linear_term(monkeypatch):
+    # without the wrap bond the linear deformation term survives, and the
+    # calibration must refuse rather than fold it away
+    monkeypatch.setattr(spin_chain, "bonds",
+                        lambda spec: [(k, k + 1) for k in range(1, spec.sites)])
+    with pytest.raises(ValueError, match="telescope"):
+        calibrate(3, 1)
 
 
 if __name__ == "__main__":

@@ -304,6 +304,16 @@ def test_int_values_match_evaluate_matrix():
                 assert (Ext(*parts) if len(parts) == 4 else parts[0]) == value
 
 
+def test_evaluate_matrix_keeps_the_other_variable():
+    a, b = Poly.variable("a"), Poly.variable("b")
+    data = linalg.object_matrix([[a * b + b, a * a - 1], [b, Fraction(1, 2)]])
+    got = evaluate_matrix(data, "a", 2)
+    assert got[0, 0] == 3 * b and isinstance(got[0, 0], Poly)
+    assert got[0, 1] == 3 and not isinstance(got[0, 1], Poly)
+    assert got[1, 0] == b and got[1, 1] == Fraction(1, 2)
+    assert evaluate_matrix(data, "b", -1)[0, 0] == -a - 1
+
+
 def test_grid_and_poly_agree_on_perturbations():
     u = Poly.variable("u")
     rational = yangian_sl_R(2).numerator + kron(E12, E11) * (3 * u)
