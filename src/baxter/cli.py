@@ -8,6 +8,7 @@ Exit codes: 0 when the command succeeds (and any verification passed),
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -63,6 +64,23 @@ def _non_negative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+# Options whose value is a scalar and may be negative.
+_SCALAR_OPTIONS = ("--xi", "--tau")
+
+
+def _attach_scalars(argv) -> list:
+    """argv with --xi -5/2 written as --xi=-5/2.  argparse takes a token that
+    starts with '-' and is not a plain negative number, as -5/2 is not, for
+    an option; attached with '=' it is read as the value."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _SCALAR_OPTIONS and re.match(r"-[\d./]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,7 +281,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_scalars(sys.argv[1:] if argv is None else argv))
     missing = []
     if getattr(args, "func", None) is _build and args.object in ("baxterize", "twist"):
         if not args.input:

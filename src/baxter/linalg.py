@@ -11,14 +11,16 @@ degree-0 case.
 The integer kernel (int_product, int_sum, apply_legs) works on matrices
 already cleared to integers, given as component lists: one array for a
 rational matrix, four for a Q(i, sqrt2) matrix on the basis (1, sqrt2, i,
-i*sqrt2).  A product runs in int64 when a bound proves it cannot overflow,
-and in Python ints otherwise.
+i*sqrt2).  A sparse left factor may come in padded rows instead (Padded,
+chosen by padded).  A product runs in int64 when a bound proves it cannot
+overflow, and in Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -101,17 +103,62 @@ def narrow(a: np.ndarray) -> np.ndarray:
     return a.astype(np.int64) if max_abs(a) < _INT64_SAFE else a.astype(object)
 
 
-def int_product(a: list, b: list) -> list:
+class Padded:
+    """Square integer matrices stored by rows, in the spirit of ELLPACK.
+
+    Slot k of row i holds column cols[i, k], of shape (m, K) for K the
+    longest row; vals is a component list (see int_product) of the slot
+    values, each of shape (..., m, K) with any leading stack axes.  A row
+    with fewer than K nonzeros is padded with distinct columns that are zero
+    in every matrix, so no two slots of a row name the same column.
+    """
+    __slots__ = ("cols", "vals")
+
+    def __init__(self, cols: np.ndarray, vals: list):
+        self.cols, self.vals = cols, vals
+
+    @classmethod
+    def of(cls, stack: list) -> "Padded":
+        """The layout of a component list of shape (..., m, m): the union of
+        the nonzeros of every matrix in the stack and every component."""
+        m = stack[0].shape[-1]
+        nonzero = np.logical_or.reduce([c.reshape(-1, m, m) != 0 for c in stack]).any(axis=0)
+        width = int(nonzero.sum(axis=1).max())
+        # a stable sort puts each row's nonzero columns first, in order
+        cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+        rows = np.arange(m)[:, None]
+        return cls(cols, [c[..., rows, cols] for c in stack])
+
+
+def padded(stack: list):
+    """stack in padded rows when that pays, else None.
+
+    This is the one sparse-or-dense rule of the kernel: padded rows pay
+    when the longest row needs at most half of the m slots, 2K <= m, and
+    m >= 16; below that one dense @ is at least as fast.
+    """
+    m = stack[0].shape[-1]
+    if m < 16:
+        return None
+    rows = Padded.of(stack)
+    return rows if 2 * rows.cols.shape[1] <= m else None
+
+
+def int_product(a, b: list) -> list:
     """Exact product of integer matrices given as component lists.
 
     Each operand is a list of one (rational) or four (Q(i, sqrt2))
-    integer arrays, int64 or Python-int objects.  The product runs in
-    int64 when every operand entry and inner * sum |coefficient| *
-    max|a_i| * max|b_j| for each output component stay below 2**62, and
-    in Python ints otherwise.  The result has four components when
-    either operand has.
+    integer arrays, int64 or Python-int objects; a may also be a Padded
+    matrix, applied as one gathered contraction over its K slots per row.
+    The product runs in int64 when every operand entry and inner * sum
+    |coefficient| * max|a_i| * max|b_j| for each output component stay
+    below 2**62, inner being K for a Padded a, and in Python ints
+    otherwise.  The result has four components when either operand has.
     """
-    inner = a[0].shape[1]
+    if isinstance(a, Padded):
+        rows, a, inner = a, a.vals, a.cols.shape[1]
+    else:
+        rows, inner = None, a[0].shape[1]
     max_a = [max_abs(x) for x in a]
     max_b = [max_abs(x) for x in b]
     width = max(len(a), len(b))
@@ -124,28 +171,43 @@ def int_product(a: list, b: list) -> list:
         dtype = np.int64
     else:
         dtype = object
+    if rows is None:
+        contract = np.matmul
+    else:
+        contract = partial(np.einsum, "ik,ikc->ic")
     if width == 1:
-        return [a[0].astype(dtype, copy=False) @ b[0].astype(dtype, copy=False)]
+        x = b[0].astype(dtype, copy=False)
+        return [contract(a[0].astype(dtype, copy=False), x if rows is None else x[rows.cols])]
     cols = b[0].shape[1]
-    stacked = np.concatenate([x.astype(dtype, copy=False) for x in b], axis=1)
     out = [np.zeros((a[0].shape[0], cols), dtype=dtype) for _ in range(width)]
+    # a component that is zero throughout adds nothing: the twisted
+    # solutions over Q(i, sqrt2) have no sqrt2 parts
+    live = [j for j, mb in enumerate(max_b) if mb]
+    if not live:
+        return out
+    stacked = np.concatenate([b[j].astype(dtype, copy=False) for j in live], axis=1)
+    if rows is not None:
+        stacked = stacked[rows.cols]
     for i, x in enumerate(a):
-        prod = x.astype(dtype, copy=False) @ stacked
-        for j in range(len(b)):
+        if not max_a[i]:
+            continue
+        prod = contract(x.astype(dtype, copy=False), stacked)
+        for slot, j in enumerate(live):
             k, coeff = _EXT_RULE[i, j]
-            out[k] += coeff * prod[:, j * cols:(j + 1) * cols]
+            out[k] += coeff * prod[:, slot * cols:(slot + 1) * cols]
     return out
 
 
-def apply_legs(r: list, x: list, legs) -> list:
+def apply_legs(r, x: list, legs) -> list:
     """R applied on the given legs of an integer tensor, component-wise.
 
     x holds the components of a tensor of shape (n,) * count + (cols,), one
     axis per leg, and legs names k of them (1-based, in any order); r holds
-    those of an (n^k, n^k) matrix whose i-th tensor factor acts on legs[i].
-    The legs are moved to the front and contracted over n^k by int_product,
-    so no n^count x n^count embedding is built and a product costs
-    n^(count + k) * cols.
+    those of an (n^k, n^k) matrix whose i-th tensor factor acts on legs[i],
+    or is that matrix as Padded.  The legs are moved to the front and
+    contracted over n^k by int_product, so no n^count x n^count embedding
+    is built and a product costs n^(count + k) * cols, or K n^count * cols
+    in padded rows.
     """
     at = tuple(leg - 1 for leg in legs)
     axes = at + tuple(k for k in range(x[0].ndim) if k not in at)

@@ -59,10 +59,25 @@ class TensorMatrix:
         for idx, x in np.ndenumerate(data):
             if isinstance(x, bool) or not (is_exact_scalar(x) or isinstance(x, Poly)):
                 raise TypeError(f"inexact entry {x!r} at {idx}")
+        self._set(site_dim, legs, data)
+
+    def _set(self, site_dim, legs, data):
         data.flags.writeable = False
         object.__setattr__(self, "site_dim", site_dim)
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _checked(cls, site_dim: int, legs: int, data: np.ndarray) -> "TensorMatrix":
+        """A matrix on an object array that no one else writes to, whose
+        entries are ring combinations of entries of checked matrices and
+        therefore exact: the entry loop of __init__ is skipped."""
+        if data.shape != (site_dim ** legs,) * 2:
+            raise ValueError(f"expected {site_dim ** legs}x{site_dim ** legs} entries, "
+                             f"got {data.shape}")
+        out = object.__new__(cls)
+        out._set(site_dim, legs, data)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorMatrix is immutable")
@@ -100,6 +115,9 @@ class TensorMatrix:
     def _like(self, data: np.ndarray) -> "TensorMatrix":
         return TensorMatrix(self.site_dim, self.legs, data)
 
+    def _derived(self, data: np.ndarray) -> "TensorMatrix":
+        return TensorMatrix._checked(self.site_dim, self.legs, data)
+
     def _check_same(self, other: "TensorMatrix"):
         if not isinstance(other, TensorMatrix):
             raise TypeError(f"TensorMatrix expected, got {type(other).__name__}")
@@ -110,14 +128,14 @@ class TensorMatrix:
 
     def __add__(self, other):
         self._check_same(other)
-        return self._like(self.data + other.data)
+        return self._derived(self.data + other.data)
 
     def __sub__(self, other):
         self._check_same(other)
-        return self._like(self.data - other.data)
+        return self._derived(self.data - other.data)
 
     def __neg__(self):
-        return self._like(-self.data)
+        return self._derived(-self.data)
 
     def __mul__(self, scalar):
         if not (is_exact_scalar(scalar) or isinstance(scalar, Poly)):
@@ -131,7 +149,7 @@ class TensorMatrix:
 
     def __matmul__(self, other):
         self._check_same(other)
-        return self._like(linalg.matmul(self.data, other.data))
+        return self._derived(linalg.matmul(self.data, other.data))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -155,13 +173,13 @@ class TensorMatrix:
         return all(not x for x in self.data.flat)
 
     def transpose(self) -> "TensorMatrix":
-        return self._like(self.data.T)
+        return self._derived(self.data.T)
 
     def inverse(self) -> "TensorMatrix":
         return self._like(linalg.inverse(self.data))
 
     def reindexed(self, perm: np.ndarray) -> "TensorMatrix":
-        return self._like(self.data[np.ix_(perm, perm)])
+        return self._derived(self.data[np.ix_(perm, perm)])
 
     # -- polynomial entries --------------------------------------------------
 
@@ -241,7 +259,7 @@ def kron(a: TensorMatrix, b: TensorMatrix) -> TensorMatrix:
     dense_dim(a.site_dim, a.legs + b.legs)
     prod = np.multiply.outer(a.data, b.data)
     data = prod.transpose(0, 2, 1, 3).reshape(a.size * b.size, a.size * b.size)
-    return TensorMatrix(a.site_dim, a.legs + b.legs, data)
+    return TensorMatrix._checked(a.site_dim, a.legs + b.legs, data)
 
 
 def permutation_op(n: int) -> TensorMatrix:

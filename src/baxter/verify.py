@@ -155,15 +155,26 @@ def grid_report(identity_name, diff_at, degree_a, degree_b,
                          f"({degree_a}, {degree_b}); grid_margin must be >= 0")
     xs = list(range(pts_a))
     ys = list(range(pts_b))
-    diffs = {}
+    # The witness entry is the first nonzero one, in row-major order, over
+    # the whole grid.  No later entry can be it, so each point keeps only
+    # its flat prefix up to the first nonzero entry seen so far, and a
+    # point before the first nonzero one keeps nothing: it is zero there.
+    first, kept = None, {}
     for x in xs:
         for y in ys:
-            diffs[x, y] = diff_at(x, y)
-    hit = _first_int_hit([d for comps in diffs.values() for d in comps])
-    if hit is None:
+            comps = diff_at(x, y)
+            hit = _first_int_hit(comps)
+            if hit is not None:
+                cols = comps[0].shape[1]
+                at = hit[0] * cols + hit[1]
+                first = at if first is None else min(first, at)
+            if first is not None:
+                kept[x, y] = [c.reshape(-1)[:first + 1].copy() for c in comps]
+    if first is None:
         return VerificationReport(identity_name, True, grid_size=(pts_a, pts_b))
-    row, col = hit
-    table = [[_int_entry(diffs[x, y], row, col, scale) for y in ys] for x in xs]
+    row, col = divmod(first, cols)
+    table = [[linalg.ext_value([int(c[first]) for c in kept[x, y]] if (x, y) in kept
+                               else [0], scale) for y in ys] for x in xs]
     coeff = interpolate_grid(xs, ys, table)
     for i in range(pts_a):
         for j in range(pts_b):
@@ -196,24 +207,30 @@ def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationRepor
     n = num.site_dim
     degree = num.max_degree(var)
     scale, stack = linalg.clear(num.data, (var,))
-    values = {}
+    rows = linalg.padded(stack)
+    values, firsts = {}, {}
 
     def value_at(t):
         if t not in values:
-            values[t] = int_values(stack, t)
+            values[t] = (int_values(stack, t) if rows is None else
+                         linalg.Padded(rows.cols, int_values(rows.vals, t)))
         return values[t]
 
-    eye = np.eye(n, dtype=np.int64)
+    eye = [np.eye(n ** 3, dtype=np.int64).reshape(n, n, n, -1)]
+
+    def first(t, legs):
+        """R(t) on legs of the identity, once per argument and legs."""
+        if (t, legs) not in firsts:
+            firsts[t, legs] = linalg.apply_legs(value_at(t), eye, legs)
+        return firsts[t, legs]
 
     def diff_at(x, y):
+        # lhs = R12(x) R13(x+y) R23(y), rhs = R23(y) R13(x+y) R12(x): the
+        # rightmost factor of each side depends on one argument and is built
+        # once by first(); the other two are applied on their legs.
         a, b, c = value_at(x), value_at(x + y), value_at(y)
-        # The first factor of each side is embedded directly, the other two
-        # are applied on their legs: lhs = R12(x) R13(x+y) R23(y), rhs =
-        # R23(y) R13(x+y) R12(x).
-        lhs = [np.kron(eye, m).reshape(n, n, n, -1) for m in c]
-        rhs = [np.kron(m, eye).reshape(n, n, n, -1) for m in a]
-        lhs = linalg.apply_legs(a, linalg.apply_legs(b, lhs, (1, 3)), (1, 2))
-        rhs = linalg.apply_legs(c, linalg.apply_legs(b, rhs, (1, 3)), (2, 3))
+        lhs = linalg.apply_legs(a, linalg.apply_legs(b, first(y, (2, 3)), (1, 3)), (1, 2))
+        rhs = linalg.apply_legs(c, linalg.apply_legs(b, first(x, (1, 2)), (1, 3)), (2, 3))
         return [(p - q).reshape(n ** 3, n ** 3) for p, q in zip(lhs, rhs)]
 
     return grid_report("ybe-spectral", diff_at, 2 * degree, 2 * degree,

@@ -218,3 +218,35 @@ def test_script_target_without_tomllib(monkeypatch):
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "hamiltonian", "--sites", "3", "--xi", "-5/2"],
+    ["chain", "calibrate", "--sites", "3", "--tau", "-1/2"],
+    ["build", "example1-R", "--n", "2", "--xi", "-5/2"],
+])
+def test_negative_fractions_are_values(capsys, argv):
+    # -5/2 is not a plain negative number, which argparse would read as an option
+    assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == 0
+    want = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_negative_xi_reaches_the_hamiltonian(capsys):
+    # on an open chain the sign of xi survives in the boundary terms
+    assert main(["chain", "hamiltonian", "--sites", "3", "--boundary", "open",
+                 "--xi", "-5/2"]) == 0
+    got = decode(capsys.readouterr().out)
+    assert got == remark_hamiltonian(ChainSpec(3, "open", Fraction(-5, 2)))
+    assert got != remark_hamiltonian(ChainSpec(3, "open", Fraction(5, 2)))
+
+
+def test_bad_scalar_values_exit_2_with_one_line(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chain", "calibrate", "--tau", "-x"])
+    assert exit_info.value.code == 2
+    assert main(["chain", "hamiltonian", "--xi", "-5/0"]) == 2
+    assert main(["chain", "calibrate", "--tau", "-1/2/3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all("error" in line for line in err)

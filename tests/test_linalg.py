@@ -402,3 +402,117 @@ def test_narrow():
     big = np.array([[2 ** 62, 0]], dtype=object)
     wide = linalg.narrow(big)
     assert wide.dtype == object and wide[0, 0] == 2 ** 62
+
+
+# -- padded rows ----------------------------------------------------------------
+
+
+def scatter(rows, values):
+    """The dense (m, m) matrices of padded slot values, entry by entry from
+    the slot columns; slots of one row must name distinct columns."""
+    m, width = rows.cols.shape
+    out = np.zeros(values.shape[:-2] + (m, m), dtype=object)
+    for lead in np.ndindex(values.shape[:-2]):
+        for i in range(m):
+            for k in range(width):
+                j = int(rows.cols[i, k])
+                assert out[lead + (i, j)] == 0
+                out[lead + (i, j)] = values[lead + (i, k)]
+    return out
+
+
+@st.composite
+def sparse_stacks(draw, layers=1):
+    """A component list of shape (layers, m, m): each row has its own number
+    of nonzeros, some rows none, and now and then the matrix is all zero."""
+    m = draw(st.integers(1, 6))
+    ext, big = draw(st.booleans()), draw(st.booleans())
+    entries = int_entries(ext, big)
+    empty = draw(st.integers(0, 9)) == 0
+    out = np.zeros((layers, m, m), dtype=object)
+    for i in range(m):
+        for j in sorted(draw(st.sets(st.integers(0, m - 1), max_size=0 if empty else m))):
+            at = draw(st.integers(0, layers - 1))
+            out[at, i, j] = draw(entries.filter(bool))
+    return components(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_stacks(layers=3))
+def test_padded_layout_is_the_union_of_every_layer_and_component(stack):
+    rows = linalg.Padded.of(stack)
+    m = stack[0].shape[-1]
+    nonzero = np.zeros((m, m), dtype=bool)
+    for c in stack:
+        nonzero |= (c != 0).any(axis=0)
+    # K is the longest row, exactly
+    assert rows.cols.shape == (m, int(nonzero.sum(axis=1).max()))
+    for c, v in zip(stack, rows.vals):
+        assert v.shape == (3,) + rows.cols.shape
+        assert (scatter(rows, v) == c).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_stacks(), st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+def test_padded_product_matches_dense_and_object_products(stack, cols, ext, big, data):
+    m = stack[0].shape[-1]
+    r = [c[0] for c in stack]
+    x = np.array(data.draw(st.lists(int_entries(ext, big), min_size=m * cols,
+                                    max_size=m * cols)), dtype=object).reshape(m, cols)
+    rows = linalg.Padded.of(r)
+    got = assemble(linalg.int_product(rows, components(x)))
+    assert (got == assemble(linalg.int_product(r, components(x)))).all()
+    assert (got == naive_matmul(assemble(r), x)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+def test_padded_apply_legs_matches_index_embedding(count, n, ext, data):
+    legs = tuple(data.draw(st.permutations(range(1, count + 1)))[:data.draw(
+        st.integers(1, count))])
+    side = n ** len(legs)
+    r = np.zeros((side, side), dtype=object)
+    for i in range(side):
+        for j in data.draw(st.sets(st.integers(0, side - 1), max_size=3)):
+            r[i, j] = data.draw(int_entries(ext, False).filter(bool))
+    x = np.array(data.draw(st.lists(int_entries(not ext, False), min_size=n ** count * 2,
+                                    max_size=n ** count * 2)), dtype=object).reshape(-1, 2)
+    want = naive_matmul(index_embedding(r, n, count, legs), x)
+    xs = [c.reshape((n,) * count + (-1,)) for c in components(x)]
+    got = linalg.apply_legs(linalg.Padded.of(components(r)), xs, legs)
+    assert (assemble([c.reshape(n ** count, -1) for c in got]) == want).all()
+
+
+def test_padded_bound_counts_row_slots_not_the_inner_dimension():
+    # one nonzero per row of 16: 2**30 * 2**30 fits once, not 16 times
+    m, big = 16, 2 ** 30
+    r = np.zeros((m, m), dtype=object)
+    r[np.arange(m), (3 * np.arange(m)) % m] = big
+    x = np.full((m, 2), big, dtype=object)
+    rows = linalg.Padded.of([r])
+    assert rows.cols.shape == (m, 1)
+    assert linalg.int_product([r], [x])[0].dtype == object
+    low = linalg.int_product(rows, [x])[0]
+    assert low.dtype == np.int64
+    assert (low == naive_matmul(r, x)).all()
+    # four per row reach 4 * 2**60 = 2**62: the product runs in Python ints
+    for k in range(1, 4):
+        r[np.arange(m), (3 * np.arange(m) + k) % m] = big
+    rows = linalg.Padded.of([r])
+    assert rows.cols.shape == (m, 4)
+    high = linalg.int_product(rows, [x])[0]
+    assert high.dtype == object
+    assert (high == naive_matmul(r, x)).all() and high[0, 0] == 2 ** 62
+
+
+def test_padded_rule_takes_sparse_rows_of_sixteen_or_more():
+    def band(m, width):
+        out = np.zeros((m, m), dtype=np.int64)
+        for k in range(width):
+            out[np.arange(m), (np.arange(m) + k) % m] = k + 1
+        return [out]
+
+    assert linalg.padded(band(16, 8)).cols.shape == (16, 8)
+    assert linalg.padded(band(16, 9)) is None
+    assert linalg.padded(band(9, 1)) is None
+    assert linalg.padded([np.zeros((16, 16), dtype=np.int64)]).cols.shape == (16, 0)

@@ -237,5 +237,35 @@ def test_shape_validation():
         check_ybe(TensorMatrix.zero(17, 2))
 
 
+def test_entries_are_checked_once(monkeypatch):
+    rng = random.Random(5)
+    a, b = rand_matrix(rng, 2, 2), rand_matrix(rng, 2, 2)
+    one = rand_matrix(rng, 2)
+    perm = np.array([3, 1, 2, 0])
+    checked = []
+    init = TensorMatrix.__init__
+
+    def spy(self, *args):
+        checked.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(TensorMatrix, "__init__", spy)
+    # results of ring operations on checked matrices skip the entry loop
+    derived = [a @ b, a + b, a - b, -a, a.transpose(), a.reindexed(perm), kron(one, one)]
+    assert checked == []
+    for m in derived:
+        assert not m.data.flags.writeable
+    assert derived[0] == TensorMatrix(2, 2, [[sum(a.data[i, k] * b.data[k, j] for k in range(4))
+                                              for j in range(4)] for i in range(4)])
+    # anything built from outside is still checked
+    checked.clear()
+    a * 2, a.substitute({"u": 1}), permutation_op(2)
+    assert len(checked) == 3
+    with pytest.raises(TypeError, match="inexact"):
+        TensorMatrix(1, 1, [[0.5]])
+    with pytest.raises(ValueError, match="expected 4x4"):
+        a.reindexed(np.array([0, 1, 2]))
+
+
 if __name__ == "__main__":
     test_embed_two_leg_against_oracle()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baxter import linalg
+from baxter import linalg, serialize
 from baxter.poly import Poly
 from baxter.scalars import IM, SQRT2, Ext
 from baxter.tensor import (TensorMatrix, embed_pair, kron, matrix_unit, permutation_op,
@@ -17,7 +17,7 @@ from baxter.verify import (VerificationReport, Witness, check_classical_limit,
                            check_ybe, evaluate_matrix, grid_report,
                            int_values, interpolate_grid,
                            uniform_int_scale)
-from baxter.solutions import example1_r, example1_R, yangian_sl_R, yangian_so_R
+from baxter.solutions import Realization, example1_r, example1_R, yangian_sl_R, yangian_so_R
 from conftest import naive_matmul
 
 E11 = matrix_unit(2, 1, 1)
@@ -391,3 +391,62 @@ def test_grid_margin_below_zero_is_rejected():
     with pytest.raises(ValueError):
         grid_report("x", lambda x, y: [np.zeros((1, 1), dtype=np.int64)], 2, 0,
                     grid_margin=-1)
+
+
+SPECTRAL_CASES = {**{f"so{N}-{r.value}": (lambda N=N, r=r: yangian_so_R(N, r))
+                     for N in range(3, 7) for r in Realization},
+                  **{f"sl{n}": (lambda n=n: yangian_sl_R(n)) for n in (2, 3, 4)}}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_CASES))
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_padded_grid_reports_equal_the_dense_grid_bytes(name, perturbed, monkeypatch):
+    num = SPECTRAL_CASES[name]().numerator
+    n = num.site_dim
+    if perturbed:
+        u = Poly.variable("u")
+        num = num + TensorMatrix.from_entries(n, 2, {(1, n): IM * u + Fraction(1, 3),
+                                                     (n * n - 1, 0): 3 * u * u})
+    chosen = []
+    rule = linalg.padded
+
+    def spy(stack):
+        chosen.append(rule(stack))
+        return chosen[-1]
+
+    monkeypatch.setattr(linalg, "padded", spy)
+    sparse = check_ybe(num)
+    # n = 4 is the first site dimension with rows of 16
+    assert (chosen[0] is not None) == (n >= 4)
+    monkeypatch.setattr(linalg, "padded", lambda stack: None)
+    dense = check_ybe(num)
+    assert sparse.passed == (not perturbed)
+    assert serialize.encode(sparse) == serialize.encode(dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_grid_report_witness_matches_whole_grid_search(width, data):
+    # each point's first nonzero entry may come before or after the others',
+    # and some points are zero throughout
+    shape = (3, 4)
+    grid = {}
+    for x in range(3):
+        for y in range(2):
+            comps = np.zeros((width,) + shape, dtype=np.int64)
+            for _ in range(data.draw(st.integers(0, 3))):
+                at = (data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, 2)),
+                      data.draw(st.integers(0, 3)))
+                comps[at] = data.draw(st.integers(-5, 5))
+            grid[x, y] = list(comps)
+    rep = grid_report("t", lambda x, y: grid[x, y], 1, 0, grid_margin=1, scale=3)
+    hits = np.argwhere(np.logical_or.reduce([c != 0 for comps in grid.values() for c in comps]))
+    if not len(hits):
+        assert rep.passed
+        return
+    row, col = hits[0]
+    table = [[linalg.ext_value([int(c[row, col]) for c in grid[x, y]], 3) for y in range(2)]
+             for x in range(3)]
+    coeff = interpolate_grid(range(3), range(2), table)
+    i, j = next((i, j) for i in range(3) for j in range(2) if coeff[i, j])
+    assert rep.witness == Witness(row, col, (i, j), coeff[i, j])
