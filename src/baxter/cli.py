@@ -187,14 +187,9 @@ def _chain(args) -> int:
         return _write(family, args)
     if what == "commute":
         spectral = _load(args.input, SPECTRAL)
-        spec = spin_chain.ChainSpec(args.sites)
-        family = spin_chain.transfer_matrix(spectral, spec)
-        first = spin_chain.check_commutation(family, family,
-                                             grid_margin=args.grid_margin)
+        first, second = spin_chain.check_chain(spectral, spin_chain.ChainSpec(args.sites),
+                                               grid_margin=args.grid_margin)
         print(first)
-        derived = spin_chain.derive_hamiltonian(spectral, spec)
-        second = spin_chain.check_commutation(derived, family,
-                                              grid_margin=args.grid_margin)
         print(second)
         if getattr(args, "report", None):
             worst = next((rep for rep in (first, second) if not rep.passed), first)

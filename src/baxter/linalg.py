@@ -28,7 +28,7 @@ import numpy as np
 from .poly import Poly
 from .scalars import Ext
 
-_INT64_SAFE = 2 ** 62
+INT64_SAFE = 2 ** 62
 
 
 class SingularMatrixError(ValueError):
@@ -100,7 +100,7 @@ def max_abs(a: np.ndarray) -> int:
 def narrow(a: np.ndarray) -> np.ndarray:
     """An integer array as int64 when every entry is below 2**62 in
     absolute value, otherwise as Python-int objects."""
-    return a.astype(np.int64) if max_abs(a) < _INT64_SAFE else a.astype(object)
+    return a.astype(np.int64) if max_abs(a) < INT64_SAFE else a.astype(object)
 
 
 class Padded:
@@ -167,7 +167,7 @@ def int_product(a, b: list) -> list:
         for j, mb in enumerate(max_b):
             k, coeff = _EXT_RULE[i, j]
             bound[k] += abs(coeff) * ma * mb
-    if max(*max_a, *max_b, inner * max(bound)) < _INT64_SAFE:
+    if max(*max_a, *max_b, inner * max(bound)) < INT64_SAFE:
         dtype = np.int64
     else:
         dtype = object
@@ -223,7 +223,7 @@ def int_sum(*terms) -> list:
     zeros; int64 when the sum of the terms' largest entries stays below
     2**62, Python ints otherwise."""
     bound = sum(max_abs(c) for term in terms for c in term)
-    dtype = np.int64 if bound < _INT64_SAFE else object
+    dtype = np.int64 if bound < INT64_SAFE else object
     out = [np.zeros(terms[0][0].shape, dtype=dtype) for _ in range(max(map(len, terms)))]
     for term in terms:
         for acc, c in zip(out, term):
@@ -282,6 +282,23 @@ def _clear(values: list, kinds: set, shape: tuple, names):
     stack = np.zeros((width,) + grid + (len(values),), dtype=object)
     stack[(slice(None), *at)] = ints
     return scale, list(stack.reshape((width,) + grid + shape))
+
+
+def lowest_terms(scale: int, stack: list):
+    """(scale, stack) as clear returns it, in one variable, for the matrix
+    whose every entry is the Poly of rebuild(scale, names, stack, polys): the
+    scale and every coefficient divided by their gcd, the trailing layers
+    that are zero throughout dropped (one layer stays), and the extension
+    components dropped when all three are zero throughout."""
+    g = math.gcd(scale, *(int(np.gcd.reduce(c, axis=None)) for c in stack))
+    if g > 1:
+        scale, stack = scale // g, [c // g for c in stack]
+    live = np.logical_or.reduce([c != 0 for c in stack]).reshape(len(stack[0]), -1).any(axis=1)
+    layers = int(np.flatnonzero(live)[-1]) + 1 if live.any() else 1
+    stack = [c[:layers] for c in stack]
+    if len(stack) == 4 and not any(c.any() for c in stack[1:]):
+        stack = stack[:1]
+    return scale, stack
 
 
 def rebuild(scale: int, names, stack: list, polys: dict) -> np.ndarray:

@@ -110,20 +110,30 @@ def _needs_extension(values) -> bool:
 # -- polynomial entries ----------------------------------------------------
 
 
-def _encode_entry(x, field: str, variables):
+def _encode_entry(x, field: str, variables, memo: dict):
+    """The encoding of one entry; memo maps each scalar already encoded in
+    this field to its encoding, and gains the new ones."""
+
+    def scalar(c):
+        # a Fraction is keyed by its terms, which hash faster than it does;
+        # equal keys are equal scalars, and those have equal encodings
+        key = (c.numerator, c.denominator) if type(c) is Fraction else c
+        if key not in memo:
+            memo[key] = _encode_scalar(c, field)
+        return memo[key]
+
     if not variables:
         if isinstance(x, Poly):
             x = x.constant_value()
-        return _encode_scalar(x, field)
+        return scalar(x)
     var = variables[0]
     if not isinstance(x, Poly):
-        return [_encode_scalar(x, field)]
+        return [scalar(x)]
     if x.vars not in ((), (var,)):
         raise ValueError(f"entry variables {x.vars} do not match {variables}")
     if x.is_constant():
-        return [_encode_scalar(x.constant_value(), field)]
-    coeffs = [x.coefficient((k,)) for k in range(x.degree(var) + 1)]
-    return [_encode_scalar(c, field) for c in coeffs]
+        return [scalar(x.constant_value())]
+    return [scalar(x.coefficient((k,))) for k in range(x.degree(var) + 1)]
 
 
 def _decode_entry(obj, field: str, variables, location: str):
@@ -144,7 +154,8 @@ def _matrix_payload(m: TensorMatrix, force_variables=None, also=()) -> dict:
     if len(variables) > 1:
         raise ValueError("matrices in two variables are not serialized")
     field = FIELD_EXTENSION if _needs_extension([*m.data.flat, *also]) else FIELD_RATIONAL
-    entries = [[_encode_entry(x, field, variables) for x in row] for row in m.data]
+    memo = {}
+    entries = [[_encode_entry(x, field, variables, memo) for x in row] for row in m.data]
     return {
         "field": field,
         "site_dim": m.site_dim,
@@ -192,7 +203,7 @@ def _encode_loose(value):
         var = value.vars[0] if value.vars else "u"
         field = FIELD_EXTENSION if _needs_extension([value]) else FIELD_RATIONAL
         return {"variables": [var], "field": field,
-                "coefficients": _encode_entry(value, field, (var,))}
+                "coefficients": _encode_entry(value, field, (var,), {})}
     if isinstance(value, Ext) and not value.is_rational:
         return [_atom(c) for c in value.components()]
     if isinstance(value, (int, Fraction)) or isinstance(value, Ext):
@@ -290,7 +301,7 @@ def encode(obj) -> str:
             "kind": "spectral",
             **body,
             "denominator": _encode_entry(obj.denominator, body["field"],
-                                         body["variables"]),
+                                         body["variables"], {}),
             "label": obj.label,
         }
     elif isinstance(obj, TransferFamily):

@@ -141,22 +141,22 @@ class TransferFamily:
         return names[0] if names else "u"
 
 
-def transfer_matrix(r: SpectralRMatrix, spec: ChainSpec) -> TransferFamily:
-    """t(u) = tr_0 [ N_{0L}(u) ... N_{01}(u) ] built on the numerator.
+def _transfer_stack(r: SpectralRMatrix, spec: ChainSpec):
+    """(scale, stack): the transfer family of r as interpolation gives it,
+    laid out as linalg.clear's in the variable of r; its lowest terms are
+    linalg.clear of the family that transfer_matrix rebuilds.
 
     At each of the points 0..L*d, where d is the numerator degree, the
     cleared numerator is applied on legs (0, k) of an integer tensor that
-    starts as the identity on L + 1 legs, and leg 0 is traced out.  Entries
-    are interpolated exactly from those values, so the result is the true
-    polynomial family; a scalar is built only for its coefficients.
+    starts as the identity on L + 1 legs, and leg 0 is traced out.  The
+    coefficients are interpolated exactly from those values.
     """
     if spec.boundary != "periodic":
         raise ValueError("transfer matrices need a periodic chain")
     n = r.site_dim
     sites = spec.sites
     size = tensor.dense_dim(n, sites + 1) // n
-    var = r.variable
-    scale, stack = linalg.clear(r.numerator.data, (var,))
+    scale, stack = linalg.clear(r.numerator.data, (r.variable,))
     points = range(sites * (len(stack[0]) - 1) + 1)
     eye = [np.eye(n * size, dtype=np.int64).reshape((n,) * (sites + 1) + (-1,))]
     tables = []
@@ -171,11 +171,21 @@ def transfer_matrix(r: SpectralRMatrix, spec: ChainSpec) -> TransferFamily:
     weights, denominator = linalg.scale_to_int(linalg.vandermonde_inverse(points))
     coeffs = linalg.int_product([linalg.narrow(weights)],
                                 [np.concatenate(c) for c in zip(*tables)])
-    data = linalg.rebuild(denominator * scale ** sites, (var,),
-                          [c.reshape(-1, size, size) for c in coeffs],
-                          dict.fromkeys(range(size * size), (var,)))
-    family = TensorMatrix(n, sites, data)
-    return TransferFamily(family, sites, n, f"transfer({r.label})" if r.label else "transfer")
+    return denominator * scale ** sites, [c.reshape(-1, size, size) for c in coeffs]
+
+
+def transfer_matrix(r: SpectralRMatrix, spec: ChainSpec) -> TransferFamily:
+    """t(u) = tr_0 [ N_{0L}(u) ... N_{01}(u) ] built on the numerator.
+
+    Entries are interpolated exactly (see _transfer_stack), so the result is
+    the true polynomial family; a scalar is built only for its coefficients.
+    """
+    scale, stack = _transfer_stack(r, spec)
+    var, size = r.variable, stack[0].shape[-1]
+    data = linalg.rebuild(scale, (var,), stack, dict.fromkeys(range(size * size), (var,)))
+    family = TensorMatrix(r.site_dim, spec.sites, data)
+    return TransferFamily(family, spec.sites, r.site_dim,
+                          f"transfer({r.label})" if r.label else "transfer")
 
 
 def _family_matrix(operand) -> TensorMatrix:
@@ -189,7 +199,7 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
 
     Either operand may be a constant matrix (its argument is then dropped)
     or a polynomial family such as a transfer matrix.  An operand passed as
-    both is cleared and evaluated once.
+    both is cleared and evaluated once, and its grid uses antisymmetry.
     """
     ma, mb = _family_matrix(a), _family_matrix(b)
     if ma.site_dim != mb.site_dim or ma.legs != mb.legs:
@@ -202,23 +212,59 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
         # a constant is a polynomial of degree 0 in a placeholder variable
         return linalg.clear(m.data, names or ("u",))
 
-    scale_a, stack_a = cleared(ma)
-    scale_b, stack_b = (scale_a, stack_a) if mb is ma else cleared(mb)
+    first = cleared(ma)
+    return _commutation_grid(first, first if mb is ma else cleared(mb), grid_margin)
+
+
+def _commutation_grid(a, b, grid_margin: int) -> verify.VerificationReport:
+    """check_commutation on operands cleared as linalg.clear clears them in
+    one variable, (scale, stack) each.
+
+    When b is a, [A(x), A(y)] = -[A(y), A(x)] exactly: a diagonal point is
+    zero, and so is (x, y) with x > y when its mirror (y, x) was.  Only a
+    zero flag is kept per point; every other point is computed.
+    """
+    (scale_a, stack_a), (scale_b, stack_b) = a, b
+    same = b is a
     cache_a = {}
-    cache_b = cache_a if mb is ma else {}
+    cache_b = cache_a if same else {}
+    m = stack_a[0].shape[-1]
+    nothing = [np.zeros((m, m), dtype=np.int64)]
+    zero = set()
 
     def diff_at(x, y):
+        if same and (x == y or (x > y and (y, x) in zero)):
+            return nothing
         if x not in cache_a:
             cache_a[x] = verify.int_values(stack_a, x)
         if y not in cache_b:
             cache_b[y] = verify.int_values(stack_b, y)
         left, right = cache_a[x], cache_b[y]
-        return [p - q for p, q in zip(linalg.int_product(left, right),
+        diff = [p - q for p, q in zip(linalg.int_product(left, right),
                                       linalg.int_product(right, left))]
+        if same and not any(c.any() for c in diff):
+            zero.add((x, y))
+        return diff
 
     return verify.grid_report("commutation", diff_at, len(stack_a[0]) - 1,
                               len(stack_b[0]) - 1,
                               grid_margin=grid_margin, scale=scale_a * scale_b)
+
+
+def check_chain(r: SpectralRMatrix, spec: ChainSpec, grid_margin: int = 1):
+    """(self, hamiltonian): the reports of check_commutation(t, t) and
+    check_commutation(h, t) for the transfer family t of r and the derived
+    Hamiltonian h on the chain spec.
+
+    Both stay cleared integer stacks throughout, in lowest terms, so grid
+    sizes, kernels and witnesses are those of the rebuilt objects; no entry
+    of a chain operator is built as an object.
+    """
+    family = linalg.lowest_terms(*_transfer_stack(r, spec))
+    _, scale, stack = _bond_stack(_derived_density(r), spec)
+    hamiltonian = linalg.lowest_terms(scale, [c[None] for c in stack])
+    return (_commutation_grid(family, family, grid_margin),
+            _commutation_grid(hamiltonian, family, grid_margin))
 
 
 def _affine_fit(first, second, n: int, legs: int, conj):

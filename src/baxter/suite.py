@@ -193,11 +193,10 @@ def chain_checks() -> list:
                 f"L={sites}: linear deformation does not telescope")
         for tau in (0, 1, 2):
             spectral = solutions.baxterize(solutions.example1_R(2, Fraction(tau)))
-            family = spin_chain.transfer_matrix(spectral, ChainSpec(sites))
-            _expect(problems, spin_chain.check_commutation(family, family).passed,
+            with_self, with_hamiltonian = spin_chain.check_chain(spectral, ChainSpec(sites))
+            _expect(problems, with_self.passed,
                     f"L={sites} tau={tau}: transfer family does not commute")
-            derived = spin_chain.derive_hamiltonian(spectral, ChainSpec(sites))
-            _expect(problems, spin_chain.check_commutation(derived, family).passed,
+            _expect(problems, with_hamiltonian.passed,
                     f"L={sites} tau={tau}: Hamiltonian does not commute with transfer")
             found = spin_chain.calibrate(sites, tau)
             _expect(problems, found == (2, -sites),
@@ -212,6 +211,7 @@ def chain_checks() -> list:
                 for _ in range(sites - 1):
                     full = kron(full, flip)
                 eye = TensorMatrix.identity(2, sites)
+                derived = spin_chain.derive_hamiltonian(spectral, ChainSpec(sites))
                 _expect(problems,
                         derived * alpha + eye * beta == full @ remark @ full.inverse(),
                         f"L={sites} tau={tau}: affine identity fails at the solved constants")

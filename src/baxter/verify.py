@@ -109,9 +109,15 @@ def evaluate_matrix(data: np.ndarray, var: str, value: int) -> np.ndarray:
 
 def int_values(stack: list, value: int) -> list:
     """Components of the stacked polynomial matrix at var = value (Horner),
-    as int64 arrays when every entry fits the kernel's bound."""
+    as int64 arrays when every entry fits the kernel's bound.  An int64
+    component is evaluated in int64 only when max|c| * sum |value|^k, a bound
+    on every Horner step, stays below that bound."""
     out = []
     for comp in stack:
+        if comp.dtype != object:
+            steps = sum(abs(value) ** k for k in range(len(comp)))
+            if linalg.max_abs(comp) * steps >= linalg.INT64_SAFE:
+                comp = comp.astype(object)
         acc = comp[-1]
         for layer in comp[-2::-1]:
             acc = acc * value + layer
@@ -208,7 +214,7 @@ def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationRepor
     degree = num.max_degree(var)
     scale, stack = linalg.clear(num.data, (var,))
     rows = linalg.padded(stack)
-    values, firsts = {}, {}
+    values, lefts, right = {}, {}, {}
 
     def value_at(t):
         if t not in values:
@@ -218,19 +224,22 @@ def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationRepor
 
     eye = [np.eye(n ** 3, dtype=np.int64).reshape(n, n, n, -1)]
 
-    def first(t, legs):
-        """R(t) on legs of the identity, once per argument and legs."""
-        if (t, legs) not in firsts:
-            firsts[t, legs] = linalg.apply_legs(value_at(t), eye, legs)
-        return firsts[t, legs]
+    def first(cache, t, legs):
+        """R(t) on legs of the identity, once per argument in cache."""
+        if t not in cache:
+            cache[t] = linalg.apply_legs(value_at(t), eye, legs)
+        return cache[t]
 
     def diff_at(x, y):
         # lhs = R12(x) R13(x+y) R23(y), rhs = R23(y) R13(x+y) R12(x): the
         # rightmost factor of each side depends on one argument and is built
-        # once by first(); the other two are applied on their legs.
+        # once by first(); the other two are applied on their legs.  x is
+        # grid_report's row, so the right-hand factor is kept for one row.
+        if x not in right:
+            right.clear()
         a, b, c = value_at(x), value_at(x + y), value_at(y)
-        lhs = linalg.apply_legs(a, linalg.apply_legs(b, first(y, (2, 3)), (1, 3)), (1, 2))
-        rhs = linalg.apply_legs(c, linalg.apply_legs(b, first(x, (1, 2)), (1, 3)), (2, 3))
+        lhs = linalg.apply_legs(a, linalg.apply_legs(b, first(lefts, y, (2, 3)), (1, 3)), (1, 2))
+        rhs = linalg.apply_legs(c, linalg.apply_legs(b, first(right, x, (1, 2)), (1, 3)), (2, 3))
         return [(p - q).reshape(n ** 3, n ** 3) for p, q in zip(lhs, rhs)]
 
     return grid_report("ybe-spectral", diff_at, 2 * degree, 2 * degree,

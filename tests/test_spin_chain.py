@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from baxter import linalg, serialize, spin_chain
+from baxter import linalg, serialize, spin_chain, verify
 from baxter.poly import Poly
 from baxter.scalars import IM, SQRT2, Ext
 from baxter.solutions import (Realization, SpectralRMatrix, baxterize, example1_R,
-                              example2_solution, yangian_sl_R)
+                              example2_solution, yangian_sl_R, yangian_so_R)
 from baxter.spin_chain import (ChainSpec, bonds, calibrate, check_commutation,
                                compare_up_to_affine, derive_hamiltonian,
                                exchange_density, remark_hamiltonian,
@@ -402,3 +402,162 @@ def test_negative_grid_margin_is_rejected_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("rejected:"), proc.stdout
+
+
+# -- commutation on cleared stacks ----------------------------------------------
+
+
+def _numerator_family(numerator):
+    return SpectralRMatrix(numerator, Poly.lift(1, ("u",)))
+
+
+def nilpotent_R():
+    """P + u E12 (x) 1: the top layer of its transfer family, tr E12^L, is
+    zero, so the family's degree is below L."""
+    u = Poly.variable("u")
+    return _numerator_family(permutation_op(2) + kron(matrix_unit(2, 1, 2),
+                                                      TensorMatrix.identity(2, 1)) * u)
+
+
+def telescoping_R():
+    """A regular R over Q(i, sqrt2) whose derived density is P + i (sz (x) 1
+    - 1 (x) sz); on a periodic chain the imaginary part telescopes away."""
+    u = Poly.variable("u")
+    one, p = TensorMatrix.identity(2, 1), permutation_op(2)
+    twist = (kron(sigma_z(), one) - kron(one, sigma_z())) * IM
+    return _numerator_family(p + (TensorMatrix.identity(2, 2) + p @ twist) * u)
+
+
+def failing_R():
+    """A regular R whose transfer family does not commute; at L = 3 the top
+    layers of that family vanish."""
+    u = Poly.variable("u")
+    e11, e12, e21 = matrix_unit(2, 1, 1), matrix_unit(2, 1, 2), matrix_unit(2, 2, 1)
+    return _numerator_family(permutation_op(2) + kron(e12, e11) * u + kron(e21, e21) * (u * u))
+
+
+CHAIN_CASES = ([(f"baxterized-{tau}", lambda tau=tau: baxterize(example1_R(2, Fraction(tau))), sites)
+                for tau in (0, 1, 2) for sites in range(2, 7)]
+               + [("sl3", lambda: yangian_sl_R(3), 3), ("so3", lambda: yangian_so_R(3), 3),
+                  ("skew-so4", lambda: example2_solution(4, Realization.SKEW), 2),
+                  ("skew-so4", lambda: example2_solution(4, Realization.SKEW), 3),
+                  ("nilpotent", nilpotent_R, 3), ("nilpotent", nilpotent_R, 4),
+                  ("telescoping", telescoping_R, 3), ("failing", failing_R, 3)])
+
+
+def assert_same_cleared(got, want):
+    """Same scale, and the same integers with the same layer and component
+    counts; the dtype may differ."""
+    (scale, stack), (scale_want, stack_want) = got, want
+    assert scale == scale_want
+    assert len(stack) == len(stack_want)
+    for c, w in zip(stack, stack_want):
+        assert c.shape == w.shape and np.array_equal(c, w)
+
+
+@pytest.mark.parametrize("name, build, sites", CHAIN_CASES,
+                         ids=[f"{name}-L{sites}" for name, _, sites in CHAIN_CASES])
+def test_chain_stacks_are_the_cleared_objects(name, build, sites):
+    r, spec = build(), ChainSpec(sites)
+    family = transfer_matrix(r, spec).matrix
+    assert_same_cleared(linalg.lowest_terms(*spin_chain._transfer_stack(r, spec)),
+                        linalg.clear(family.data, (r.variable,)))
+    _, scale, stack = spin_chain._bond_stack(spin_chain._derived_density(r), spec)
+    assert_same_cleared(linalg.lowest_terms(scale, [c[None] for c in stack]),
+                        linalg.clear(derive_hamiltonian(r, spec).data, ("u",)))
+
+
+def test_chain_cases_reach_every_lowest_terms_rule():
+    def raw_and_lowest(r, sites):
+        raw = spin_chain._transfer_stack(r, ChainSpec(sites))
+        return raw, linalg.lowest_terms(*raw)
+
+    (scale, _), (lowest, _) = raw_and_lowest(baxterize(example1_R(2, 1)), 3)
+    assert (scale, lowest) == (384, 4)
+    (_, stack), (_, trimmed) = raw_and_lowest(nilpotent_R(), 3)
+    assert (len(stack[0]), len(trimmed[0])) == (4, 2)
+    _, scale, stack = spin_chain._bond_stack(spin_chain._derived_density(telescoping_R()),
+                                             ChainSpec(3))
+    assert (len(stack), len(linalg.lowest_terms(scale, [c[None] for c in stack])[1])) == (4, 1)
+
+
+@st.composite
+def raw_stacks(draw):
+    """(scale, stack) with a common factor, zero top layers and, over
+    Q(i, sqrt2), extension components that may be zero throughout."""
+    layers, m = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3]))
+    factor, live = draw(st.integers(1, 6)), draw(st.integers(0, layers))
+    width = draw(st.sampled_from([1, 4]))
+    cells = st.lists(st.integers(-4, 4), min_size=live * m * m, max_size=live * m * m)
+    stack = []
+    for k in range(width):
+        values = draw(cells) if k == 0 or draw(st.booleans()) else [0] * (live * m * m)
+        comp = np.zeros((layers, m, m), dtype=draw(st.sampled_from([np.int64, object])))
+        comp[:live] = np.array(values, dtype=np.int64).reshape(live, m, m) * factor
+        stack.append(comp)
+    return factor * draw(st.integers(1, 12)), stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_stacks())
+def test_lowest_terms_is_clear_of_the_rebuilt_polys(raw):
+    scale, stack = raw
+    m = stack[0].shape[-1]
+    rebuilt = linalg.rebuild(scale, ("u",), stack, dict.fromkeys(range(m * m), ("u",)))
+    assert_same_cleared(linalg.lowest_terms(scale, stack), linalg.clear(rebuilt, ("u",)))
+
+
+def full_grid_commutation(a, grid_margin=1):
+    """[A(x), A(y)] at every point of the grid, with no mirror reuse."""
+    scale, stack = linalg.clear(a.data, a.variables() or ("u",))
+
+    def diff_at(x, y):
+        left, right = verify.int_values(stack, x), verify.int_values(stack, y)
+        return [p - q for p, q in zip(linalg.int_product(left, right),
+                                      linalg.int_product(right, left))]
+
+    degree = len(stack[0]) - 1
+    return verify.grid_report("commutation", diff_at, degree, degree,
+                              grid_margin=grid_margin, scale=scale * scale)
+
+
+@st.composite
+def integer_families(draw):
+    legs, degree = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    size = 2 ** legs
+    coeffs = st.lists(st.integers(-3, 3), min_size=degree + 1, max_size=degree + 1)
+    entries = [Poly.univariate("u", draw(coeffs)) for _ in range(size * size)]
+    return TensorMatrix(2, legs, np.array(entries, dtype=object).reshape(size, size))
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_families(), st.integers(0, 2))
+def test_self_commutation_matches_the_full_grid(family, margin):
+    want = full_grid_commutation(family, margin)
+    assume(not want.passed)
+    got = check_commutation(family, family, grid_margin=margin)
+    assert (got.passed, got.witness, got.grid_size) == (want.passed, want.witness, want.grid_size)
+
+
+def test_self_commutation_failure_on_the_degree_three_family():
+    a, _ = _degree_three_pair()
+    a = a + matrix_unit(2, 2, 1) * Poly.variable("u")
+    got, want = check_commutation(a, a), full_grid_commutation(a)
+    assert not got.passed
+    assert (got.witness, got.grid_size) == (want.witness, want.grid_size)
+
+
+@pytest.mark.parametrize("build, sites", [(lambda: yangian_sl_R(2), 3), (nilpotent_R, 4),
+                                          (telescoping_R, 3), (failing_R, 3),
+                                          (lambda: example2_solution(4, Realization.SKEW), 2)])
+def test_check_chain_reports_equal_the_object_sequence(build, sites):
+    r, spec = build(), ChainSpec(sites)
+    family = transfer_matrix(r, spec)
+    derived = derive_hamiltonian(r, spec)
+    for margin in (0, 1):
+        got = spin_chain.check_chain(r, spec, grid_margin=margin)
+        want = (check_commutation(family, family, grid_margin=margin),
+                check_commutation(derived, family, grid_margin=margin))
+        assert got == want
+        assert list(map(serialize.encode, got)) == list(map(serialize.encode, want))
+        assert all(rep.passed for rep in got) == (build is not failing_R)

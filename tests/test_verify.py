@@ -304,6 +304,19 @@ def test_int_values_match_evaluate_matrix():
                 assert (Ext(*parts) if len(parts) == 4 else parts[0]) == value
 
 
+def test_int_values_on_int64_stacks_never_wrap():
+    # each coefficient fits int64, but Horner at 5 passes 2**63 on the way
+    for top in (2 ** 61, 3, -(2 ** 61)):
+        coeffs = np.array([[[2 ** 61, -7]], [[top, 2 ** 61]], [[5, 2 ** 60]]], dtype=np.int64)
+        for t in (0, 1, 5, -5):
+            got = int_values([coeffs], t)
+            want = int_values([coeffs.astype(object)], t)
+            assert got[0].dtype == want[0].dtype
+            assert got[0].tolist() == want[0].tolist()
+            assert want[0].tolist() == [[sum(int(coeffs[k, 0, j]) * t ** k for k in range(3))
+                                         for j in range(2)]]
+
+
 def test_evaluate_matrix_keeps_the_other_variable():
     a, b = Poly.variable("a"), Poly.variable("b")
     data = linalg.object_matrix([[a * b + b, a * a - 1], [b, Fraction(1, 2)]])
