@@ -345,18 +345,24 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                  if r is not None or c is not None}
     scale_a, stack_a = _clear(values_a, kinds_a, a.shape, names)
     scale_b, stack_b = _clear(values_b, kinds_b, b.shape, names)
-    if not names:
-        return rebuild(scale_a * scale_b, names, int_product(stack_a, stack_b), polys)
+    return rebuild(scale_a * scale_b, names, stack_product(stack_a, stack_b, len(names)), polys)
+
+
+def stack_product(a: list, b: list, axes: int) -> list:
+    """The product of two stacks laid out as clear's, each with axes leading
+    monomial axes: the integer sum of a[ea] b[eb] over ea + eb = e is layer e
+    of the result, whose grid is as long as both grids together minus one."""
+    if not axes:
+        return int_product(a, b)
     sums = {}
-    for ea in product(*map(range, stack_a[0].shape[:len(names)])):
-        for eb in product(*map(range, stack_b[0].shape[:len(names)])):
+    for ea in product(*map(range, a[0].shape[:axes])):
+        for eb in product(*map(range, b[0].shape[:axes])):
             e = tuple(x + y for x, y in zip(ea, eb))
-            term = int_product([c[ea] for c in stack_a], [c[eb] for c in stack_b])
+            term = int_product([c[ea] for c in a], [c[eb] for c in b])
             sums[e] = int_sum(sums[e], term) if e in sums else term
     grid = tuple(x + 1 for x in max(sums))
-    stack = [np.array(c).reshape(grid + c[0].shape)
-             for c in zip(*(sums[e] for e in sorted(sums)))]
-    return rebuild(scale_a * scale_b, names, stack, polys)
+    return [np.array(c).reshape(grid + c[0].shape)
+            for c in zip(*(sums[e] for e in sorted(sums)))]
 
 
 def reciprocal(x):

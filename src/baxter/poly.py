@@ -219,19 +219,6 @@ class Poly:
             raise ValueError(f"expected {len(self.vars)} values")
         return self.substitute(dict(zip(self.vars, values)))
 
-    def derivative(self, var=None) -> "Poly":
-        if var is None:
-            if len(self.vars) != 1:
-                raise ValueError("derivative variable required")
-            var = self.vars[0]
-        i = self.vars.index(var)
-        out = {}
-        for exps, value in self.coeffs.items():
-            if exps[i]:
-                key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                out[key] = out.get(key, 0) + exps[i] * value
-        return Poly(self.vars, out)
-
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):

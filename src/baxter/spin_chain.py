@@ -112,9 +112,14 @@ def _derived_density(r: SpectralRMatrix) -> TensorMatrix:
     report = verify.check_regularity(r)
     if not report.passed:
         raise ValueError("R-matrix is not regular at the origin")
-    var = r.variable
-    slope = r.numerator.derivative(var).substitute({var: 0})
-    return (permutation_op(r.site_dim) @ slope) * linalg.reciprocal(report.scalar_factor)
+    # the slope N'(0) is layer 1 of the cleared numerator, and row (i, j) of
+    # P N'(0) is its row (j, i)
+    n = r.site_dim
+    scale, stack = linalg.clear(r.numerator.data, (r.variable,))
+    swap = np.arange(n * n).reshape(n, n).T.ravel()
+    slope = [c[1][swap] if len(c) > 1 else np.zeros_like(c[0]) for c in stack]
+    density = TensorMatrix(n, 2, linalg.rebuild(scale, (), slope, {}))
+    return density * linalg.reciprocal(report.scalar_factor)
 
 
 def derive_hamiltonian(r: SpectralRMatrix, spec: ChainSpec) -> TensorMatrix:
@@ -221,8 +226,11 @@ def _commutation_grid(a, b, grid_margin: int) -> verify.VerificationReport:
     one variable, (scale, stack) each.
 
     When b is a, [A(x), A(y)] = -[A(y), A(x)] exactly: a diagonal point is
-    zero, and so is (x, y) with x > y when its mirror (y, x) was.  Only a
-    zero flag is kept per point; every other point is computed.
+    zero, and so is (x, y) with x > y when its mirror (y, x) was.  An
+    operand of one layer is the same at every argument, so its rows
+    (columns) of the grid repeat row x = 0 (column y = 0): a repeated point
+    is zero when the first was.  Only a zero flag is kept per point; every
+    other point is computed.
     """
     (scale_a, stack_a), (scale_b, stack_b) = a, b
     same = b is a
@@ -231,9 +239,11 @@ def _commutation_grid(a, b, grid_margin: int) -> verify.VerificationReport:
     m = stack_a[0].shape[-1]
     nothing = [np.zeros((m, m), dtype=np.int64)]
     zero = set()
+    vary_a, vary_b = len(stack_a[0]) > 1, len(stack_b[0]) > 1
 
     def diff_at(x, y):
-        if same and (x == y or (x > y and (y, x) in zero)):
+        x, y = (x if vary_a else 0), (y if vary_b else 0)
+        if (x, y) in zero or same and (x == y or (x > y and (y, x) in zero)):
             return nothing
         if x not in cache_a:
             cache_a[x] = verify.int_values(stack_a, x)
@@ -242,7 +252,7 @@ def _commutation_grid(a, b, grid_margin: int) -> verify.VerificationReport:
         left, right = cache_a[x], cache_b[y]
         diff = [p - q for p, q in zip(linalg.int_product(left, right),
                                       linalg.int_product(right, left))]
-        if same and not any(c.any() for c in diff):
+        if not any(c.any() for c in diff):
             zero.add((x, y))
         return diff
 

@@ -208,12 +208,6 @@ class TensorMatrix:
                 out[idx] = x
         return self._like(out)
 
-    def derivative(self, var: str) -> "TensorMatrix":
-        out = np.empty(self.data.shape, dtype=object)
-        for idx, x in np.ndenumerate(self.data):
-            out[idx] = x.derivative(var) if isinstance(x, Poly) and var in x.vars else 0
-        return self._like(out)
-
     def coefficient(self, var: str, power: int) -> "TensorMatrix":
         """Matrix of coefficients of var**power (entries constant in var)."""
         out = np.empty(self.data.shape, dtype=object)

@@ -14,14 +14,13 @@ reported in unscaled numerator units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
 from .poly import Poly
-from .tensor import (TensorMatrix, dense_dim, embed_pair, permutation_op,
-                     poly_substitute, swap_factors)
+from .tensor import TensorMatrix, dense_dim, embed_pair, poly_substitute
 
 
 @dataclass(frozen=True)
@@ -69,13 +68,6 @@ class VerificationReport:
 
 def _numerator(r) -> TensorMatrix:
     return getattr(r, "numerator", r)
-
-
-def _first_nonzero(data: np.ndarray):
-    for (i, j), x in np.ndenumerate(data):
-        if x:
-            return (i, j)
-    return None
 
 
 def _single_variable(m: TensorMatrix) -> str:
@@ -132,9 +124,20 @@ def _first_int_hit(arrays):
     return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
 
 
-def _int_entry(comps: list, row: int, col: int, scale: int):
-    """Exact scalar of one entry of a component list divided by scale."""
-    return linalg.ext_value([int(c[row, col]) for c in comps], scale)
+def _first_offence(layers: dict, scale: int):
+    """The witness of every check but the spectral grid: the first entry, in
+    row-major order, that is nonzero in some layer, at its lowest monomial,
+    divided by scale, or None.  layers maps exponent tuples to component
+    lists of integer matrices."""
+    best = None
+    for exps, comps in layers.items():
+        hit = _first_int_hit(comps)
+        if hit is not None and (best is None or (*hit, exps) < best[0]):
+            best = ((*hit, exps), comps)
+    if best is None:
+        return None
+    (row, col, exps), comps = best
+    return Witness(row, col, exps, linalg.ext_value([int(c[row, col]) for c in comps], scale))
 
 
 def interpolate_grid(xs, ys, table):
@@ -200,12 +203,13 @@ def _ybe_constant(m: TensorMatrix) -> VerificationReport:
     e23 = embed_pair(m, (2, 3))
     lhs = e12 @ e13 @ e23
     rhs = e23 @ e13 @ e12
-    diff = lhs.data - rhs.data
-    hit = _first_nonzero(diff)
-    if hit is None:
-        return VerificationReport("ybe-constant", True)
-    witness = Witness(hit[0], hit[1], (), diff[hit])
-    return VerificationReport("ybe-constant", False, witness)
+    scale, stack = linalg.clear(np.stack([lhs.data, rhs.data]), m.variables())
+    witness = _first_offence({e: [c[e][0] - c[e][1] for c in stack]
+                              for e in np.ndindex(stack[0].shape[:-3])}, scale)
+    if witness is not None:  # the whole entry, a Poly when m has variables
+        at = (witness.row, witness.col)
+        witness = replace(witness, exponents=(), value=lhs.data[at] - rhs.data[at])
+    return VerificationReport("ybe-constant", witness is None, witness)
 
 
 def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationReport:
@@ -341,94 +345,87 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
             (2, 1): cybe_r,
             (1, 2): cybe_r,
         }
-    name = f"cybe-{mode}"
-    best = None
-    for exps, comps in sorted(coefficients.items()):
-        comps = [c.reshape(n ** 3, n ** 3) for c in comps]
-        hit = _first_int_hit(comps)
-        if hit is not None and (best is None or (*hit, exps) < best[0]):
-            best = ((*hit, exps), comps)
-    if best is None:
-        return VerificationReport(name, True)
-    (row, col, exps), comps = best
-    value = _int_entry(comps, row, col, scale ** 2)
-    return VerificationReport(name, False, Witness(row, col, exps, value))
+    witness = _first_offence({exps: [c.reshape(n ** 3, n ** 3) for c in comps]
+                              for exps, comps in coefficients.items()}, scale ** 2)
+    return VerificationReport(f"cybe-{mode}", witness is None, witness)
 
 
 # -- unitarity, regularity, classical limit ----------------------------------
 
 
-def _proportionality(data: np.ndarray, reference: np.ndarray):
-    """Scalar c with data == c * reference, or a first offending entry."""
-    ref_hit = _first_nonzero(reference)
-    if ref_hit is None:
-        raise ValueError("reference matrix is zero")
-    c = data[ref_hit]
-    if isinstance(c, Poly) and c.is_constant():
-        c = c.constant_value()
-    diff = data - c * reference
-    hit = _first_nonzero(diff)
-    if hit is None:
-        return c, None
-    return c, (hit, diff[hit])
+def _proportional(name: str, var: str, scale: int, stack: list, reference: np.ndarray,
+                  polys: np.ndarray) -> VerificationReport:
+    """The report on stack / scale = c reference for stack in var, laid out as
+    linalg.clear's, and c read at entry (0, 0), where reference is 1.  polys
+    flags the entries that object arithmetic holds as a Poly in var: their
+    witness names its power, that of a scalar entry none."""
+    diff = [c - c[:, :1, :1] * reference for c in stack]
+    witness = _first_offence({(e,): [d[e] for d in diff] for e in range(len(diff[0]))}, scale)
+    at = [linalg.ext_value(parts, scale) for parts in zip(*(c[:, 0, 0].tolist() for c in stack))]
+    c = Poly((var,), {(e,): x for e, x in enumerate(at)}) if any(at[1:]) else at[0]
+    if witness is None:
+        if c:
+            return VerificationReport(name, True, scalar_factor=c)
+        witness = Witness(0, 0, (0,), 0)
+    if not (polys[witness.row, witness.col] or isinstance(c, Poly)):
+        witness = replace(witness, exponents=())
+    return VerificationReport(name, False, witness, scalar_factor=c if c else None)
+
+
+def _cleared_two_leg(r, check: str):
+    """(num, var, scale, stack, swap) for the numerator num of r: linalg.clear
+    in its one variable var ("u" when it has none), and the index map of P,
+    composite (i, j) -> (j, i)."""
+    num = _numerator(r)
+    if num.legs != 2:
+        raise ValueError(f"{check} check expects a two-leg matrix")
+    var, n = _single_variable(num) if num.variables() else "u", num.site_dim
+    return (num, var, *linalg.clear(num.data, (var,)),
+            np.arange(n * n).reshape(n, n).T.ravel())
 
 
 def check_unitarity(r) -> VerificationReport:
-    """R21 R = c 1, or spectrally R12(u) R21(-u) = f(u) 1 on the numerator."""
-    num = _numerator(r)
-    if num.legs != 2:
-        raise ValueError("unitarity check expects a two-leg matrix")
-    names = num.variables()
-    eye = TensorMatrix.identity(num.site_dim, 2)
-    if not names:
-        prod = swap_factors(num) @ num
-        name = "unitarity-constant"
+    """R21 R = c 1, or spectrally R12(u) R21(-u) = f(u) 1 on the cleared
+    numerator: R21 swaps the legs of the rows and columns of each layer, and
+    -u negates the odd layers."""
+    num, var, scale, stack, swap = _cleared_two_leg(r, "unitarity")
+    # an entry of the object product is a Poly when its row of R holds one or
+    # its column of R21(-u) a non-constant one (a constant one is a scalar)
+    rows = [any(isinstance(x, Poly) and var in x.vars for x in row) for row in num.data.tolist()]
+    swapped = [c[:, swap][:, :, swap] for c in stack]
+    cols = np.logical_or.reduce([c[1:] != 0 for c in swapped]).any(axis=(0, 1))
+    spectral = any(rows)
+    if spectral:
+        sign = ((-1) ** np.arange(len(stack[0]))).reshape(-1, 1, 1)
+        prod = linalg.stack_product(stack, [c * sign for c in swapped], 1)
     else:
-        var = _single_variable(num)
-        minus = swap_factors(num).substitute({var: -Poly.variable(var)})
-        prod = num @ minus
-        name = "unitarity-spectral"
-    c, offence = _proportionality(prod.data, eye.data)
-    if offence is None and c:
-        return VerificationReport(name, True, scalar_factor=c)
-    if offence is None:
-        offence = ((0, 0), prod.data[0, 0])
-    (row, col), value = offence
-    exps, value = ((), value) if not isinstance(value, Poly) else value.monomials()[0]
-    return VerificationReport(name, False, Witness(row, col, exps, value),
-                              scalar_factor=c if c else None)
+        prod = linalg.stack_product(swapped, stack, 1)
+    name = "unitarity-spectral" if spectral else "unitarity-constant"
+    return _proportional(name, var, scale ** 2, prod, np.eye(len(swap), dtype=np.int64),
+                         np.array(rows)[:, None] | cols)
 
 
 def check_regularity(r) -> VerificationReport:
-    """Numerator at u = 0 equals c P for a nonzero scalar c."""
-    num = _numerator(r)
-    if num.legs != 2:
-        raise ValueError("regularity check expects a two-leg matrix")
-    names = num.variables()
-    at_zero = num.substitute({_single_variable(num): 0}) if names else num
-    p = permutation_op(num.site_dim)
-    c, offence = _proportionality(at_zero.data, p.data)
-    if offence is None and c:
-        return VerificationReport("regularity", True, scalar_factor=c)
-    if offence is None:
-        offence = ((0, 0), at_zero.data[0, 0])
-    (row, col), value = offence
-    return VerificationReport("regularity", False, Witness(row, col, (), value),
-                              scalar_factor=c if c else None)
+    """Numerator at u = 0, its layer 0, equals c P for a nonzero scalar c."""
+    _, var, scale, stack, swap = _cleared_two_leg(r, "regularity")
+    flip = np.eye(len(swap), dtype=np.int64)[swap]
+    return _proportional("regularity", var, scale, [c[:1] for c in stack], flip,
+                         np.zeros(flip.shape, dtype=bool))
 
 
 def check_classical_limit(family: TensorMatrix, r: TensorMatrix) -> VerificationReport:
-    """Degree-1 coefficient of a one-parameter family equals r exactly."""
+    """Degree-1 coefficient of a one-parameter family equals the constant r
+    exactly.  The family and r are cleared jointly: layer 0 of the family
+    must be scale * 1, and layer 1 is compared with r."""
     var = _single_variable(family)
-    eye = TensorMatrix.identity(family.site_dim, family.legs)
-    if family.coefficient(var, 0) != eye:
-        raise ValueError("family does not start at the identity")
-    linear = family.coefficient(var, 1)
     if r.legs != family.legs or r.site_dim != family.site_dim:
         raise ValueError("candidate classical limit has mismatched shape")
-    diff = linear.data - r.data
-    hit = _first_nonzero(diff)
-    if hit is None:
-        return VerificationReport("classical-limit", True)
-    return VerificationReport("classical-limit", False,
-                              Witness(hit[0], hit[1], (1,), diff[hit]))
+    if r.variables():
+        raise ValueError("candidate classical limit must be constant")
+    scale, stack = linalg.clear(np.stack([family.data, r.data]), (var,))
+    eye = np.eye(family.size, dtype=object) * scale
+    if (stack[0][0, 0] != eye).any() or any(c[0, 0].any() for c in stack[1:]):
+        raise ValueError("family does not start at the identity")
+    diff = [(c[1, 0] if len(c) > 1 else 0) - c[0, 1] for c in stack]
+    witness = _first_offence({(1,): diff}, scale)
+    return VerificationReport("classical-limit", witness is None, witness)

@@ -1,5 +1,6 @@
 """Shared fixtures: how to launch the `baxter` console script, and the
-entry-by-entry object matrix product the fast paths are tested against."""
+entry-by-entry object arithmetic the fast paths are tested against: the
+matrix product and the unitarity, regularity and classical-limit checks."""
 
 import os
 import re
@@ -9,6 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from baxter.poly import Poly
+from baxter.tensor import TensorMatrix, permutation_op, swap_factors
+from baxter.verify import VerificationReport, Witness
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -64,3 +69,83 @@ def naive_matmul(a, b):
                 acc = acc + a[i, t] * b[t, j]
             out[i, j] = acc
     return out
+
+
+# -- object references of the unitarity, regularity and classical-limit checks
+#
+# The entry-by-entry object arithmetic these checks decided by before they
+# ran on cleared integer layers: substitution, the object product and an
+# entry-by-entry proportionality test.  They are the slow exact path the
+# integer checks are tested against; a zero Poly at the witness entry is
+# reported at power 0 with value 0.
+
+
+def _first_nonzero(data):
+    for (i, j), x in np.ndenumerate(data):
+        if x:
+            return (i, j)
+    return None
+
+
+def _proportionality(data, reference):
+    """Scalar c with data == c * reference, or a first offending entry."""
+    c = data[_first_nonzero(reference)]
+    if isinstance(c, Poly) and c.is_constant():
+        c = c.constant_value()
+    diff = data - c * reference
+    hit = _first_nonzero(diff)
+    return c, None if hit is None else (hit, diff[hit])
+
+
+def _lowest(value):
+    """(exponents, value) of the lowest monomial of a witness entry."""
+    if not isinstance(value, Poly):
+        return (), value
+    return value.monomials()[0] if value else ((0,) * len(value.vars), 0)
+
+
+def object_unitarity(r):
+    num = getattr(r, "numerator", r)
+    eye = TensorMatrix.identity(num.site_dim, 2)
+    names = num.variables()
+    if not names:
+        prod = swap_factors(num) @ num
+        name = "unitarity-constant"
+    else:
+        (var,) = names
+        minus = swap_factors(num).substitute({var: -Poly.variable(var)})
+        prod = num @ minus
+        name = "unitarity-spectral"
+    c, offence = _proportionality(prod.data, eye.data)
+    if offence is None and c:
+        return VerificationReport(name, True, scalar_factor=c)
+    if offence is None:
+        offence = ((0, 0), prod.data[0, 0])
+    (row, col), value = offence
+    return VerificationReport(name, False, Witness(row, col, *_lowest(value)),
+                              scalar_factor=c if c else None)
+
+
+def object_regularity(r):
+    num = getattr(r, "numerator", r)
+    names = num.variables()
+    at_zero = num.substitute({names[0]: 0}) if names else num
+    c, offence = _proportionality(at_zero.data, permutation_op(num.site_dim).data)
+    if offence is None and c:
+        return VerificationReport("regularity", True, scalar_factor=c)
+    if offence is None:
+        offence = ((0, 0), at_zero.data[0, 0])
+    (row, col), value = offence
+    return VerificationReport("regularity", False, Witness(row, col, (), value),
+                              scalar_factor=c if c else None)
+
+
+def object_classical_limit(family, r):
+    (var,) = family.variables()
+    if family.coefficient(var, 0) != TensorMatrix.identity(family.site_dim, family.legs):
+        raise ValueError("family does not start at the identity")
+    diff = family.coefficient(var, 1).data - r.data
+    hit = _first_nonzero(diff)
+    if hit is None:
+        return VerificationReport("classical-limit", True)
+    return VerificationReport("classical-limit", False, Witness(*hit, (1,), diff[hit]))

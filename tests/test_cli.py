@@ -7,11 +7,12 @@ import sys
 import pytest
 
 from baxter.cli import main
+from baxter.poly import Poly
 from baxter.serialize import decode, load, save
-from baxter.solutions import example1_r, yangian_so_R
+from baxter.solutions import SpectralRMatrix, example1_r, example1_R, yangian_so_R
 from baxter.spin_chain import ChainSpec, remark_hamiltonian
-from baxter.tensor import kron, matrix_unit, permutation_op
-from baxter.verify import check_cybe
+from baxter.tensor import TensorMatrix, kron, matrix_unit, permutation_op
+from baxter.verify import Witness, check_cybe
 from fractions import Fraction
 
 
@@ -198,6 +199,59 @@ def test_dense_size_ceiling_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "exceeds the dense limit" in captured.err
+
+
+def _degenerate_inputs(folder):
+    """Six degenerate input files: zero, identity and constant two-site
+    matrices, a one-site matrix, and the spectral zero and u * 1."""
+    u = Poly.variable("u")
+    objects = {
+        "zero": TensorMatrix.zero(2, 2),
+        "identity": TensorMatrix.identity(2, 2),
+        "constant": example1_R(2),
+        "one-site": matrix_unit(2, 1, 2),
+        "spectral-zero": SpectralRMatrix(TensorMatrix.zero(2, 2) * u, Poly.lift(1, ("u",))),
+        "u-identity": SpectralRMatrix(TensorMatrix.identity(2, 2) * u, Poly.lift(1, ("u",))),
+    }
+    paths = {}
+    for name, obj in objects.items():
+        paths[name] = str(folder / f"{name}.yb")
+        save(obj, paths[name])
+    return paths
+
+
+SWEEP = [["verify", "cybe"], ["verify", "cybe", "--rational"], ["verify", "ybe"],
+         ["verify", "ybe", "--constant"], ["verify", "ybe", "--spectral"],
+         ["verify", "ybe", "--spectral", "--method", "poly"], ["verify", "unitarity"],
+         ["verify", "regularity"], ["verify", "classical-limit", "--against"],
+         ["chain", "derive"], ["chain", "transfer"], ["chain", "commute"]]
+
+
+def test_degenerate_inputs_keep_the_exit_code_contract(tmp_path, capsys):
+    # 6 inputs x 12 commands: exit 0 or 1 after a verification, 2 on bad
+    # input, and never an exception out of main (a traceback from the script)
+    paths = _degenerate_inputs(tmp_path)
+    for name, path in paths.items():
+        for command in SWEEP:
+            argv = [*command, path] if command[-1] == "--against" else [*command]
+            argv += ["--in", path, "--out" if argv[0] == "chain" else "--report",
+                     str(tmp_path / "out.json")]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (name, argv, code)
+            assert "Traceback" not in err, (name, argv, err)
+            assert code != 2 or err.count("\n") == 1, (name, argv, err)
+
+
+def test_unitarity_of_the_spectral_zero_fails_with_a_witness(tmp_path, baxter_command):
+    path = _degenerate_inputs(tmp_path)["spectral-zero"]
+    report = tmp_path / "rep.json"
+    argv, env = baxter_command
+    proc = subprocess.run([*argv, "verify", "unitarity", "--in", path, "--report", str(report)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stderr == "", proc.stderr
+    got = load(str(report))
+    assert got.witness == Witness(0, 0, (0,), 0) and got.scalar_factor is None
 
 
 def test_installed_script_runs(baxter_command):

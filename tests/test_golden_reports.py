@@ -1,0 +1,193 @@
+"""Canonical report bytes pinned in tests/data/reports.json.
+
+Each case builds one verification report from library constructions:
+unitarity (constant and spectral), regularity, the classical limit, the
+constant braid identity and the classical identity (constant and
+rational), passing and failing, over Q and Q(i, sqrt2).  The test
+recomputes every report and compares `str(report)` and
+`serialize.encode(report)` with the stored text byte for byte, so any
+change to a verdict, a witness, a scalar or the encoding shows up as a
+diff of this file.
+
+Regenerate the file, from the checkout whose bytes it should hold, with
+
+    PYTHONPATH=src python tests/test_golden_reports.py tests/data/reports.json
+"""
+
+import json
+import sys
+from fractions import Fraction
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from baxter import serialize
+from baxter.poly import Poly
+from baxter.scalars import IM, SQRT2, Ext
+from baxter.solutions import (Realization, baxterize, example1_r, example1_R,
+                              example2_solution, so_jordanian_data, yangian_sl_R,
+                              yangian_so_R)
+from baxter.tensor import TensorMatrix, kron, matrix_unit, permutation_op
+from baxter.verify import (check_classical_limit, check_cybe, check_regularity,
+                           check_unitarity, check_ybe)
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "reports.json"
+U = Poly.variable("u")
+XI = Poly.variable("xi")
+SKEW = Realization.SKEW
+
+
+def _unit(n, i, j):
+    """The two-leg matrix unit at composite (0-based) row i, column j."""
+    return TensorMatrix.from_entries(n, 2, {(i, j): 1})
+
+
+def _jordanian_family(n, realization=Realization.ANTIDIAG):
+    data = so_jordanian_data(n, realization)
+    one = TensorMatrix.identity(n, 2)
+    return (one - kron(data.e, data.h) * XI) @ (one + kron(data.h, data.e) * XI), data.r0
+
+
+def _row_constant(n):
+    """A spectral matrix whose first row alone depends on u: every other row
+    and column holds only constants."""
+    return TensorMatrix.identity(n, 2) + _unit(n, 0, 1) * U
+
+
+def _unitarity():
+    e12 = matrix_unit(2, 1, 2)
+    yield "unitarity-constant-R2", lambda: check_unitarity(example1_R(2))
+    yield "unitarity-constant-R3", lambda: check_unitarity(example1_R(3))
+    yield "unitarity-constant-identity", lambda: check_unitarity(TensorMatrix.identity(3, 2))
+    yield "unitarity-constant-zero", lambda: check_unitarity(TensorMatrix.zero(2, 2))
+    yield "unitarity-constant-R2-perturbed", lambda: check_unitarity(
+        example1_R(2) + kron(e12, e12))
+    yield "unitarity-constant-R3-perturbed", lambda: check_unitarity(
+        example1_R(3) + _unit(3, 4, 2) * Fraction(2, 3))
+    yield "unitarity-constant-ext-scaled-P", lambda: check_unitarity(
+        permutation_op(2) * (Ext(1) + IM))
+    yield "unitarity-constant-ext-f0", lambda: check_unitarity(so_jordanian_data(4, SKEW).f0)
+    yield "unitarity-constant-ext-r0", lambda: check_unitarity(so_jordanian_data(4, SKEW).r0)
+    yield "unitarity-spectral-sl2", lambda: check_unitarity(yangian_sl_R(2))
+    yield "unitarity-spectral-sl3", lambda: check_unitarity(yangian_sl_R(3))
+    yield "unitarity-spectral-so3", lambda: check_unitarity(yangian_so_R(3))
+    yield "unitarity-spectral-bx2", lambda: check_unitarity(baxterize(example1_R(2)))
+    yield "unitarity-spectral-twisted4", lambda: check_unitarity(example2_solution(4))
+    yield "unitarity-spectral-ext-so4-skew", lambda: check_unitarity(yangian_so_R(4, SKEW))
+    yield "unitarity-spectral-ext-twisted4-skew", lambda: check_unitarity(
+        example2_solution(4, SKEW))
+    yield "unitarity-spectral-sl2-perturbed", lambda: check_unitarity(
+        yangian_sl_R(2).numerator + kron(e12, e12) * U)
+    yield "unitarity-spectral-so3-perturbed", lambda: check_unitarity(
+        yangian_so_R(3).numerator + _unit(3, 2, 6) * (U * U * 3))
+    yield "unitarity-spectral-ext-twisted4-perturbed", lambda: check_unitarity(
+        example2_solution(4, SKEW).numerator + _unit(4, 5, 9) * (U * SQRT2))
+    yield "unitarity-spectral-row-constant", lambda: check_unitarity(_row_constant(2))
+    yield "unitarity-spectral-constant-poly", lambda: check_unitarity(
+        TensorMatrix.identity(2, 2) * Poly.lift(3, ("u",)) + kron(e12, e12))
+
+
+def _regularity():
+    e12 = matrix_unit(2, 1, 2)
+    yield "regularity-sl2", lambda: check_regularity(yangian_sl_R(2))
+    yield "regularity-sl3", lambda: check_regularity(yangian_sl_R(3))
+    yield "regularity-so3", lambda: check_regularity(yangian_so_R(3))
+    yield "regularity-bx2", lambda: check_regularity(baxterize(example1_R(2)))
+    yield "regularity-twisted4", lambda: check_regularity(example2_solution(4))
+    yield "regularity-ext-so4-skew", lambda: check_regularity(yangian_so_R(4, SKEW))
+    yield "regularity-ext-twisted4-skew", lambda: check_regularity(example2_solution(4, SKEW))
+    yield "regularity-constant-P", lambda: check_regularity(permutation_op(3) * 2)
+    yield "regularity-constant-R2", lambda: check_regularity(example1_R(2))
+    yield "regularity-zero", lambda: check_regularity(TensorMatrix.zero(2, 2))
+    yield "regularity-sl2-perturbed", lambda: check_regularity(
+        yangian_sl_R(2).numerator + kron(e12, e12))
+    yield "regularity-u-times-identity", lambda: check_regularity(
+        TensorMatrix.identity(2, 2) * U + kron(e12, e12))
+    yield "regularity-ext-so4-perturbed", lambda: check_regularity(
+        yangian_so_R(4, SKEW).numerator + _unit(4, 3, 12) * IM)
+
+
+def _classical_limit():
+    yield "classical-limit-r2", lambda: check_classical_limit(
+        TensorMatrix.identity(2, 2) + example1_r(2) * XI, example1_r(2))
+    yield "classical-limit-r3-exp", lambda: check_classical_limit(
+        example1_R(3, XI), example1_r(3))
+    yield "classical-limit-r2-doubled", lambda: check_classical_limit(
+        TensorMatrix.identity(2, 2) + example1_r(2) * XI, example1_r(2) * 2)
+    yield "classical-limit-jordanian4", lambda: check_classical_limit(*_jordanian_family(4))
+    yield "classical-limit-ext-jordanian4-skew", lambda: check_classical_limit(
+        *_jordanian_family(4, SKEW))
+    yield "classical-limit-ext-jordanian4-skew-off", lambda: check_classical_limit(
+        _jordanian_family(4, SKEW)[0], so_jordanian_data(4, SKEW).r0 * IM)
+
+
+def _braid():
+    e12 = matrix_unit(2, 1, 2)
+    yield "ybe-constant-R2", lambda: check_ybe(example1_R(2), mode="constant")
+    yield "ybe-constant-R3", lambda: check_ybe(example1_R(3), mode="constant")
+    yield "ybe-constant-P3", lambda: check_ybe(permutation_op(3), mode="constant")
+    yield "ybe-constant-R2-perturbed", lambda: check_ybe(
+        example1_R(2) + kron(e12, e12), mode="constant")
+    yield "ybe-constant-R3-perturbed", lambda: check_ybe(
+        example1_R(3) + _unit(3, 1, 7) * Fraction(-1, 2), mode="constant")
+    yield "ybe-constant-ext-scaled-P", lambda: check_ybe(
+        permutation_op(2) * (SQRT2 + IM), mode="constant")
+    yield "ybe-constant-ext-f0", lambda: check_ybe(so_jordanian_data(4, SKEW).f0,
+                                                   mode="constant")
+    yield "ybe-constant-ext-r0", lambda: check_ybe(so_jordanian_data(4, SKEW).r0,
+                                                   mode="constant")
+    yield "ybe-constant-spectral-sl2", lambda: check_ybe(yangian_sl_R(2), mode="constant")
+
+
+def _classical():
+    e12, h = matrix_unit(2, 1, 2), matrix_unit(2, 1, 1) - matrix_unit(2, 2, 2)
+    non_solutions = {
+        "permutation": permutation_op(2),
+        "symmetrized-pair": kron(h, e12) + kron(e12, h),
+        "nilpotent-tail": example1_r(2) + kron(e12, e12),
+    }
+    for mode in ("constant", "rational"):
+        def check(r, mode=mode):
+            if mode == "constant":
+                return check_cybe(r)
+            return check_cybe(r, omega=permutation_op(r.site_dim), mode="rational")
+        yield f"cybe-{mode}-r2", lambda check=check: check(example1_r(2))
+        yield f"cybe-{mode}-r3", lambda check=check: check(example1_r(3))
+        yield f"cybe-{mode}-r0-4", lambda check=check: check(so_jordanian_data(4).r0)
+        yield f"cybe-{mode}-ext-r0-4-skew", lambda check=check: check(
+            so_jordanian_data(4, SKEW).r0)
+        yield f"cybe-{mode}-ext-r0-4-skew-perturbed", lambda check=check: check(
+            so_jordanian_data(4, SKEW).r0 + _unit(4, 0, 5) * IM)
+        for label, r in non_solutions.items():
+            yield f"cybe-{mode}-{label}", lambda check=check, r=r: check(r)
+
+
+def cases():
+    """(name, thunk) for every pinned report, in file order."""
+    for group in (_unitarity, _regularity, _classical_limit, _braid, _classical):
+        yield from group()
+
+
+def render(report) -> dict:
+    return {"str": str(report), "encode": serialize.encode(report)}
+
+
+@cache
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_lists_every_case():
+    assert list(_golden()) == [name for name, _ in cases()]
+
+
+@pytest.mark.parametrize("name, thunk", list(cases()), ids=[name for name, _ in cases()])
+def test_report_bytes_match_the_golden_file(name, thunk):
+    assert render(thunk()) == _golden()[name]
+
+
+if __name__ == "__main__":
+    out = {name: render(thunk()) for name, thunk in cases()}
+    Path(sys.argv[1]).write_text(json.dumps(out, indent=1, sort_keys=False) + "\n")
+    print(f"{len(out)} reports written to {sys.argv[1]}")

@@ -155,22 +155,6 @@ def test_substitute_returns_scalar_when_constant():
     assert not isinstance(out, Poly)
 
 
-def test_derivative():
-    p = U ** 3 + 2 * U - 7
-    assert p.derivative() == 3 * U ** 2 + 2
-    q = U ** 2 * V
-    assert q.derivative("u") == 2 * U * V
-    assert q.derivative("v") == U ** 2
-    with pytest.raises(ValueError):
-        q.derivative()  # ambiguous
-    rng = random.Random(5)
-    for _ in range(20):
-        a = rand_poly(rng, ("u",))
-        b = rand_poly(rng, ("u",))
-        # product rule
-        assert (a * b).derivative("u") == a.derivative("u") * b + a * b.derivative("u")
-
-
 def test_monomials_sorted():
     p = U ** 2 + 3 + U
     assert p.monomials() == [((0,), 3), ((1,), 1), ((2,), 1)]

@@ -216,7 +216,6 @@ def test_poly_entries_and_substitute():
     assert family.max_degree("u") == 1
     assert family.substitute({"u": 0}) == p
     assert family.coefficient("u", 1) == TensorMatrix.identity(2, 2)
-    assert family.derivative("u") == TensorMatrix.identity(2, 2)
     shifted = poly_substitute(family, "a+b")
     assert shifted.substitute({"a": 1, "b": 2}) == family.substitute({"u": 3})
 

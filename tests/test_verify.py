@@ -17,8 +17,10 @@ from baxter.verify import (VerificationReport, Witness, check_classical_limit,
                            check_ybe, evaluate_matrix, grid_report,
                            int_values, interpolate_grid,
                            uniform_int_scale)
-from baxter.solutions import Realization, example1_r, example1_R, yangian_sl_R, yangian_so_R
-from conftest import naive_matmul
+from baxter.solutions import (Realization, baxterize, example1_r, example1_R, yangian_sl_R,
+                              yangian_so_R)
+from conftest import (naive_matmul, object_classical_limit, object_regularity,
+                      object_unitarity)
 
 E11 = matrix_unit(2, 1, 1)
 E12 = matrix_unit(2, 1, 2)
@@ -463,3 +465,111 @@ def test_grid_report_witness_matches_whole_grid_search(width, data):
     coeff = interpolate_grid(range(3), range(2), table)
     i, j = next((i, j) for i in range(3) for j in range(2) if coeff[i, j])
     assert rep.witness == Witness(row, col, (i, j), coeff[i, j])
+
+
+# -- unitarity, regularity and the classical limit against the object path -----
+
+ENTRY_VALUES = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def _scalar(data, ext):
+    if ext and data.draw(st.booleans()):
+        return Ext(*(data.draw(st.sampled_from(ENTRY_VALUES)) for _ in range(4)))
+    return data.draw(st.sampled_from(ENTRY_VALUES))
+
+
+def _entry(data, ext, degree):
+    """A scalar, or (degree given) a Poly in u of degree at most degree,
+    which may be constant."""
+    if degree is None or data.draw(st.booleans()):
+        return _scalar(data, ext)
+    return Poly.univariate("u", [_scalar(data, ext) for _ in range(degree + 1)])
+
+
+def _solution(n, spectral):
+    if spectral:
+        return [yangian_sl_R(n).numerator, baxterize(example1_R(n)).numerator,
+                TensorMatrix.identity(n, 2) * Poly.variable("u") + permutation_op(n)]
+    return [example1_R(n), permutation_op(n) * Ext(1, 0, 1), TensorMatrix.identity(n, 2)]
+
+
+def _two_leg_matrix(data):
+    """n = 2 or 3, over Q or Q(i, sqrt2), constant or spectral of degree 0..2,
+    with mixed scalar and Poly entries: sparse random, all zero, or a passing
+    solution with one entry perturbed or none; some rows may be zeroed."""
+    n, ext = data.draw(st.sampled_from([2, 3])), data.draw(st.booleans())
+    degree = data.draw(st.sampled_from([None, 0, 1, 2]))
+    size = n * n
+    base = data.draw(st.sampled_from(["random", "zero", "solution"]))
+    if base == "solution":
+        m = data.draw(st.sampled_from(_solution(n, degree is not None)))
+        out = m.data.copy()
+        if data.draw(st.booleans()):
+            at = (data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1)))
+            out[at] = out[at] + _entry(data, ext, degree)
+    else:
+        out = np.zeros((size, size), dtype=object)
+        if degree is not None and base == "zero":
+            out[:] = [[Poly.univariate("u", [0])] * size] * size
+        if base == "random":
+            for _ in range(data.draw(st.integers(0, 2 * size))):
+                at = (data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1)))
+                out[at] = _entry(data, ext, degree)
+    for row in data.draw(st.sets(st.integers(0, size - 1), max_size=2)):
+        out[row] = 0
+    return TensorMatrix(n, 2, out)
+
+
+def _constant_matrix(data, n, ext):
+    """A sparse constant two-leg matrix on C^n."""
+    size = n * n
+    out = np.zeros((size, size), dtype=object)
+    for _ in range(data.draw(st.integers(0, 6))):
+        at = (data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1)))
+        out[at] = _scalar(data, ext)
+    return TensorMatrix(n, 2, out)
+
+
+def _same_bytes(got, want):
+    assert str(got) == str(want)
+    assert serialize.encode(got) == serialize.encode(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unitarity_and_regularity_match_the_object_path(data):
+    m = _two_leg_matrix(data)
+    _same_bytes(check_unitarity(m), object_unitarity(m))
+    _same_bytes(check_regularity(m), object_regularity(m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_classical_limit_matches_the_object_path(data):
+    xi = Poly.variable("xi")
+    n, ext = data.draw(st.sampled_from([2, 3])), data.draw(st.booleans())
+    r, square, start = (_constant_matrix(data, n, ext) for _ in range(3))
+    family = TensorMatrix.identity(n, 2) + r * xi + square * (xi * xi)
+    if data.draw(st.booleans()):
+        family = family + start   # usually no longer the identity at xi = 0
+    against = data.draw(st.sampled_from([r, square, r * 2]))
+    try:
+        want = object_classical_limit(family, against)
+    except ValueError:
+        with pytest.raises(ValueError, match="does not start at the identity"):
+            check_classical_limit(family, against)
+        return
+    _same_bytes(check_classical_limit(family, against), want)
+
+
+def test_classical_limit_refuses_a_candidate_with_variables():
+    family = TensorMatrix.identity(2, 2) + example1_r(2) * Poly.variable("xi")
+    with pytest.raises(ValueError, match="must be constant"):
+        check_classical_limit(family, example1_r(2) * Poly.variable("xi"))
+
+
+def test_unitarity_of_a_spectral_zero_is_a_failure_at_power_zero():
+    zero = TensorMatrix.identity(2, 2) * Poly.univariate("u", [0])
+    rep = check_unitarity(zero)
+    assert not rep.passed and rep.scalar_factor is None
+    assert rep.witness == Witness(0, 0, (0,), 0)
