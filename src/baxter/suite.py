@@ -297,7 +297,7 @@ def cli_interface() -> list:
 CRITERIA = (
     ("triangular-family", triangular_family, 10),
     ("baxterized-family", baxterized_family, 2),
-    ("yangian-families", yangian_families, 60),
+    ("yangian-families", yangian_families, 9),
     ("twisted-orthogonal", twisted_orthogonal, 16),
     ("frobenius-construction", frobenius_construction, 1),
     ("classical-equivalence", classical_equivalence, 2),

@@ -341,21 +341,3 @@ def structure_op(kind: str, n: int, form: TensorMatrix | None = None) -> TensorM
         return p - form_transpose_first(p, form)
     raise ValueError(f"unknown operator kind {kind!r}")
 
-
-def poly_substitute(m: TensorMatrix, target, var: str | None = None) -> TensorMatrix:
-    """Substitute the single entry variable by 'a', 'a+b', 'b', or a value."""
-    names = m.variables()
-    if var is None:
-        if len(names) != 1:
-            raise ValueError(f"need exactly one entry variable, have {names}")
-        var = names[0]
-    if isinstance(target, str):
-        if target == "a+b":
-            value = Poly.variable("a") + Poly.variable("b")
-        elif target in ("a", "b"):
-            value = Poly.variable(target)
-        else:
-            raise ValueError(f"unknown substitution target {target!r}")
-    else:
-        value = target
-    return m.substitute({var: value})

@@ -1,11 +1,13 @@
 """Exact verifiers for the Yang-Baxter family of identities.
 
-Constant identities are checked by exact matrix arithmetic.  Spectral
-identities are decided on an integer grid whose size strictly exceeds the
-degree bound of the polynomial difference in each variable; vanishing on
-such a grid is equivalent to identical vanishing, so the verdict is exact.
-An optional slow path redoes the spectral check with full bivariate
-polynomial arithmetic.
+Identities are decided on integer layers cleared by linalg.clear, with
+factors applied on their legs (linalg.apply_legs); only the constant braid
+identity forms object products.  The spectral braid identity is the braid
+word W(x, y, z) = x12 y13 z23 - z23 y13 x12 at the points of a grid that
+strictly exceeds the degree bound of the difference in each variable, so
+vanishing there is identical vanishing.  The method "poly" and the
+classical identity compare every (a, b)-coefficient instead, summed over
+the monomial layers with weights a^x (a+b)^y b^z.
 
 Scalar factors are handled by clearing denominators uniformly; every
 identity here is invariant under per-factor scaling, and witnesses are
@@ -14,13 +16,16 @@ reported in unscaled numerator units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cache
+from itertools import product
 
 import numpy as np
 
 from . import linalg
 from .poly import Poly
-from .tensor import TensorMatrix, dense_dim, embed_pair, poly_substitute
+from .tensor import TensorMatrix, dense_dim, embed_pair
 
 
 @dataclass(frozen=True)
@@ -83,19 +88,14 @@ def uniform_int_scale(m: TensorMatrix):
     return scale, m.data if scale == 1 else (m * scale).data
 
 
-def _eval_entry(x, var: str, value: int):
-    if not isinstance(x, Poly):
-        return x
-    if var not in x.vars:
-        return x.constant_value() if x.is_constant() else x
-    # the other variable, if any, stays: a*b + b at a = 2 is 3b
-    return x.substitute({var: value})
-
-
 def evaluate_matrix(data: np.ndarray, var: str, value: int) -> np.ndarray:
     out = np.empty(data.shape, dtype=object)
     for idx, x in np.ndenumerate(data):
-        out[idx] = _eval_entry(x, var, value)
+        if isinstance(x, Poly):
+            # the other variable, if any, stays: a*b + b at a = 2 is 3b; a
+            # constant comes back as a scalar
+            x = x.substitute({var: value} if var in x.vars else {})
+        out[idx] = x
     return out
 
 
@@ -138,6 +138,27 @@ def _first_offence(layers: dict, scale: int):
         return None
     (row, col, exps), comps = best
     return Witness(row, col, exps, linalg.ext_value([int(c[row, col]) for c in comps], scale))
+
+
+def _three_legs(n: int) -> list:
+    """The identity on three legs of C^n, one int64 component of shape
+    (n, n, n, n^3), refused above the dense limit before it is allocated."""
+    return [np.eye(dense_dim(n, 3), dtype=np.int64).reshape(n, n, n, -1)]
+
+
+@cache
+def _weights(x: int, y: int, z: int) -> dict:
+    """a^x (a+b)^y b^z as {(power of a, power of b): coefficient}."""
+    return {(x + m, y - m + z): math.comb(y, m) for m in range(y + 1)}
+
+
+def _add_weighted(sums: dict, weights: dict, term: list):
+    """sums[e] += c * term for every monomial e with coefficient c in
+    weights; c * term runs in Python ints where int64 could overflow."""
+    for exps, c in weights.items():
+        scaled = term if c == 1 else [(x if c * linalg.max_abs(x) < linalg.INT64_SAFE
+                                       else x.astype(object)) * c for x in term]
+        sums[exps] = linalg.int_sum(sums[exps], scaled) if exps in sums else scaled
 
 
 def interpolate_grid(xs, ys, table):
@@ -206,19 +227,25 @@ def _ybe_constant(m: TensorMatrix) -> VerificationReport:
     scale, stack = linalg.clear(np.stack([lhs.data, rhs.data]), m.variables())
     witness = _first_offence({e: [c[e][0] - c[e][1] for c in stack]
                               for e in np.ndindex(stack[0].shape[:-3])}, scale)
-    if witness is not None:  # the whole entry, a Poly when m has variables
-        at = (witness.row, witness.col)
-        witness = replace(witness, exponents=(), value=lhs.data[at] - rhs.data[at])
     return VerificationReport("ybe-constant", witness is None, witness)
+
+
+def _braid_word(x, y, z, z23: list, x12: list) -> list:
+    """W(x, y, z) = x12 y13 z23 - z23 y13 x12 as (n^3, n^3) components, for
+    two-leg factors x, y, z as linalg.apply_legs takes them; z23 and x12 are
+    z and x already applied on their legs of the identity on three legs."""
+    lhs = linalg.apply_legs(x, linalg.apply_legs(y, z23, (1, 3)), (1, 2))
+    rhs = linalg.apply_legs(z, linalg.apply_legs(y, x12, (1, 3)), (2, 3))
+    return [(p - q).reshape(-1, p.shape[-1]) for p, q in zip(lhs, rhs)]
 
 
 def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationReport:
     var = _single_variable(num)
-    n = num.site_dim
     degree = num.max_degree(var)
     scale, stack = linalg.clear(num.data, (var,))
     rows = linalg.padded(stack)
     values, lefts, right = {}, {}, {}
+    eye = _three_legs(num.site_dim)
 
     def value_at(t):
         if t not in values:
@@ -226,44 +253,41 @@ def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationRepor
                          linalg.Padded(rows.cols, int_values(rows.vals, t)))
         return values[t]
 
-    eye = [np.eye(n ** 3, dtype=np.int64).reshape(n, n, n, -1)]
-
-    def first(cache, t, legs):
-        """R(t) on legs of the identity, once per argument in cache."""
-        if t not in cache:
-            cache[t] = linalg.apply_legs(value_at(t), eye, legs)
-        return cache[t]
+    def first(memo, t, legs):
+        """R(t) on legs of the identity, once per argument in memo."""
+        if t not in memo:
+            memo[t] = linalg.apply_legs(value_at(t), eye, legs)
+        return memo[t]
 
     def diff_at(x, y):
-        # lhs = R12(x) R13(x+y) R23(y), rhs = R23(y) R13(x+y) R12(x): the
-        # rightmost factor of each side depends on one argument and is built
-        # once by first(); the other two are applied on their legs.  x is
-        # grid_report's row, so the right-hand factor is kept for one row.
+        # W(R(x), R(x+y), R(y)): its outer factors depend on one argument
+        # each and are built once by first().  x is grid_report's row, so
+        # R12(x) on the identity is kept for one row.
         if x not in right:
             right.clear()
-        a, b, c = value_at(x), value_at(x + y), value_at(y)
-        lhs = linalg.apply_legs(a, linalg.apply_legs(b, first(lefts, y, (2, 3)), (1, 3)), (1, 2))
-        rhs = linalg.apply_legs(c, linalg.apply_legs(b, first(right, x, (1, 2)), (1, 3)), (2, 3))
-        return [(p - q).reshape(n ** 3, n ** 3) for p, q in zip(lhs, rhs)]
+        return _braid_word(value_at(x), value_at(x + y), value_at(y),
+                           first(lefts, y, (2, 3)), first(right, x, (1, 2)))
 
     return grid_report("ybe-spectral", diff_at, 2 * degree, 2 * degree,
                        grid_margin=grid_margin, scale=scale ** 3)
 
 
 def _ybe_spectral_poly(num: TensorMatrix) -> VerificationReport:
-    """Slow cross-check: the same identity by bivariate polynomial algebra."""
-    a = embed_pair(poly_substitute(num, "a"), (1, 2))
-    b = embed_pair(poly_substitute(num, "a+b"), (1, 3))
-    c = embed_pair(poly_substitute(num, "b"), (2, 3))
-    lhs = a @ b @ c
-    rhs = c @ b @ a
-    diff = lhs.data - rhs.data
-    for (i, j), entry in np.ndenumerate(diff):
-        if entry:
-            exps, value = Poly.lift(entry).monomials()[0]
-            return VerificationReport("ybe-spectral", False,
-                                      Witness(i, j, exps, value))
-    return VerificationReport("ybe-spectral", True)
+    """Cross-check without a grid: for the cleared layers R_e of the
+    numerator, the difference is the sum of a^i (a+b)^k b^l W(R_i, R_k, R_l),
+    and every (a, b)-coefficient of it is compared with zero."""
+    scale, stack = linalg.clear(num.data, (_single_variable(num),))
+    layers = [[linalg.narrow(c[e]) for c in stack] for e in range(len(stack[0]))]
+    eye = _three_legs(num.site_dim)
+    x12 = [linalg.apply_legs(r, eye, (1, 2)) for r in layers]
+    z23 = [linalg.apply_legs(r, eye, (2, 3)) for r in layers]
+    coefficients = {}
+    for i, k, l in product(range(len(layers)), repeat=3):
+        # with no power of the variable every entry is a scalar, at no monomial
+        _add_weighted(coefficients, _weights(i, k, l) if len(layers) > 1 else {(): 1},
+                      _braid_word(layers[i], layers[k], layers[l], z23[l], x12[i]))
+    witness = _first_offence(coefficients, scale ** 3)
+    return VerificationReport("ybe-spectral", witness is None, witness)
 
 
 def check_ybe(r, mode: str | None = None, method: str = "grid",
@@ -294,58 +318,49 @@ def check_ybe(r, mode: str | None = None, method: str = "grid",
 # -- classical Yang-Baxter ---------------------------------------------------
 
 
+# b [X12(a), X13(a+b)] + (a+b) [X12(a), X23(b)] + a [X13(a+b), X23(b)]: the
+# legs of each commutator's factors and, for their layers i and j, the
+# exponents (x, y, z) of its weight a^x (a+b)^y b^z
+_CYBE_TERMS = (((1, 2), (1, 3), lambda i, j: (i, j, 1)),
+               ((1, 2), (2, 3), lambda i, j: (i, 1, j)),
+               ((1, 3), (2, 3), lambda i, j: (1, i, j)))
+
+
 def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
                mode: str = "constant") -> VerificationReport:
     """Classical Yang-Baxter identity for r, constant or rational.
 
     Rational mode checks X(u, v) = omega/(u - v) + r in the two difference
-    variables a = u1 - u2, b = u2 - u3 after clearing a (a+b) b; the
-    residual's monomial coefficients are combinations of twelve constant
-    commutators, so the check is exact polynomial arithmetic.  Both modes
-    clear r (and omega) by one common scale and apply each factor of a
-    commutator on its legs in integers; only the witness becomes a scalar.
+    variables a = u1 - u2, b = u2 - u3 after clearing a (a+b) b; with
+    X(t) = omega + t r, of layers [omega, r], each (a, b)-coefficient of
+    the residual (_CYBE_TERMS) is a weighted sum of commutators of layers.
+    Constant mode has the one layer r and weight 1.  Both modes clear the
+    layers by one common scale and apply each factor of a commutator on its
+    legs in integers; only the witness becomes a scalar.
     """
     if r.legs != 2:
         raise ValueError("classical Yang-Baxter check expects a two-leg matrix")
-    factors = {"r": r}
     if mode == "rational":
         if omega is None:
             raise ValueError("rational mode needs the invariant tensor omega")
         if (omega.site_dim, omega.legs) != (r.site_dim, r.legs):
             raise ValueError("omega must match r in site_dim and legs")
-        factors["w"] = omega
     elif mode != "constant":
         raise ValueError(f"unknown mode {mode!r}")
-    scale, stack = linalg.clear(np.stack([m.data for m in factors.values()]))
-    ints = {name: [linalg.narrow(c[k]) for c in stack] for k, name in enumerate(factors)}
-    n = r.site_dim
-    eye = [np.eye(dense_dim(n, 3), dtype=np.int64).reshape(n, n, n, -1)]
-    emb = {f"{name}{s}{t}": linalg.apply_legs(m, eye, (s, t))
-           for name, m in ints.items() for s, t in ((1, 2), (1, 3), (2, 3))}
-
-    def com(x, y):
-        """[x, y] for embedded factors named like "r12" or "w23"; each product
-        applies its left factor on that factor's legs."""
-        xy = linalg.apply_legs(ints[x[0]], emb[y], (int(x[1]), int(x[2])))
-        yx = linalg.apply_legs(ints[y[0]], emb[x], (int(y[1]), int(y[2])))
-        return linalg.int_sum(xy, [-c for c in yx])
-
-    add = linalg.int_sum
-    cybe_r = add(com("r12", "r13"), com("r12", "r23"), com("r13", "r23"))
-    if mode == "constant":
-        coefficients = {(): cybe_r}
-    else:
-        coefficients = {
-            (1, 0): add(com("w12", "w23"), com("w13", "w23")),
-            (0, 1): add(com("w12", "w13"), com("w12", "w23")),
-            (2, 0): add(com("r12", "w23"), com("r13", "w23")),
-            (0, 2): add(com("w12", "r13"), com("w12", "r23")),
-            (1, 1): add(com("w12", "r13"), com("r12", "w13"), com("w12", "r23"),
-                        com("r12", "w23"), com("w13", "r23"), com("r13", "w23")),
-            (2, 1): cybe_r,
-            (1, 2): cybe_r,
-        }
-    witness = _first_offence({exps: [c.reshape(n ** 3, n ** 3) for c in comps]
+    factors = [omega, r] if mode == "rational" else [r]
+    scale, stack = linalg.clear(np.stack([m.data for m in factors]))
+    layers = [[linalg.narrow(c[k]) for c in stack] for k in range(len(factors))]
+    eye = _three_legs(r.site_dim)
+    on_legs = {(k, legs): linalg.apply_legs(x, eye, legs)
+               for k, x in enumerate(layers) for legs in ((1, 2), (1, 3), (2, 3))}
+    coefficients = {}
+    for s, t, weight in _CYBE_TERMS:
+        for i, j in product(range(len(layers)), repeat=2):
+            xy = linalg.apply_legs(layers[i], on_legs[j, t], s)
+            yx = linalg.apply_legs(layers[j], on_legs[i, s], t)
+            _add_weighted(coefficients, _weights(*weight(i, j)) if mode == "rational"
+                          else {(): 1}, linalg.int_sum(xy, [-c for c in yx]))
+    witness = _first_offence({exps: [c.reshape(-1, c.shape[-1]) for c in comps]
                               for exps, comps in coefficients.items()}, scale ** 2)
     return VerificationReport(f"cybe-{mode}", witness is None, witness)
 

@@ -19,7 +19,6 @@ from baxter.tensor import (
     matrix_unit,
     partial_transpose_first,
     permutation_op,
-    poly_substitute,
     structure_op,
     swap_factors,
 )
@@ -216,7 +215,8 @@ def test_poly_entries_and_substitute():
     assert family.max_degree("u") == 1
     assert family.substitute({"u": 0}) == p
     assert family.coefficient("u", 1) == TensorMatrix.identity(2, 2)
-    shifted = poly_substitute(family, "a+b")
+    shifted = family.substitute({"u": Poly.variable("a") + Poly.variable("b")})
+    assert shifted.variables() == ("a", "b")
     assert shifted.substitute({"a": 1, "b": 2}) == family.substitute({"u": 3})
 
 

@@ -11,7 +11,7 @@ from baxter import linalg, serialize
 from baxter.poly import Poly
 from baxter.scalars import IM, SQRT2, Ext
 from baxter.tensor import (TensorMatrix, embed_pair, kron, matrix_unit, permutation_op,
-                           poly_substitute, structure_op)
+                           structure_op)
 from baxter.verify import (VerificationReport, Witness, check_classical_limit,
                            check_cybe, check_regularity, check_unitarity,
                            check_ybe, evaluate_matrix, grid_report,
@@ -368,12 +368,13 @@ def test_forced_overflow_takes_python_int_fallback(monkeypatch):
 
 def object_ybe_witness(num):
     """First nonzero (row, col, exponents, value) of R12(a) R13(a+b) R23(b) -
-    R23(b) R13(a+b) R12(a), or None, from embed_pair and the entry-by-entry
-    product of Poly objects."""
-    a = embed_pair(poly_substitute(num, "a"), (1, 2)).data
-    b = embed_pair(poly_substitute(num, "a+b"), (1, 3)).data
-    c = embed_pair(poly_substitute(num, "b"), (2, 3)).data
-    diff = naive_matmul(naive_matmul(a, b), c) - naive_matmul(naive_matmul(c, b), a)
+    R23(b) R13(a+b) R12(a), or None, from Poly substitution, embed_pair and
+    the entry-by-entry product of Poly objects."""
+    (var,) = num.variables()
+    a, b = Poly.variable("a"), Poly.variable("b")
+    x12, y13, z23 = (embed_pair(num.substitute({var: t}), legs).data
+                     for t, legs in ((a, (1, 2)), (a + b, (1, 3)), (b, (2, 3))))
+    diff = naive_matmul(naive_matmul(x12, y13), z23) - naive_matmul(naive_matmul(z23, y13), x12)
     for (i, j), entry in np.ndenumerate(diff):
         if entry:
             return (i, j, *Poly.lift(entry).monomials()[0])
@@ -398,6 +399,58 @@ def test_poly_method_matches_object_product(name, perturbed):
         w = rep.witness
         assert (w.row, w.col, w.exponents, w.value) == want
         assert len(w.exponents) == 2
+
+
+# Numerators of spectral solutions on two and three sites, each drawn with a
+# sparse change of degree 0-2 in u over Q or Q(i, sqrt2), which mostly
+# breaks it.  The object reference takes about a second on three sites, so
+# those draw fewer examples.
+POLY_BASES = {"sl2": lambda: yangian_sl_R(2).numerator,
+              "bx2": lambda: baxterize(example1_R(2)).numerator,
+              "sl3": lambda: yangian_sl_R(3).numerator}
+
+
+@st.composite
+def perturbed_numerators(draw, names):
+    num = POLY_BASES[draw(st.sampled_from(names))]()
+    n = num.site_dim
+    u = Poly.variable("u")
+    change = draw(st.dictionaries(st.tuples(st.integers(0, n * n - 1), st.integers(0, n * n - 1)),
+                                  st.builds(lambda c, k: c * u ** k, SCALARS, st.integers(0, 2)),
+                                  max_size=2))
+    return num + TensorMatrix.from_entries(n, 2, change)
+
+
+def assert_poly_method_matches_the_object_product_and_the_grid(num):
+    want = object_ybe_witness(num)
+    rep = check_ybe(num, method="poly")
+    reference = VerificationReport("ybe-spectral", want is None,
+                                   None if want is None else Witness(*want))
+    assert serialize.encode(rep) == serialize.encode(reference)
+    assert str(rep) == str(reference)
+    grid = check_ybe(num)
+    assert grid.passed == rep.passed and grid.witness == rep.witness
+
+
+@settings(max_examples=25, deadline=None)
+@given(perturbed_numerators(["sl2", "bx2"]))
+def test_poly_method_matches_the_object_product_and_the_grid(num):
+    assert_poly_method_matches_the_object_product_and_the_grid(num)
+
+
+@settings(max_examples=3, deadline=None)
+@given(perturbed_numerators(["sl3"]))
+def test_poly_method_matches_the_object_product_on_three_sites(num):
+    assert_poly_method_matches_the_object_product_and_the_grid(num)
+
+
+def test_poly_method_on_entries_of_degree_zero():
+    # every entry is a Poly of degree 0 in u: substitution leaves scalars,
+    # so the object product's witness names no monomial
+    num = (example1_r(2) + kron(E12, E12)) * Poly.lift(1, ("u",))
+    w = check_ybe(num, method="poly").witness
+    want = (0, 7, (), Fraction(1, 2))
+    assert (w.row, w.col, w.exponents, w.value) == object_ybe_witness(num) == want
 
 
 def test_grid_margin_below_zero_is_rejected():
