@@ -2,8 +2,9 @@
 
 Each case builds one verification report from library constructions:
 unitarity (constant and spectral), regularity, the classical limit, the
-constant braid identity and the classical identity (constant and
-rational), passing and failing, over Q and Q(i, sqrt2).  The test
+braid identity (constant, and spectral on the grid and by --method poly)
+and the classical identity (constant and rational), passing and failing,
+over Q and Q(i, sqrt2).  The test
 recomputes every report and compares `str(report)` and
 `serialize.encode(report)` with the stored text byte for byte, so any
 change to a verdict, a witness, a scalar or the encoding shows up as a
@@ -140,6 +141,37 @@ def _braid():
     yield "ybe-constant-spectral-sl2", lambda: check_ybe(yangian_sl_R(2), mode="constant")
 
 
+def _twins(n, i, j, value):
+    """value at composite (i, j) and at its twin under the swap of the two
+    legs, so that a symmetric R (R21 = R12) stays symmetric."""
+    def swap(k):
+        return (k % n) * n + k // n
+    return TensorMatrix.from_entries(n, 2, {(i, j): value, (swap(i), swap(j)): value})
+
+
+def _spectral():
+    e12 = matrix_unit(2, 1, 2)
+    bx2 = baxterize(example1_R(2)).numerator
+    yield "ybe-spectral-so3", lambda: check_ybe(yangian_so_R(3))
+    yield "ybe-spectral-so4", lambda: check_ybe(yangian_so_R(4))
+    yield "ybe-spectral-ext-so3-skew", lambda: check_ybe(yangian_so_R(3, SKEW))
+    yield "ybe-spectral-ext-so4-skew", lambda: check_ybe(yangian_so_R(4, SKEW))
+    yield "ybe-spectral-sl2", lambda: check_ybe(yangian_sl_R(2))
+    yield "ybe-spectral-sl3", lambda: check_ybe(yangian_sl_R(3))
+    yield "ybe-spectral-bx2", lambda: check_ybe(baxterize(example1_R(2)))
+    yield "ybe-spectral-twisted4", lambda: check_ybe(example2_solution(4))
+    yield "ybe-spectral-ext-twisted4-skew", lambda: check_ybe(example2_solution(4, SKEW))
+    yield "ybe-spectral-ext-sl3-symmetric-perturbed", lambda: check_ybe(
+        yangian_sl_R(3).numerator + _twins(3, 1, 5, SQRT2 * U * U))
+    yield "ybe-spectral-ext-so3-skew-perturbed", lambda: check_ybe(
+        yangian_so_R(3, SKEW).numerator + _unit(3, 2, 6) * (U * Fraction(3, 2)))
+    yield "ybe-spectral-degree-zero", lambda: check_ybe(
+        (example1_r(2) + kron(e12, e12)) * Poly.lift(1, ("u",)))
+    yield "ybe-spectral-poly-sl2", lambda: check_ybe(yangian_sl_R(2), method="poly")
+    yield "ybe-spectral-poly-ext-bx2-perturbed", lambda: check_ybe(
+        bx2 + _unit(2, 1, 2) * (IM * U + Fraction(1, 3)), method="poly")
+
+
 def _classical():
     e12, h = matrix_unit(2, 1, 2), matrix_unit(2, 1, 1) - matrix_unit(2, 2, 2)
     non_solutions = {
@@ -165,7 +197,8 @@ def _classical():
 
 def cases():
     """(name, thunk) for every pinned report, in file order."""
-    for group in (_unitarity, _regularity, _classical_limit, _braid, _classical):
+    for group in (_unitarity, _regularity, _classical_limit, _braid, _classical,
+                  _spectral):
         yield from group()
 
 
