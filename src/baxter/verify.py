@@ -268,8 +268,13 @@ def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationRepor
         return _braid_word(value_at(x), value_at(x + y), value_at(y),
                            first(lefts, y, (2, 3)), first(right, x, (1, 2)))
 
-    return grid_report("ybe-spectral", diff_at, 2 * degree, 2 * degree,
-                       grid_margin=grid_margin, scale=scale ** 3)
+    report = grid_report("ybe-spectral", diff_at, 2 * degree, 2 * degree,
+                         grid_margin=grid_margin, scale=scale ** 3)
+    if degree == 0 and report.witness is not None:
+        # with no power of the variable every entry is a scalar, at no
+        # monomial, as --method poly reports it
+        report = replace(report, witness=replace(report.witness, exponents=()))
+    return report
 
 
 def _ybe_spectral_poly(num: TensorMatrix) -> VerificationReport:

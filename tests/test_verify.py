@@ -451,6 +451,8 @@ def test_poly_method_on_entries_of_degree_zero():
     w = check_ybe(num, method="poly").witness
     want = (0, 7, (), Fraction(1, 2))
     assert (w.row, w.col, w.exponents, w.value) == object_ybe_witness(num) == want
+    grid = check_ybe(num).witness
+    assert (grid.row, grid.col, grid.exponents, grid.value) == want
 
 
 def test_grid_margin_below_zero_is_rejected():
