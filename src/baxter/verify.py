@@ -5,7 +5,11 @@ factors applied on their legs (linalg.apply_legs); only the constant braid
 identity forms object products.  The spectral braid identity is the braid
 word W(x, y, z) = x12 y13 z23 - z23 y13 x12 at the points of a grid that
 strictly exceeds the degree bound of the difference in each variable, so
-vanishing there is identical vanishing.  The method "poly" and the
+vanishing there is identical vanishing.  When R21 = R12 exactly on the
+cleared numerator, the right-hand word at (x, y) is P13 L(y, x) P13 for
+the left-hand word L(x, y) = R12(x) R13(x+y) R23(y), and the grid builds
+left-hand words alone, two per pair of points mirrored in the diagonal.
+The method "poly" and the
 classical identity compare every (a, b)-coefficient instead, summed over
 the monomial layers with weights a^x (a+b)^y b^z.
 
@@ -230,22 +234,37 @@ def _ybe_constant(m: TensorMatrix) -> VerificationReport:
     return VerificationReport("ybe-constant", witness is None, witness)
 
 
+def _left_word(x, y, z23: list) -> list:
+    """x12 y13 z23 on three legs, for two-leg factors x and y as
+    linalg.apply_legs takes them and z23, z applied on legs (2, 3) of the
+    identity on three legs."""
+    return linalg.apply_legs(x, linalg.apply_legs(y, z23, (1, 3)), (1, 2))
+
+
 def _braid_word(x, y, z, z23: list, x12: list) -> list:
     """W(x, y, z) = x12 y13 z23 - z23 y13 x12 as (n^3, n^3) components, for
     two-leg factors x, y, z as linalg.apply_legs takes them; z23 and x12 are
     z and x already applied on their legs of the identity on three legs."""
-    lhs = linalg.apply_legs(x, linalg.apply_legs(y, z23, (1, 3)), (1, 2))
     rhs = linalg.apply_legs(z, linalg.apply_legs(y, x12, (1, 3)), (2, 3))
-    return [(p - q).reshape(-1, p.shape[-1]) for p, q in zip(lhs, rhs)]
+    return [(p - q).reshape(-1, p.shape[-1]) for p, q in zip(_left_word(x, y, z23), rhs)]
+
+
+def _leg_symmetric(stack: list, swap: np.ndarray) -> bool:
+    """R21 = R12 exactly: every layer and component of the cleared two-leg
+    stack is unchanged when the legs of its rows and of its columns swap
+    (swap is the composite index map of P)."""
+    return all(np.array_equal(c[:, swap][:, :, swap], c) for c in stack)
 
 
 def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationReport:
     var = _single_variable(num)
     degree = num.max_degree(var)
-    scale, stack = linalg.clear(num.data, (var,))
+    _, _, scale, stack, swap = _cleared_two_leg(num, "Yang-Baxter")
+    symmetric = _leg_symmetric(stack, swap)
     rows = linalg.padded(stack)
     values, lefts, right = {}, {}, {}
-    eye = _three_legs(num.site_dim)
+    n = num.site_dim
+    eye = _three_legs(n)
 
     def value_at(t):
         if t not in values:
@@ -268,8 +287,41 @@ def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationRepor
         return _braid_word(value_at(x), value_at(x + y), value_at(y),
                            first(lefts, y, (2, 3)), first(right, x, (1, 2)))
 
-    report = grid_report("ybe-spectral", diff_at, 2 * degree, 2 * degree,
-                         grid_margin=grid_margin, scale=scale ** 3)
+    # With R21 = R12, conjugation by P13 turns R12, R13, R23 into R23, R13,
+    # R12, so the right-hand word at (x, y) is P13 L(y, x) P13 for the
+    # left-hand word L(x, y) = R12(x) R13(x+y) R23(y): a pair of points
+    # mirrored in the diagonal shares its two left-hand words.
+    zero = np.broadcast_to(np.int64(0), (n ** 3, n ** 3))
+    held = {}
+
+    def word(x, y):
+        """L(x, y) with one axis per leg of its rows and of its columns."""
+        return [c.reshape((n,) * 6)
+                for c in _left_word(value_at(x), value_at(x + y), first(lefts, y, (2, 3)))]
+
+    def minus_mirror(p, q):
+        """p - P13 q P13 as (n^3, n^3) components, or views of one zero when
+        p = P13 q P13: P13 reverses the order of the legs of the rows and of
+        the columns."""
+        q = [b.transpose(2, 1, 0, 5, 4, 3) for b in q]
+        if all(map(np.array_equal, p, q)):
+            return [zero] * len(p)
+        return [(a - b).reshape(n ** 3, -1) for a, b in zip(p, q)]
+
+    def mirrored_diff_at(x, y):
+        # grid_report walks its square grid row by row, so (y, x) below the
+        # diagonal comes after (x, y) and takes the difference held there
+        if x > y:
+            return held.pop((x, y))
+        here = word(x, y)
+        if x == y:
+            return minus_mirror(here, here)
+        there = word(y, x)
+        held[y, x] = minus_mirror(there, here)
+        return minus_mirror(here, there)
+
+    report = grid_report("ybe-spectral", mirrored_diff_at if symmetric else diff_at,
+                         2 * degree, 2 * degree, grid_margin=grid_margin, scale=scale ** 3)
     if degree == 0 and report.witness is not None:
         # with no power of the variable every entry is a scalar, at no
         # monomial, as --method poly reports it

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baxter import linalg, serialize
+from baxter import linalg, serialize, verify
 from baxter.poly import Poly
 from baxter.scalars import IM, SQRT2, Ext
 from baxter.tensor import (TensorMatrix, embed_pair, kron, matrix_unit, permutation_op,
@@ -17,8 +17,8 @@ from baxter.verify import (VerificationReport, Witness, check_classical_limit,
                            check_ybe, evaluate_matrix, grid_report,
                            int_values, interpolate_grid,
                            uniform_int_scale)
-from baxter.solutions import (Realization, baxterize, example1_r, example1_R, yangian_sl_R,
-                              yangian_so_R)
+from baxter.solutions import (Realization, baxterize, example1_r, example1_R,
+                              example2_solution, yangian_sl_R, yangian_so_R)
 from conftest import (naive_matmul, object_classical_limit, object_regularity,
                       object_unitarity)
 
@@ -492,6 +492,84 @@ def test_padded_grid_reports_equal_the_dense_grid_bytes(name, perturbed, monkeyp
     dense = check_ybe(num)
     assert sparse.passed == (not perturbed)
     assert serialize.encode(sparse) == serialize.encode(dense)
+
+
+# The mirror path of the grid: with R21 = R12 the right-hand word is the P13
+# mirror of the left-hand word, and only left-hand words are built.
+
+MIRROR_BASES = {name: SPECTRAL_CASES[name] for name in
+                ("sl2", "sl3", "so3-antidiag", "so3-skew", "so4-antidiag", "so4-skew")}
+
+
+def _swap(n, k):
+    """The composite index of k under the swap of the two legs."""
+    return (k % n) * n + k // n
+
+
+@st.composite
+def mirror_changes(draw):
+    """(name, numerator, twinned, symmetric): a spectral solution with one
+    entry changed by c u^k, k = 0..2, over Q or Q(i, sqrt2), and, when
+    twinned, its swapped twin by the same amount, which keeps R21 = R12."""
+    name = draw(st.sampled_from(sorted(MIRROR_BASES)))
+    num = _numerator_of(name)
+    n = num.site_dim
+    i, j = draw(st.integers(0, n * n - 1)), draw(st.integers(0, n * n - 1))
+    value = draw(SCALARS) * Poly.variable("u") ** draw(st.integers(0, 2))
+    twin = (_swap(n, i), _swap(n, j))
+    twinned = draw(st.booleans())
+    change = {(i, j): value, **({twin: value} if twinned else {})}
+    symmetric = twinned or twin == (i, j) or value == 0
+    return name, num + TensorMatrix.from_entries(n, 2, change), symmetric
+
+
+_NUMERATORS = {}
+
+
+def _numerator_of(name):
+    if name not in _NUMERATORS:
+        _NUMERATORS[name] = MIRROR_BASES[name]().numerator
+    return _NUMERATORS[name]
+
+
+@settings(max_examples=20, deadline=None)
+@given(mirror_changes())
+def test_mirror_grid_reports_equal_the_full_word_bytes(case):
+    _, num, symmetric = case
+    seen = []
+    rule = verify._leg_symmetric
+
+    def spy(stack, swap):
+        seen.append(rule(stack, swap))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_leg_symmetric", spy)
+        mirror = check_ybe(num)
+        mp.setattr(verify, "_leg_symmetric", lambda stack, swap: False)
+        full = check_ybe(num)
+    assert seen == [symmetric]
+    assert str(mirror) == str(full)
+    assert serialize.encode(mirror) == serialize.encode(full)
+    poly = check_ybe(num, method="poly")
+    assert (mirror.passed, mirror.witness) == (poly.passed, poly.witness)
+
+
+LEG_SYMMETRIC = {
+    **{f"so{N}-{r.value}": (lambda N=N, r=r: yangian_so_R(N, r), True)
+       for N in range(3, 7) for r in Realization},
+    **{f"sl{n}": (lambda n=n: yangian_sl_R(n), True) for n in (2, 3, 4)},
+    **{f"bx{n}": (lambda n=n: baxterize(example1_R(n)), False) for n in (2, 3)},
+    **{f"twisted{N}-{r.value}": (lambda N=N, r=r: example2_solution(N, r), False)
+       for N in (4, 5) for r in Realization},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEG_SYMMETRIC))
+def test_leg_symmetry_of_the_spectral_families(name):
+    build, want = LEG_SYMMETRIC[name]
+    _, _, _, stack, swap = verify._cleared_two_leg(build(), "Yang-Baxter")
+    assert verify._leg_symmetric(stack, swap) is want
 
 
 @settings(max_examples=60, deadline=None)
