@@ -9,9 +9,9 @@ vanishing there is identical vanishing.  When R21 = R12 exactly on the
 cleared numerator, the right-hand word at (x, y) is P13 L(y, x) P13 for
 the left-hand word L(x, y) = R12(x) R13(x+y) R23(y), and the grid builds
 left-hand words alone, two per pair of points mirrored in the diagonal.
-The method "poly" and the
-classical identity compare every (a, b)-coefficient instead, summed over
-the monomial layers with weights a^x (a+b)^y b^z.
+The method "poly" and the classical identity compare every
+(a, b)-coefficient instead, summed over the monomial layers with weights
+a^x (a+b)^y b^z.
 
 Scalar factors are handled by clearing denominators uniformly; every
 identity here is invariant under per-factor scaling, and witnesses are

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -506,11 +507,17 @@ def _swap(n, k):
     return (k % n) * n + k // n
 
 
+@cache
+def _numerator_of(name):
+    return MIRROR_BASES[name]().numerator
+
+
 @st.composite
 def mirror_changes(draw):
-    """(name, numerator, twinned, symmetric): a spectral solution with one
-    entry changed by c u^k, k = 0..2, over Q or Q(i, sqrt2), and, when
-    twinned, its swapped twin by the same amount, which keeps R21 = R12."""
+    """(name, numerator, symmetric): a spectral solution with one entry
+    changed by c u^k, k = 0..2, over Q or Q(i, sqrt2), and in half the
+    draws its swapped twin by the same amount, which keeps R21 = R12;
+    symmetric says whether the result has R21 = R12."""
     name = draw(st.sampled_from(sorted(MIRROR_BASES)))
     num = _numerator_of(name)
     n = num.site_dim
@@ -521,15 +528,6 @@ def mirror_changes(draw):
     change = {(i, j): value, **({twin: value} if twinned else {})}
     symmetric = twinned or twin == (i, j) or value == 0
     return name, num + TensorMatrix.from_entries(n, 2, change), symmetric
-
-
-_NUMERATORS = {}
-
-
-def _numerator_of(name):
-    if name not in _NUMERATORS:
-        _NUMERATORS[name] = MIRROR_BASES[name]().numerator
-    return _NUMERATORS[name]
 
 
 @settings(max_examples=20, deadline=None)
