@@ -4,6 +4,15 @@ The writer always produces the same bytes for the same object: keys are
 sorted, scalars are lowest-terms rational strings, and polynomial entries
 are ascending coefficient lists with no trailing zeros.  The reader
 rejects anything non-canonical, with the JSON path of the offence.
+
+There is one matrix encoder (_entry_texts), and it reads a matrix cleared
+as linalg.clear lays it out, (scale, stack): each coefficient is written
+as stack / scale in lowest terms, an entry's coefficient list ends at its
+highest nonzero layer, and the field is Q(i,sqrt2) exactly when an
+extension component is nonzero.  A TensorMatrix, a spectral numerator and
+denominator, and a report's values are cleared first; a transfer family
+is written from the stack it keeps.  The text is written directly, with
+the bytes of json.dumps(payload, sort_keys=True, indent=2) and a newline.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .poly import Poly
 from .scalars import Ext
 from .solutions import SpectralRMatrix
@@ -44,16 +54,116 @@ def _require(ok: bool, message: str, location: str) -> None:
         raise ParseError(message, location)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_index(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+    return _is_int(x) and x >= 0
 
 
-# -- scalars -------------------------------------------------------------
+def _label(payload: dict) -> str:
+    label = payload.get("label", "")
+    _require(isinstance(label, str), "label must be a string", "label")
+    return label
 
 
-def _atom(value) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+# -- the writer --------------------------------------------------------------
+
+
+def _block(opening: str, items: list, closing: str, depth: int) -> str:
+    if not items:
+        return opening + closing
+    pad = "\n" + "  " * (depth + 1)
+    return opening + pad + ("," + pad).join(items) + "\n" + "  " * depth + closing
+
+
+def _dump(value, depth: int = 0) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it at this
+    nesting depth; a callable is written as the text it returns for the
+    depth."""
+    if isinstance(value, dict):
+        return _block("{", [f"{json.dumps(key)}: {_dump(value[key], depth + 1)}"
+                            for key in sorted(value)], "}", depth)
+    if isinstance(value, list):
+        return _block("[", [_dump(x, depth + 1) for x in value], "]", depth)
+    if callable(value):
+        return value(depth)
+    return json.dumps(value)
+
+
+# -- cleared entries ---------------------------------------------------------
+
+
+def _atom(p: int, q: int) -> str:
+    """p / q in lowest terms, for q > 0."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def _field(*stacks) -> str:
+    """Q(i,sqrt2) when an extension component of a stack is nonzero, else Q."""
+    if any(c.any() for stack in stacks for c in stack[1:]):
+        return FIELD_EXTENSION
+    return FIELD_RATIONAL
+
+
+def _entry_texts(scale: int, stack: list, field: str, polynomial: bool, depth: int) -> list:
+    """Rows of the JSON text, at that depth, of each entry of stack / scale,
+    stack being a matrix cleared as linalg.clear clears it in at most one
+    variable.
+
+    Each coefficient is written in lowest terms, as a rational string, or as
+    its four components over Q(i,sqrt2) (field).  A polynomial entry is the
+    list of its coefficients up to its highest nonzero one (at least one);
+    otherwise an entry is its constant.  Equal entries are written once.
+    """
+    m, n = stack[0].shape[-2:]
+    width = 4 if field == FIELD_EXTENSION else 1
+    parts = stack[:width] + [np.zeros_like(stack[0])] * (width - len(stack))
+    # row k * width + c: component c of layer k
+    grid = np.stack([c.reshape(-1, m * n) for c in parts], axis=1).reshape(-1, m * n)
+    live = np.flatnonzero((grid != 0).any(axis=0))
+
+    def text(key: tuple) -> str:
+        layers = [key[k:k + width] for k in range(0, len(key), width)]
+        while len(layers) > 1 and not any(layers[-1]):
+            layers.pop()
+        coeffs = [[_atom(c, scale) for c in layer] if width == 4 else _atom(layer[0], scale)
+                  for layer in layers]
+        return _dump(coeffs if polynomial else coeffs[0], depth)
+
+    texts = [text((0,) * len(grid))] * (m * n)
+    memo = {}
+    for at, key in zip(live.tolist(), map(tuple, grid[:, live].T.tolist())):
+        if key not in memo:
+            memo[key] = text(key)
+        texts[at] = memo[key]
+    return [texts[i * n:(i + 1) * n] for i in range(m)]
+
+
+def _matrix_fields(site_dim: int, legs: int, names, scale: int, stack: list,
+                   field: str) -> dict:
+    """The matrix fields of a payload, for the matrix stack / scale cleared
+    in names."""
+    if len(names) > 1:
+        raise ValueError("matrices in two variables are not serialized")
+
+    def entries(depth):
+        rows = _entry_texts(scale, stack, field, bool(names), depth + 2)
+        return _block("[", [_block("[", row, "]", depth + 1) for row in rows], "]", depth)
+
+    return {"field": field, "site_dim": site_dim, "legs": legs, "variables": list(names),
+            "entries": entries}
+
+
+def _one_entry(scale: int, stack: list, field: str, polynomial: bool):
+    """The text of the one entry of a 1 x 1 cleared stack, as a function of
+    its depth."""
+    return lambda depth: _entry_texts(scale, stack, field, polynomial, depth)[0][0]
+
+
+# -- reading -----------------------------------------------------------------
 
 
 def _parse_atom(text, location: str) -> Fraction:
@@ -75,18 +185,6 @@ def _parse_atom(text, location: str) -> Fraction:
     return Fraction(p, q)
 
 
-def _to_rational(x) -> Fraction:
-    if isinstance(x, Ext):
-        return x.as_fraction()
-    return Fraction(x)
-
-
-def _encode_scalar(x, field: str):
-    if field == FIELD_EXTENSION:
-        return [_atom(c) for c in Ext.of(x).components()]
-    return _atom(_to_rational(x))
-
-
 def _decode_scalar(obj, field: str, location: str):
     if field == FIELD_EXTENSION:
         if not isinstance(obj, list) or len(obj) != 4:
@@ -95,45 +193,6 @@ def _decode_scalar(obj, field: str, location: str):
         value = Ext(*parts)
         return value.as_fraction() if value.is_rational else value
     return _parse_atom(obj, location)
-
-
-def _needs_extension(values) -> bool:
-    for x in values:
-        if isinstance(x, Poly):
-            if _needs_extension(x.coeffs.values()):
-                return True
-        elif isinstance(x, Ext) and not x.is_rational:
-            return True
-    return False
-
-
-# -- polynomial entries ----------------------------------------------------
-
-
-def _encode_entry(x, field: str, variables, memo: dict):
-    """The encoding of one entry; memo maps each scalar already encoded in
-    this field to its encoding, and gains the new ones."""
-
-    def scalar(c):
-        # a Fraction is keyed by its terms, which hash faster than it does;
-        # equal keys are equal scalars, and those have equal encodings
-        key = (c.numerator, c.denominator) if type(c) is Fraction else c
-        if key not in memo:
-            memo[key] = _encode_scalar(c, field)
-        return memo[key]
-
-    if not variables:
-        if isinstance(x, Poly):
-            x = x.constant_value()
-        return scalar(x)
-    var = variables[0]
-    if not isinstance(x, Poly):
-        return [scalar(x)]
-    if x.vars not in ((), (var,)):
-        raise ValueError(f"entry variables {x.vars} do not match {variables}")
-    if x.is_constant():
-        return [scalar(x.constant_value())]
-    return [scalar(x.coefficient((k,))) for k in range(x.degree(var) + 1)]
 
 
 def _decode_entry(obj, field: str, variables, location: str):
@@ -147,32 +206,13 @@ def _decode_entry(obj, field: str, variables, location: str):
     return Poly.univariate(variables[0], coeffs)
 
 
-def _matrix_payload(m: TensorMatrix, force_variables=None, also=()) -> dict:
-    """The matrix fields of a payload; the field also covers the values in
-    also, which are encoded beside the matrix."""
-    variables = list(force_variables) if force_variables else list(m.variables())
-    if len(variables) > 1:
-        raise ValueError("matrices in two variables are not serialized")
-    field = FIELD_EXTENSION if _needs_extension([*m.data.flat, *also]) else FIELD_RATIONAL
-    memo = {}
-    entries = [[_encode_entry(x, field, variables, memo) for x in row] for row in m.data]
-    return {
-        "field": field,
-        "site_dim": m.site_dim,
-        "legs": m.legs,
-        "variables": variables,
-        "entries": entries,
-    }
-
-
 def _decode_matrix_payload(payload: dict) -> TensorMatrix:
     field = payload.get("field")
     if field not in (FIELD_RATIONAL, FIELD_EXTENSION):
         raise ParseError(f"unknown field {field!r}", "field")
     site_dim, legs = payload.get("site_dim"), payload.get("legs")
     for name, value in (("site_dim", site_dim), ("legs", legs)):
-        if not isinstance(value, int) or value < 1:
-            raise ParseError(f"{name} must be a positive integer", name)
+        _require(_is_int(value) and value > 0, f"{name} must be a positive integer", name)
     variables = payload.get("variables")
     if (not isinstance(variables, list) or len(variables) > 1
             or any(not isinstance(v, str) for v in variables)):
@@ -197,20 +237,20 @@ def _encode_loose(value):
     """Scalar or small polynomial without a field declaration; shape-tagged."""
     if value is None or isinstance(value, bool):
         return value
+    if isinstance(value, str):
+        return {"text": value}
     if isinstance(value, Poly):
         if len(value.vars) > 1:
             raise ValueError("two-variable values are not serialized")
-        var = value.vars[0] if value.vars else "u"
-        field = FIELD_EXTENSION if _needs_extension([value]) else FIELD_RATIONAL
-        return {"variables": [var], "field": field,
-                "coefficients": _encode_entry(value, field, (var,), {})}
-    if isinstance(value, Ext) and not value.is_rational:
-        return [_atom(c) for c in value.components()]
-    if isinstance(value, (int, Fraction)) or isinstance(value, Ext):
-        return _atom(_to_rational(value))
-    if isinstance(value, str):
-        return {"text": value}
-    raise ValueError(f"cannot serialize report value {value!r}")
+        names = value.vars or ("u",)
+    elif isinstance(value, (int, Fraction, Ext)):
+        names = ()
+    else:
+        raise ValueError(f"cannot serialize report value {value!r}")
+    scale, stack = linalg.clear(linalg.object_matrix([[value]]), names)
+    field = _field(stack)
+    text = _one_entry(scale, stack, field, bool(names))
+    return {"variables": list(names), "field": field, "coefficients": text} if names else text
 
 
 def _decode_loose(obj, location: str):
@@ -293,21 +333,29 @@ def _decode_report_payload(payload: dict) -> VerificationReport:
 
 
 def encode(obj) -> str:
+    """The canonical JSON text of a matrix, spectral R-matrix, transfer
+    family or report; every matrix is written from its cleared stack."""
     if isinstance(obj, TensorMatrix):
-        payload = {"kind": "matrix", **_matrix_payload(obj)}
+        names = obj.variables()
+        scale, stack = linalg.clear(obj.data, names)
+        payload = {"kind": "matrix", **_matrix_fields(obj.site_dim, obj.legs, names, scale,
+                                                      stack, _field(stack))}
     elif isinstance(obj, SpectralRMatrix):
-        body = _matrix_payload(obj.numerator, [obj.variable], [obj.denominator])
+        names = (obj.variable,)
+        scale, stack = linalg.clear(obj.numerator.data, names)
+        scale_d, stack_d = linalg.clear(linalg.object_matrix([[obj.denominator]]), names)
+        field = _field(stack, stack_d)
         payload = {
             "kind": "spectral",
-            **body,
-            "denominator": _encode_entry(obj.denominator, body["field"],
-                                         body["variables"], {}),
+            **_matrix_fields(obj.site_dim, obj.numerator.legs, names, scale, stack, field),
+            "denominator": _one_entry(scale_d, stack_d, field, True),
             "label": obj.label,
         }
     elif isinstance(obj, TransferFamily):
+        names, scale, stack = obj.cleared()
         payload = {
             "kind": "chain",
-            **_matrix_payload(obj.matrix),
+            **_matrix_fields(obj.site_dim, obj.legs, names, scale, stack, _field(stack)),
             "sites": obj.sites,
             "aux_dim": obj.aux_dim,
             "label": obj.label,
@@ -317,7 +365,7 @@ def encode(obj) -> str:
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     payload["format_version"] = FORMAT_VERSION
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _dump(payload) + "\n"
 
 
 def decode(text: str):
@@ -341,14 +389,17 @@ def decode(text: str):
         denominator = _decode_entry(payload.get("denominator"), payload["field"],
                                     variables, "denominator")
         return SpectralRMatrix(matrix, Poly.lift(denominator, tuple(variables)),
-                               payload.get("label", ""))
+                               _label(payload))
     if kind == "chain":
         matrix = _decode_matrix_payload(payload)
         sites = payload.get("sites")
+        _require(sites is None or _is_int(sites), "sites must be an integer", "sites")
         if sites != matrix.legs:
             raise ShapeError(f"sites {sites!r} does not match legs {matrix.legs}")
-        return TransferFamily(matrix, sites, payload.get("aux_dim", matrix.site_dim),
-                              payload.get("label", ""))
+        aux_dim = payload.get("aux_dim", matrix.site_dim)
+        _require(_is_int(aux_dim) and aux_dim > 0, "aux_dim must be a positive integer",
+                 "aux_dim")
+        return TransferFamily(matrix, sites, aux_dim, _label(payload))
     if kind == "report":
         return _decode_report_payload(payload)
     raise ParseError(f"unknown kind {kind!r}", "kind")

@@ -85,8 +85,8 @@ def _bond_sum(density: TensorMatrix, spec: ChainSpec) -> TensorMatrix:
     names, scale, stack = _bond_stack(density, spec)
     size = stack[0].shape[-1]
     polys = dict.fromkeys(range(size * size), names) if names else {}
-    return TensorMatrix(density.site_dim, spec.sites,
-                        linalg.rebuild(scale, names, stack, polys))
+    return TensorMatrix._checked(density.site_dim, spec.sites,
+                                 linalg.rebuild(scale, names, stack, polys))
 
 
 def _remark_density(xi) -> TensorMatrix:
@@ -118,7 +118,7 @@ def _derived_density(r: SpectralRMatrix) -> TensorMatrix:
     scale, stack = linalg.clear(r.numerator.data, (r.variable,))
     swap = np.arange(n * n).reshape(n, n).T.ravel()
     slope = [c[1][swap] if len(c) > 1 else np.zeros_like(c[0]) for c in stack]
-    density = TensorMatrix(n, 2, linalg.rebuild(scale, (), slope, {}))
+    density = TensorMatrix._checked(n, 2, linalg.rebuild(scale, (), slope, {}))
     return density * linalg.reciprocal(report.scalar_factor)
 
 
@@ -131,19 +131,62 @@ def derive_hamiltonian(r: SpectralRMatrix, spec: ChainSpec) -> TensorMatrix:
     return _bond_sum(_derived_density(r), spec)
 
 
-@dataclass(frozen=True)
 class TransferFamily:
-    """Trace over one auxiliary leg of a product of R-matrix numerators."""
+    """Trace over one auxiliary leg of a product of R-matrix numerators.
 
-    matrix: TensorMatrix
-    sites: int
-    aux_dim: int
-    label: str = ""
+    A family made by transfer_matrix keeps the cleared stack that
+    interpolation gave (see cleared); its matrix is rebuilt from that stack
+    the first time it is read.
+    """
+
+    def __init__(self, matrix: TensorMatrix, sites: int, aux_dim: int, label: str = ""):
+        self.sites, self.aux_dim, self.label = sites, aux_dim, label
+        self.site_dim, self.legs = matrix.site_dim, matrix.legs
+        self._matrix, self._cleared = matrix, None
+
+    @classmethod
+    def from_stack(cls, names: tuple, scale: int, stack: list, site_dim: int, sites: int,
+                   aux_dim: int, label: str = "") -> "TransferFamily":
+        """The family on sites legs of dimension site_dim whose entries are
+        the polynomials in names of stack / scale, stack laid out as
+        linalg.clear lays it out; it need not be in lowest terms."""
+        family = cls.__new__(cls)
+        family.sites, family.aux_dim, family.label = sites, aux_dim, label
+        family.site_dim, family.legs = site_dim, sites
+        family._matrix, family._cleared = None, (tuple(names), scale, stack)
+        return family
+
+    @property
+    def matrix(self) -> TensorMatrix:
+        if self._matrix is None:
+            names, scale, stack = self._cleared
+            size = stack[0].shape[-1]
+            data = linalg.rebuild(scale, names, stack, dict.fromkeys(range(size * size), names))
+            self._matrix = TensorMatrix._checked(self.site_dim, self.legs, data)
+        return self._matrix
+
+    def cleared(self):
+        """(names, scale, stack): the entries as polynomials in names, stack
+        / scale laid out as linalg.clear lays it out; not always in lowest
+        terms."""
+        if self._cleared is None:
+            names = self._matrix.variables()
+            return (names, *linalg.clear(self._matrix.data, names))
+        return self._cleared
 
     @property
     def variable(self) -> str:
-        names = self.matrix.variables()
+        names = self._cleared[0] if self._cleared else self._matrix.variables()
         return names[0] if names else "u"
+
+    def __eq__(self, other):
+        if not isinstance(other, TransferFamily):
+            return NotImplemented
+        return ((self.matrix, self.sites, self.aux_dim, self.label)
+                == (other.matrix, other.sites, other.aux_dim, other.label))
+
+    def __hash__(self):
+        return hash((self.site_dim, self.sites, self.aux_dim, self.label))
 
 
 def _transfer_stack(r: SpectralRMatrix, spec: ChainSpec):
@@ -183,14 +226,12 @@ def transfer_matrix(r: SpectralRMatrix, spec: ChainSpec) -> TransferFamily:
     """t(u) = tr_0 [ N_{0L}(u) ... N_{01}(u) ] built on the numerator.
 
     Entries are interpolated exactly (see _transfer_stack), so the result is
-    the true polynomial family; a scalar is built only for its coefficients.
+    the true polynomial family; it stays a cleared stack until its matrix
+    is read.
     """
     scale, stack = _transfer_stack(r, spec)
-    var, size = r.variable, stack[0].shape[-1]
-    data = linalg.rebuild(scale, (var,), stack, dict.fromkeys(range(size * size), (var,)))
-    family = TensorMatrix(r.site_dim, spec.sites, data)
-    return TransferFamily(family, spec.sites, r.site_dim,
-                          f"transfer({r.label})" if r.label else "transfer")
+    return TransferFamily.from_stack((r.variable,), scale, stack, r.site_dim, spec.sites,
+                                     r.site_dim, f"transfer({r.label})" if r.label else "transfer")
 
 
 def _family_matrix(operand) -> TensorMatrix:

@@ -8,9 +8,10 @@ import pytest
 
 from baxter.cli import main
 from baxter.poly import Poly
-from baxter.serialize import decode, load, save
-from baxter.solutions import SpectralRMatrix, example1_r, example1_R, yangian_so_R
-from baxter.spin_chain import ChainSpec, remark_hamiltonian
+from baxter.serialize import decode, encode, load, save
+from baxter.solutions import (SpectralRMatrix, example1_r, example1_R, yangian_sl_R,
+                              yangian_so_R)
+from baxter.spin_chain import ChainSpec, remark_hamiltonian, transfer_matrix
 from baxter.tensor import TensorMatrix, kron, matrix_unit, permutation_op
 from baxter.verify import Witness, check_cybe
 from fractions import Fraction
@@ -227,20 +228,39 @@ SWEEP = [["verify", "cybe"], ["verify", "cybe", "--rational"], ["verify", "ybe"]
          ["chain", "derive"], ["chain", "transfer"], ["chain", "commute"]]
 
 
+def _non_canonical_inputs(folder):
+    """(field, path) of chain and spectral files with one field of the wrong
+    type: an aux_dim that is text, negative or a bool, a sites that is a
+    bool, a label that is a number."""
+    chain = json.loads(encode(transfer_matrix(yangian_sl_R(2), ChainSpec(2))))
+    spectral = json.loads(encode(yangian_sl_R(2)))
+    bad = [(chain, "aux_dim", "x"), (chain, "aux_dim", -3), (chain, "aux_dim", True),
+           (chain, "sites", True), (chain, "label", 5), (spectral, "label", 5)]
+    out = []
+    for k, (base, key, value) in enumerate(bad):
+        path = folder / f"non-canonical-{k}.yb"
+        path.write_text(json.dumps({**base, key: value}))
+        out.append((key, str(path)))
+    return out
+
+
 def test_degenerate_inputs_keep_the_exit_code_contract(tmp_path, capsys):
     # 6 inputs x 12 commands: exit 0 or 1 after a verification, 2 on bad
-    # input, and never an exception out of main (a traceback from the script)
+    # input, and never an exception out of main (a traceback from the script);
+    # 6 non-canonical inputs x 12 commands: exit 2, naming the bad field
     paths = _degenerate_inputs(tmp_path)
-    for name, path in paths.items():
+    inputs = [(None, path) for path in paths.values()] + _non_canonical_inputs(tmp_path)
+    for field, path in inputs:
         for command in SWEEP:
             argv = [*command, path] if command[-1] == "--against" else [*command]
             argv += ["--in", path, "--out" if argv[0] == "chain" else "--report",
                      str(tmp_path / "out.json")]
             code = main(argv)
             err = capsys.readouterr().err
-            assert code in (0, 1, 2), (name, argv, code)
-            assert "Traceback" not in err, (name, argv, err)
-            assert code != 2 or err.count("\n") == 1, (name, argv, err)
+            assert code in (0, 1, 2), (path, argv, code)
+            assert "Traceback" not in err, (path, argv, err)
+            assert code != 2 or err.count("\n") == 1, (path, argv, err)
+            assert field is None or code == 2 and f"at {field}" in err, (path, argv, err)
 
 
 def test_unitarity_of_the_spectral_zero_fails_with_a_witness(tmp_path, baxter_command):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from baxter.linalg import clear, narrow
 from baxter.poly import Poly
 from baxter.scalars import Ext
 from baxter.serialize import ParseError, ShapeError, VersionError, decode, \
@@ -244,6 +245,48 @@ def test_report_decoder_rejects_bad_fields(path, value, location):
     assert err.value.location == location
 
 
+def _chain_payload():
+    return json.loads(encode(transfer_matrix(yangian_sl_R(2), ChainSpec(2))))
+
+
+def _spectral_payload():
+    return json.loads(encode(yangian_sl_R(2)))
+
+
+@pytest.mark.parametrize("payload, key, value", [
+    (_chain_payload, "aux_dim", "x"),
+    (_chain_payload, "aux_dim", -3),
+    (_chain_payload, "aux_dim", 0),
+    (_chain_payload, "aux_dim", True),
+    (_chain_payload, "sites", True),
+    (_chain_payload, "sites", "2"),
+    (_chain_payload, "label", 5),
+    (_chain_payload, "legs", True),
+    (_spectral_payload, "label", 5),
+    (_spectral_payload, "label", None),
+    (_spectral_payload, "site_dim", True),
+], ids=lambda x: getattr(x, "__name__", repr(x)))
+def test_chain_and_spectral_decoders_reject_bad_fields(payload, key, value):
+    doc = payload()
+    doc[key] = value
+    with pytest.raises(ParseError) as err:
+        decode(json.dumps(doc))
+    assert err.value.location == key
+
+
+def test_missing_chain_and_spectral_fields_keep_their_defaults():
+    doc = _chain_payload()
+    del doc["aux_dim"], doc["label"]
+    family = decode(json.dumps(doc))
+    assert (family.aux_dim, family.label) == (2, "")
+    del doc["sites"]
+    with pytest.raises(ShapeError):
+        decode(json.dumps(doc))
+    doc = _spectral_payload()
+    del doc["label"]
+    assert decode(json.dumps(doc)).label == ""
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats(allow_nan=False)
     | st.text(max_size=4) | st.sampled_from(["0", "1/2", "-3", "Q", "Q(i,sqrt2)", "u"]),
@@ -298,7 +341,9 @@ if __name__ == "__main__":
 
 
 RATIONALS = st.fractions(min_value=-7, max_value=7, max_denominator=5)
-SCALARS = st.one_of(RATIONALS, st.integers(-2 ** 70, 2 ** 70),
+# an Ext whose extension parts are zero is a rational, written over Q
+RATIONAL_EXTS = st.builds(Ext, RATIONALS)
+SCALARS = st.one_of(RATIONALS, st.integers(-2 ** 70, 2 ** 70), RATIONAL_EXTS,
                     st.builds(Ext, RATIONALS, RATIONALS, RATIONALS, RATIONALS))
 POLYS = st.builds(lambda c: Poly.univariate("u", c), st.lists(SCALARS, max_size=4))
 
@@ -308,7 +353,9 @@ def encodable(draw):
     """A matrix, spectral R-matrix, transfer family or report with random
     exact entries: rational, Q(i, sqrt2) or polynomial in u."""
     n, legs = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2)]))
-    entries = draw(st.sampled_from([RATIONALS, SCALARS, st.one_of(SCALARS, POLYS)]))
+    entries = draw(st.sampled_from([RATIONALS, SCALARS, st.one_of(SCALARS, POLYS), st.just(0),
+                                    st.one_of(RATIONALS, RATIONAL_EXTS,
+                                              st.builds(Poly.lift, RATIONAL_EXTS))]))
     values = draw(st.lists(entries, min_size=n ** (2 * legs), max_size=n ** (2 * legs)))
     m = TensorMatrix(n, legs, np.array(values, dtype=object).reshape(n ** legs, -1))
     kind = draw(st.sampled_from(["matrix", "spectral", "chain", "report"]))
@@ -337,3 +384,121 @@ def test_encode_decode_round_trip_is_byte_exact(obj):
     assert type(back) is type(obj)
     if isinstance(obj, TensorMatrix):
         assert back == obj
+
+
+# -- the object encoder, the slow reference of the stack encoder ---------------
+
+
+def _object_atom(value) -> str:
+    f = value.as_fraction() if isinstance(value, Ext) else Fraction(value)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def _object_scalar(x, field):
+    if field == "Q(i,sqrt2)":
+        return [_object_atom(c) for c in Ext.of(x).components()]
+    return _object_atom(x)
+
+
+def _object_field(values) -> str:
+    """The field of values, entry by entry: Q(i,sqrt2) when an Ext value or
+    coefficient is not rational."""
+    def irrational(x):
+        if isinstance(x, Poly):
+            return any(map(irrational, x.coeffs.values()))
+        return isinstance(x, Ext) and not x.is_rational
+    return "Q(i,sqrt2)" if any(map(irrational, values)) else "Q"
+
+
+def _object_entry(x, field, variables):
+    if not variables:
+        return _object_scalar(x.constant_value() if isinstance(x, Poly) else x, field)
+    if not isinstance(x, Poly) or x.is_constant():
+        return [_object_scalar(x.constant_value() if isinstance(x, Poly) else x, field)]
+    var = variables[0]
+    return [_object_scalar(x.coefficient((k,)), field) for k in range(x.degree(var) + 1)]
+
+
+def _object_matrix(m, variables, also=()):
+    field = _object_field([*m.data.flat, *also])
+    return {"field": field, "site_dim": m.site_dim, "legs": m.legs, "variables": variables,
+            "entries": [[_object_entry(x, field, variables) for x in row] for row in m.data]}
+
+
+def _object_loose(value):
+    if value is None or isinstance(value, bool):
+        return value
+    if isinstance(value, Poly):
+        var = value.vars[0] if value.vars else "u"
+        field = _object_field([value])
+        return {"variables": [var], "field": field,
+                "coefficients": _object_entry(value, field, (var,))}
+    if isinstance(value, Ext) and not value.is_rational:
+        return [_object_atom(c) for c in value.components()]
+    if isinstance(value, str):
+        return {"text": value}
+    return _object_atom(value)
+
+
+def object_encode(obj) -> str:
+    """encode as it was written entry by entry from the objects, through
+    json.dumps: the reference that the encoder on cleared stacks must match
+    byte for byte."""
+    if isinstance(obj, TensorMatrix):
+        payload = {"kind": "matrix", **_object_matrix(obj, list(obj.variables()))}
+    elif isinstance(obj, SpectralRMatrix):
+        body = _object_matrix(obj.numerator, [obj.variable], [obj.denominator])
+        payload = {"kind": "spectral", **body, "label": obj.label,
+                   "denominator": _object_entry(obj.denominator, body["field"],
+                                                body["variables"])}
+    elif isinstance(obj, TransferFamily):
+        payload = {"kind": "chain", **_object_matrix(obj.matrix, list(obj.matrix.variables())),
+                   "sites": obj.sites, "aux_dim": obj.aux_dim, "label": obj.label}
+    else:
+        witness = obj.witness and {"row": obj.witness.row, "col": obj.witness.col,
+                                   "exponents": list(obj.witness.exponents),
+                                   "value": _object_loose(obj.witness.value)}
+        payload = {"kind": "report", "identity": obj.identity_name, "passed": obj.passed,
+                   "witness": witness, "scalar_factor": _object_loose(obj.scalar_factor),
+                   "grid_size": list(obj.grid_size) if obj.grid_size else None,
+                   "details": {k: _object_loose(v) for k, v in obj.details.items()}}
+    payload["format_version"] = 1
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(encodable())
+def test_encoder_matches_the_object_encoder(obj):
+    assert encode(obj) == object_encode(obj)
+
+
+def _lifted(m: TensorMatrix) -> TensorMatrix:
+    """m with every entry a Poly in u, as a family rebuilt from a stack holds it."""
+    data = np.empty(m.data.shape, dtype=object)
+    for idx, x in np.ndenumerate(m.data):
+        data[idx] = Poly.lift(x, ("u",))
+    return TensorMatrix(m.site_dim, m.legs, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(encodable().filter(lambda obj: isinstance(obj, TensorMatrix)), st.data())
+def test_family_from_a_stack_matches_the_object_encoder(m, data):
+    # the stack of a family as interpolation leaves it: not in lowest terms,
+    # with zero layers on top, four components whose extension parts may be
+    # zero throughout, in int64 where its entries fit and in Python ints
+    # above 2**62
+    scale, stack = clear(_lifted(m).data, ("u",))
+    factor = data.draw(st.sampled_from([1, 6, 2 ** 40, 3 ** 45]))
+    zeros = data.draw(st.integers(0, 2))
+    stack = [np.concatenate([c * factor, np.zeros((zeros,) + c.shape[1:], dtype=object)])
+             for c in stack]
+    if data.draw(st.booleans()):
+        stack = [narrow(c) for c in stack]
+    if len(stack) == 1 and data.draw(st.booleans()):
+        stack += [np.zeros_like(stack[0])] * 3
+    family = TransferFamily.from_stack(("u",), scale * factor, stack, m.site_dim, m.legs,
+                                       m.site_dim, "t")
+    want = object_encode(TransferFamily(_lifted(m), m.legs, m.site_dim, "t"))
+    assert encode(family) == want
+    assert family.matrix == _lifted(m)
+    assert encode(family) == want

@@ -1,22 +1,28 @@
-"""Scale sweep of the spectral braid identity, one case per fresh interpreter.
+"""Scale sweep of the spectral braid identity and the chain outputs, one case
+per fresh interpreter.
 
-Each case builds one solution and times one `check_ybe` call on it in a
-new Python process, with the given `src` first on PYTHONPATH, so no case
-inherits another's caches or heap.  A case runs three times per source;
-the sources take turns within each repetition, so a drift of the host's
-speed falls on all of them alike.  For every source the output records,
-per case, each wall time of the check, their median, the largest
-`ru_maxrss` of the child processes (the whole process: imports,
-construction and check) and the report line, which must agree between
-sources.
+Each case times one call in a new Python process, with the given `src`
+first on PYTHONPATH, so no case inherits another's caches or heap: a
+`check_ybe` call on one built solution, or one `baxter chain transfer` /
+`baxter chain hamiltonian` command line, run in-process through
+`baxter.cli.main` and written to a file.  A case runs three times per
+source; the sources take turns within each repetition, so a drift of the
+host's speed falls on all of them alike.  For every source the output
+records, per case, each wall time, their median, the largest `ru_maxrss`
+of the child processes (the whole process: imports, construction and the
+timed call) and the report line (the exit code for a command line), and
+for a command line the sha256 of the file it wrote.  Report lines and
+file hashes must agree between sources.
 
     python3 tools/sweep.py --src parent=../parent/src --src change=src \\
-        --out BENCH_pr12.json
+        --out BENCH_pr13.json
 
 Cases (see CASES): spectral so(N), N = 3..9, in both realizations and
 sl(n), n = 2..4, whose numerators satisfy R21 = R12; the skew twisted
 solution, N = 4..7, whose numerator does not; `--method poly` on so(3)
-and so(4).
+and so(4); `chain transfer` on the baxterized n = 2 family at tau = 1
+and on yangian sl(2), L = 3..6; `chain hamiltonian` at xi = 1 on a
+periodic chain, L = 3..8.
 """
 
 from __future__ import annotations
@@ -32,17 +38,8 @@ import sys
 from pathlib import Path
 
 REPEAT = 3
-# name: (construction, check_ybe method)
-CASES = {
-    **{f"so{N}-{r}": (f"yangian_so_R({N}, Realization.{r.upper()})", "grid")
-       for N in range(3, 10) for r in ("antidiag", "skew")},
-    **{f"sl{n}": (f"yangian_sl_R({n})", "grid") for n in (2, 3, 4)},
-    **{f"twisted{N}-skew": (f"example2_solution({N}, Realization.SKEW)", "grid")
-       for N in (4, 5, 6, 7)},
-    **{f"so{N}-antidiag-poly": (f"yangian_so_R({N})", "poly") for N in (3, 4)},
-}
 
-CHILD = """
+YBE = """
 import json, resource, time
 from baxter.solutions import Realization, example2_solution, yangian_sl_R, yangian_so_R
 from baxter.verify import check_ybe
@@ -54,11 +51,51 @@ print(json.dumps({{"wall_s": wall, "report": str(report),
                   "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}}))
 """
 
+# a command line writing to a file, after its --in file (when given) is built
+COMMAND = """
+import hashlib, json, resource, tempfile, time
+from pathlib import Path
+from baxter import serialize
+from baxter.cli import main
+from baxter.solutions import baxterize, example1_R, yangian_sl_R
+with tempfile.TemporaryDirectory() as folder:
+    source, out = Path(folder, "in.yb"), Path(folder, "out.yb")
+    argv, built = {argv!r}, {build}
+    if built is not None:
+        serialize.save(built, source)
+        argv += ["--in", str(source)]
+    start = time.perf_counter()
+    code = main([*argv, "--out", str(out)])
+    wall = time.perf_counter() - start
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+print(json.dumps({{"wall_s": wall, "report": f"exit {{code}}", "sha256": digest,
+                  "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}}))
+"""
+
+# name: the child program
+CASES = {
+    **{f"so{N}-{r}": YBE.format(build=f"yangian_so_R({N}, Realization.{r.upper()})",
+                                method="grid")
+       for N in range(3, 10) for r in ("antidiag", "skew")},
+    **{f"sl{n}": YBE.format(build=f"yangian_sl_R({n})", method="grid") for n in (2, 3, 4)},
+    **{f"twisted{N}-skew": YBE.format(build=f"example2_solution({N}, Realization.SKEW)",
+                                      method="grid")
+       for N in (4, 5, 6, 7)},
+    **{f"so{N}-antidiag-poly": YBE.format(build=f"yangian_so_R({N})", method="poly")
+       for N in (3, 4)},
+    **{f"transfer-{name}-{L}": COMMAND.format(build=build,
+                                              argv=["chain", "transfer", "--sites", str(L)])
+       for name, build in (("bx2", "baxterize(example1_R(2, 1))"), ("sl2", "yangian_sl_R(2)"))
+       for L in range(3, 7)},
+    **{f"hamiltonian-{L}": COMMAND.format(build="None", argv=["chain", "hamiltonian", "--sites",
+                                                          str(L), "--xi", "1"])
+       for L in range(3, 9)},
+}
+
 
 def run_case(src: Path, name: str) -> dict:
-    build, method = CASES[name]
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
-    done = subprocess.run([sys.executable, "-c", CHILD.format(build=build, method=method)],
+    done = subprocess.run([sys.executable, "-c", CASES[name]],
                           env=env, capture_output=True, text=True, check=False)
     if done.returncode:
         raise SystemExit(f"{name} failed on {src}:\n{done.stderr}")
@@ -71,16 +108,18 @@ def sweep(sources: dict) -> dict:
         for _ in range(REPEAT):
             for label, src in sources.items():
                 runs[label][name].append(run_case(src, name))
-        reports = {r["report"] for by_name in runs.values() for r in by_name[name]}
-        if len(reports) != 1:
-            raise SystemExit(f"{name}: the reports differ: {sorted(reports)}")
+        results = {(r["report"], r.get("sha256")) for by_name in runs.values()
+                   for r in by_name[name]}
+        if len(results) != 1:
+            raise SystemExit(f"{name}: the reports or written files differ: {sorted(results)}")
         line = ", ".join(f"{label} {statistics.median(r['wall_s'] for r in runs[label][name]):.4f} s"
                          for label in sources)
         print(f"{name}: {line}", file=sys.stderr)
     return {label: {name: {"wall_s": [round(r["wall_s"], 5) for r in rs],
                            "median_s": round(statistics.median(r["wall_s"] for r in rs), 5),
                            "maxrss_mb": round(max(r["maxrss_kb"] for r in rs) / 1024, 1),
-                           "report": rs[0]["report"]}
+                           "report": rs[0]["report"],
+                           **({"sha256": rs[0]["sha256"]} if "sha256" in rs[0] else {})}
                     for name, rs in by_name.items()}
             for label, by_name in runs.items()}
 
@@ -99,8 +138,9 @@ def main(argv=None) -> int:
         sources[label] = Path(path)
     blocks = sweep(sources)
     out = {
-        "what": "check_ybe wall time (median of the repeats, each in a fresh interpreter) "
-                "and the largest ru_maxrss of those interpreters, per case",
+        "what": "wall time of check_ybe or of one command line (median of the repeats, "
+                "each in a fresh interpreter), the largest ru_maxrss of those interpreters, "
+                "and the sha256 of the file a command line wrote, per case",
         "machine": {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
                     "cpus": os.cpu_count(), "system": platform.system(),
                     "machine": platform.machine()},
