@@ -5,14 +5,10 @@ sorted, scalars are lowest-terms rational strings, and polynomial entries
 are ascending coefficient lists with no trailing zeros.  The reader
 rejects anything non-canonical, with the JSON path of the offence.
 
-There is one matrix encoder (_entry_texts), and it reads a matrix cleared
-as linalg.clear lays it out, (scale, stack): each coefficient is written
-as stack / scale in lowest terms, an entry's coefficient list ends at its
-highest nonzero layer, and the field is Q(i,sqrt2) exactly when an
-extension component is nonzero.  A TensorMatrix, a spectral numerator and
-denominator, and a report's values are cleared first; a transfer family
-is written from the stack it keeps.  The text is written directly, with
-the bytes of json.dumps(payload, sort_keys=True, indent=2) and a newline.
+The one matrix encoder, _entry_texts, reads (scale, stack) as linalg.clear
+lays it out; objects are cleared first, and a transfer family is written
+from the stack it keeps.  The text is written directly, with the bytes of
+json.dumps(payload, sort_keys=True, indent=2) and a newline.
 """
 
 from __future__ import annotations
@@ -85,7 +81,7 @@ def _dump(value, depth: int = 0) -> str:
     if isinstance(value, dict):
         return _block("{", [f"{json.dumps(key)}: {_dump(value[key], depth + 1)}"
                             for key in sorted(value)], "}", depth)
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return _block("[", [_dump(x, depth + 1) for x in value], "]", depth)
     if callable(value):
         return value(depth)

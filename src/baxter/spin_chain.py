@@ -174,11 +174,6 @@ class TransferFamily:
             return (names, *linalg.clear(self._matrix.data, names))
         return self._cleared
 
-    @property
-    def variable(self) -> str:
-        names = self._cleared[0] if self._cleared else self._matrix.variables()
-        return names[0] if names else "u"
-
     def __eq__(self, other):
         if not isinstance(other, TransferFamily):
             return NotImplemented

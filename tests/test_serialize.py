@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from baxter.linalg import clear, narrow
 from baxter.poly import Poly
 from baxter.scalars import Ext
-from baxter.serialize import ParseError, ShapeError, VersionError, decode, \
+from baxter.serialize import ParseError, ShapeError, VersionError, _dump, decode, \
     encode, load, save
 from baxter.solutions import (SpectralRMatrix, conjugator_T, example1_R,
                               example2_solution, yangian_sl_R, yangian_so_R)
@@ -293,6 +293,12 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3),
                                                                 inner, max_size=3),
     max_leaves=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert _dump(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def _slots(node):
