@@ -440,11 +440,22 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return r[:, n:]
 
 
-def vandermonde_inverse(points) -> np.ndarray:
-    """Exact inverse of the Vandermonde matrix [x**j] on distinct points: row
-    j maps a polynomial's values at the points to its coefficient of t**j."""
-    return inverse(object_matrix([[Fraction(x) ** j for j in range(len(points))]
-                                  for x in points]))
+def lagrange_weights(k: int):
+    """(weights, denominator): the inverse of the Vandermonde matrix [x**j] on
+    the points 0..k-1, an integer object matrix over its least common
+    denominator.  Column i is the Lagrange basis polynomial
+    prod_{m != i} (t - m) / prod_{m != i} (i - m), over (k-1)!, which
+    divides every i! (k-1-i)!; the common gcd is then removed."""
+    full, cols = math.factorial(k - 1), []
+    for i in range(k):
+        coeffs, below = [1], 1
+        for m in range(k):
+            if m != i:  # times (t - m)
+                coeffs = [a - m * b for a, b in zip([0] + coeffs, coeffs + [0])]
+                below *= i - m
+        cols.append([c * (full // below) for c in coeffs])
+    g = math.gcd(full, *(c for col in cols for c in col))
+    return object_matrix([[col[j] // g for col in cols] for j in range(k)]), full // g
 
 
 def det(a: np.ndarray):

@@ -8,7 +8,9 @@ rejects anything non-canonical, with the JSON path of the offence.
 The one matrix encoder, _entry_texts, reads (scale, stack) as linalg.clear
 lays it out; objects are cleared first, and a transfer family is written
 from the stack it keeps.  The text is written directly, with the bytes of
-json.dumps(payload, sort_keys=True, indent=2) and a newline.
+json.dumps(payload, sort_keys=True, indent=2) and a newline.  The reader
+decodes each distinct cell once and seeds the matrix's cleared form with
+one linalg.clear of the distinct values, gathered back by cell.
 """
 
 from __future__ import annotations
@@ -217,13 +219,24 @@ def _decode_matrix_payload(payload: dict) -> TensorMatrix:
     entries = payload.get("entries")
     if not isinstance(entries, list) or len(entries) != size:
         raise ShapeError(f"expected {size} rows for site_dim {site_dim} and legs {legs}")
-    data = np.empty((size, size), dtype=object)
+    # each distinct cell, told apart by its JSON structure (repr keeps 1 and
+    # "1" apart), is decoded once, at its first location in row-major order
+    seen, values, ids = {}, [], []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != size:
             raise ShapeError(f"row {i} does not have {size} entries")
-        for j, cell in enumerate(row):
-            data[i, j] = _decode_entry(cell, field, variables, f"entries[{i}][{j}]")
-    return TensorMatrix(site_dim, legs, data)
+        for j, key in enumerate(map(repr, row)):
+            if key not in seen:
+                seen[key] = len(values)
+                values.append(_decode_entry(row[j], field, variables, f"entries[{i}][{j}]"))
+            ids.append(seen[key])
+    distinct = linalg.object_matrix([values])
+    matrix = TensorMatrix._checked(site_dim, legs, distinct[0, ids].reshape(size, size))
+    names = tuple(variables)  # every entry is a Poly in them, or there are none
+    scale, stack = linalg.clear(distinct, names)
+    matrix._seed(names, scale, [c[..., 0, ids].reshape(c.shape[:-2] + (size, size))
+                                for c in stack])
+    return matrix
 
 
 # -- reports ---------------------------------------------------------------
@@ -333,12 +346,12 @@ def encode(obj) -> str:
     family or report; every matrix is written from its cleared stack."""
     if isinstance(obj, TensorMatrix):
         names = obj.variables()
-        scale, stack = linalg.clear(obj.data, names)
+        scale, stack = obj.cleared(names)
         payload = {"kind": "matrix", **_matrix_fields(obj.site_dim, obj.legs, names, scale,
                                                       stack, _field(stack))}
     elif isinstance(obj, SpectralRMatrix):
         names = (obj.variable,)
-        scale, stack = linalg.clear(obj.numerator.data, names)
+        scale, stack = obj.numerator.cleared(names)
         scale_d, stack_d = linalg.clear(linalg.object_matrix([[obj.denominator]]), names)
         field = _field(stack, stack_d)
         payload = {

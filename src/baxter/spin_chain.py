@@ -69,7 +69,7 @@ def _bond_stack(density: TensorMatrix, spec: ChainSpec):
     n, sites = density.site_dim, spec.sites
     size = tensor.dense_dim(n, sites)
     names = density.variables()
-    scale, stack = linalg.clear(density.data, names)
+    scale, stack = density.cleared(names)
     grid = stack[0].shape[:len(names)]
     eye = [np.eye(size, dtype=np.int64).reshape((n,) * sites + (size,))]
     layers = [linalg.int_sum(*(linalg.apply_legs([c[e] for c in stack], eye, pair)
@@ -115,7 +115,7 @@ def _derived_density(r: SpectralRMatrix) -> TensorMatrix:
     # the slope N'(0) is layer 1 of the cleared numerator, and row (i, j) of
     # P N'(0) is its row (j, i)
     n = r.site_dim
-    scale, stack = linalg.clear(r.numerator.data, (r.variable,))
+    scale, stack = r.numerator.cleared((r.variable,))
     swap = np.arange(n * n).reshape(n, n).T.ravel()
     slope = [c[1][swap] if len(c) > 1 else np.zeros_like(c[0]) for c in stack]
     density = TensorMatrix._checked(n, 2, linalg.rebuild(scale, (), slope, {}))
@@ -171,7 +171,7 @@ class TransferFamily:
         terms."""
         if self._cleared is None:
             names = self._matrix.variables()
-            return (names, *linalg.clear(self._matrix.data, names))
+            return (names, *self._matrix.cleared(names))
         return self._cleared
 
     def __eq__(self, other):
@@ -199,11 +199,11 @@ def _transfer_stack(r: SpectralRMatrix, spec: ChainSpec):
     n = r.site_dim
     sites = spec.sites
     size = tensor.dense_dim(n, sites + 1) // n
-    scale, stack = linalg.clear(r.numerator.data, (r.variable,))
-    points = range(sites * (len(stack[0]) - 1) + 1)
+    scale, stack = r.numerator.cleared((r.variable,))
+    points = sites * (len(stack[0]) - 1) + 1
     eye = [np.eye(n * size, dtype=np.int64).reshape((n,) * (sites + 1) + (-1,))]
     tables = []
-    for x in points:
+    for x in range(points):
         value = verify.int_values(stack, x)
         prod = eye
         for k in range(1, sites + 1):
@@ -211,7 +211,7 @@ def _transfer_stack(r: SpectralRMatrix, spec: ChainSpec):
         blocks = [[c.reshape(n, size, n, size)[a, :, a, :] for c in prod]
                   for a in range(n)]
         tables.append([c.reshape(1, -1) for c in linalg.int_sum(*blocks)])
-    weights, denominator = linalg.scale_to_int(linalg.vandermonde_inverse(points))
+    weights, denominator = linalg.lagrange_weights(points)
     coeffs = linalg.int_product([linalg.narrow(weights)],
                                 [np.concatenate(c) for c in zip(*tables)])
     return denominator * scale ** sites, [c.reshape(-1, size, size) for c in coeffs]
@@ -251,7 +251,7 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
         if len(names) > 1:
             raise ValueError(f"expected at most one variable, found {names}")
         # a constant is a polynomial of degree 0 in a placeholder variable
-        return linalg.clear(m.data, names or ("u",))
+        return m.cleared(names or ("u",))
 
     first = cleared(ma)
     return _commutation_grid(first, first if mb is ma else cleared(mb), grid_margin)
@@ -325,7 +325,7 @@ def _affine_fit(first, second, n: int, legs: int, conj):
     (scale1, stack1), (scale2, stack2) = first, second
     size = n ** legs
     if conj is not None:
-        scale_c, c = linalg.clear(conj.data)
+        scale_c, c = conj.cleared()
         scale_i, inv_t = linalg.clear(conj.inverse().data.T)
         grid2 = stack2[0].shape[:-2]
         # one axis per row leg, one per column leg, then the monomials

@@ -4,6 +4,9 @@ A TensorMatrix acts on (C^n)^{tensor legs} and stores its entries densely.
 The composite basis is row-major: e_{i1} tensor ... tensor e_{il} has index
 ((i1-1)*n + (i2-1))*n + ... with 1-based leg indices.  Entries are exact
 scalars or Poly values; floats never enter.
+A matrix is immutable: variables() and cleared(names), linalg.clear of its
+entries, are computed once and kept read-only in a memo slot made on first
+use, which the reader (serialize.decode) seeds.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ def _leg_reorder(n: int, legs: int, source: tuple) -> np.ndarray:
 
 
 class TensorMatrix:
-    __slots__ = ("site_dim", "legs", "data")
+    __slots__ = ("site_dim", "legs", "data", "_memo")
 
     def __init__(self, site_dim: int, legs: int, entries):
         if site_dim < 1 or legs < 1:
@@ -81,6 +84,25 @@ class TensorMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorMatrix is immutable")
+
+    def _memory(self) -> dict:
+        if not hasattr(self, "_memo"):
+            object.__setattr__(self, "_memo", {})
+        return self._memo
+
+    def _seed(self, names: tuple, scale: int, stack: list) -> None:
+        """Keep (scale, stack), made read-only, as cleared(names)."""
+        for c in stack:
+            c.flags.writeable = False
+        self._memory()[names] = (scale, stack)
+
+    def cleared(self, names=()):
+        """linalg.clear(self.data, names), computed once per names; its
+        arrays are read-only."""
+        if tuple(names) not in self._memory():
+            self._seed(tuple(names), *linalg.clear(self.data, names))
+        scale, stack = self._memo[tuple(names)]
+        return scale, list(stack)
 
     # -- constructors ----------------------------------------------------
 
@@ -184,19 +206,14 @@ class TensorMatrix:
     # -- polynomial entries --------------------------------------------------
 
     def variables(self) -> tuple:
-        names = set()
-        for x in self.data.flat:
-            if isinstance(x, Poly):
-                names.update(x.vars)
-        return tuple(sorted(names))
-
-    def max_degree(self, var=None) -> int:
-        best = 0
-        for x in self.data.flat:
-            if isinstance(x, Poly):
-                if var is None or var in x.vars:
-                    best = max(best, x.degree(var) if var else x.degree())
-        return best
+        memo = self._memory()
+        if "variables" not in memo:
+            names = set()
+            for x in self.data.flat:
+                if isinstance(x, Poly):
+                    names.update(x.vars)
+            memo["variables"] = tuple(sorted(names))
+        return memo["variables"]
 
     def substitute(self, assignment: dict) -> "TensorMatrix":
         out = np.empty(self.data.shape, dtype=object)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cache
 from itertools import product
 
@@ -88,7 +89,7 @@ def _single_variable(m: TensorMatrix) -> str:
 
 def uniform_int_scale(m: TensorMatrix):
     """(scale, scaled entries) with every coefficient an integer."""
-    scale = linalg.clear(m.data, m.variables())[0]
+    scale = m.cleared(m.variables())[0]
     return scale, m.data if scale == 1 else (m * scale).data
 
 
@@ -166,10 +167,12 @@ def _add_weighted(sums: dict, weights: dict, term: list):
 
 
 def interpolate_grid(xs, ys, table):
-    """Exact bivariate coefficients c[i][j] from values on a product grid."""
-    values = linalg.object_matrix(table)
-    return linalg.matmul(linalg.matmul(linalg.vandermonde_inverse(xs), values),
-                         linalg.vandermonde_inverse(ys).T)
+    """Exact bivariate coefficients c[i][j] from values on the product grid of
+    xs = 0..len(xs)-1 and ys = 0..len(ys)-1."""
+    inverse = [linalg.object_matrix([[Fraction(w, denominator) for w in row]
+                                     for row in weights.tolist()])
+               for weights, denominator in map(linalg.lagrange_weights, (len(xs), len(ys)))]
+    return linalg.matmul(linalg.matmul(inverse[0], linalg.object_matrix(table)), inverse[1].T)
 
 
 def grid_report(identity_name, diff_at, degree_a, degree_b,
@@ -257,9 +260,9 @@ def _leg_symmetric(stack: list, swap: np.ndarray) -> bool:
 
 
 def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationReport:
-    var = _single_variable(num)
-    degree = num.max_degree(var)
+    _single_variable(num)  # refuses a numerator in no variable or in two
     _, _, scale, stack, swap = _cleared_two_leg(num, "Yang-Baxter")
+    degree = len(stack[0]) - 1
     symmetric = _leg_symmetric(stack, swap)
     rows = linalg.padded(stack)
     values, lefts, right = {}, {}, {}
@@ -333,7 +336,7 @@ def _ybe_spectral_poly(num: TensorMatrix) -> VerificationReport:
     """Cross-check without a grid: for the cleared layers R_e of the
     numerator, the difference is the sum of a^i (a+b)^k b^l W(R_i, R_k, R_l),
     and every (a, b)-coefficient of it is compared with zero."""
-    scale, stack = linalg.clear(num.data, (_single_variable(num),))
+    scale, stack = num.cleared((_single_variable(num),))
     layers = [[linalg.narrow(c[e]) for c in stack] for e in range(len(stack[0]))]
     eye = _three_legs(num.site_dim)
     x12 = [linalg.apply_legs(r, eye, (1, 2)) for r in layers]
@@ -452,7 +455,7 @@ def _cleared_two_leg(r, check: str):
     if num.legs != 2:
         raise ValueError(f"{check} check expects a two-leg matrix")
     var, n = _single_variable(num) if num.variables() else "u", num.site_dim
-    return (num, var, *linalg.clear(num.data, (var,)),
+    return (num, var, *num.cleared((var,)),
             np.arange(n * n).reshape(n, n).T.ravel())
 
 

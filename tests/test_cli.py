@@ -244,12 +244,37 @@ def _non_canonical_inputs(folder):
     return out
 
 
+def _non_canonical_cells(folder):
+    """(location, path) of matrix and spectral files with one cell written
+    otherwise than the writer writes it: a malformed cell repeated, and cells
+    equal in value to an earlier one but not in JSON (1 and "1", ["1"] and
+    "1", "2/4" and "1/2"); each is refused at its first location."""
+    matrix = json.loads(encode(permutation_op(2)))
+    spectral = json.loads(encode(yangian_sl_R(2)))
+    bad = [(matrix, {(1, 3): "01", (2, 0): "01", (3, 3): "01"}, "entries[1][3]"),
+           (matrix, {(1, 2): 1}, "entries[1][2]"),
+           (matrix, {(2, 1): ["1"]}, "entries[2][1]"),
+           (matrix, {(0, 1): "1/2", (0, 2): "2/4", (3, 1): "2/4"}, "entries[0][2]"),
+           (spectral, {(3, 0): [1], (3, 2): [1]}, "entries[3][0][0]")]
+    out = []
+    for k, (base, cells, location) in enumerate(bad):
+        doc = json.loads(json.dumps(base))
+        for (i, j), cell in cells.items():
+            doc["entries"][i][j] = cell
+        path = folder / f"non-canonical-cell-{k}.yb"
+        path.write_text(json.dumps(doc))
+        out.append((location, str(path)))
+    return out
+
+
 def test_degenerate_inputs_keep_the_exit_code_contract(tmp_path, capsys):
     # 6 inputs x 12 commands: exit 0 or 1 after a verification, 2 on bad
     # input, and never an exception out of main (a traceback from the script);
-    # 6 non-canonical inputs x 12 commands: exit 2, naming the bad field
+    # 6 non-canonical inputs and 5 non-canonical cells x 12 commands: exit 2,
+    # naming the bad field or cell
     paths = _degenerate_inputs(tmp_path)
-    inputs = [(None, path) for path in paths.values()] + _non_canonical_inputs(tmp_path)
+    inputs = ([(None, path) for path in paths.values()] + _non_canonical_inputs(tmp_path)
+              + _non_canonical_cells(tmp_path))
     for field, path in inputs:
         for command in SWEEP:
             argv = [*command, path] if command[-1] == "--against" else [*command]

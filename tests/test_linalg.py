@@ -217,6 +217,20 @@ def test_inverse_over_extension():
     assert prod[0, 1] == 0 and prod[1, 0] == 0
 
 
+def test_lagrange_weights_are_the_cleared_vandermonde_inverse():
+    # the reference: the Vandermonde matrix on 0..k-1 inverted by exact
+    # Gauss-Jordan, then brought over its least common denominator
+    for k in range(1, 13):
+        vandermonde = linalg.object_matrix([[Fraction(x) ** j for j in range(k)]
+                                            for x in range(k)])
+        want, want_denominator = linalg.scale_to_int(linalg.inverse(vandermonde))
+        weights, denominator = linalg.lagrange_weights(k)
+        assert denominator == want_denominator, k
+        assert weights.dtype == object and weights.shape == (k, k)
+        assert weights.tolist() == want.tolist(), k
+        assert all(type(w) is int for w in weights.flat)
+
+
 def test_singular_matrix_raises():
     a = linalg.object_matrix([[1, 2], [2, 4]])
     with pytest.raises(linalg.SingularMatrixError):

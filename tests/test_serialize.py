@@ -12,7 +12,7 @@ from baxter.poly import Poly
 from baxter.scalars import Ext
 from baxter.serialize import ParseError, ShapeError, VersionError, _dump, decode, \
     encode, load, save
-from baxter.solutions import (SpectralRMatrix, conjugator_T, example1_R,
+from baxter.solutions import (Realization, SpectralRMatrix, conjugator_T, example1_R,
                               example2_solution, yangian_sl_R, yangian_so_R)
 from baxter.spin_chain import ChainSpec, TransferFamily, transfer_matrix
 from baxter.tensor import TensorMatrix, kron, matrix_unit, permutation_op
@@ -82,6 +82,28 @@ def test_parse_error_reports_location():
     with pytest.raises(ParseError) as err:
         decode(flat_matrix(["0", "0", "0", "2/4"]))
     assert "entries[1][1]" in str(err.value)
+
+
+@pytest.mark.parametrize("atoms, location", [
+    (["1", "0", "+1", "+1"], "entries[1][0]"),
+    (["1", 1, "0", 1], "entries[0][1]"),
+    (["1", "0", ["1"], "1"], "entries[1][0]"),
+    (["1/2", "0", "2/4", "2/4"], "entries[1][0]"),
+])
+def test_cells_are_told_apart_by_their_json(atoms, location):
+    # a cell is decoded once per distinct JSON text: a malformed one is
+    # refused at its first location, and a cell equal in value to a good one
+    # but written otherwise (1 and "1", ["1"] and "1", "2/4" and "1/2") is
+    # refused at its own
+    with pytest.raises(ParseError) as err:
+        decode(flat_matrix(atoms))
+    assert err.value.location == location
+    doc = json.loads(flat_matrix(["0"] * 4))
+    doc["variables"] = ["u"]
+    doc["entries"] = [[["1"], ["1"]], [[1], ["1"]]]
+    with pytest.raises(ParseError) as err:
+        decode(json.dumps(doc))
+    assert err.value.location == "entries[1][0][0]"
 
 
 def test_version_errors():
@@ -392,6 +414,51 @@ def test_encode_decode_round_trip_is_byte_exact(obj):
         assert back == obj
 
 
+def _held_matrices(obj) -> list:
+    """The matrices a decoded object holds."""
+    if isinstance(obj, SpectralRMatrix):
+        return [obj.numerator]
+    if isinstance(obj, TransferFamily):
+        return [obj.matrix]
+    return [obj] if isinstance(obj, TensorMatrix) else []
+
+
+def _assert_cleared_is_clear(m: TensorMatrix):
+    """m.cleared(names) is linalg.clear(m.data, names) exactly, in no variable
+    and in u, and what it keeps is read-only."""
+    assert m.variables() == tuple(sorted({v for x in m.data.flat if isinstance(x, Poly)
+                                          for v in x.vars}))
+    for names in ((), ("u",)):
+        try:
+            scale, stack = clear(m.data, names)
+        except ValueError:
+            with pytest.raises(ValueError):
+                m.cleared(names)
+            continue
+        got_scale, got = m.cleared(names)
+        assert got_scale == scale and len(got) == len(stack)
+        for a, b in zip(got, stack):
+            assert a.dtype == b.dtype == object and a.shape == b.shape
+            assert a.tolist() == b.tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+        assert m.cleared(names)[1][0] is got[0]
+
+
+def test_decoded_matrices_hold_the_clear_of_their_entries():
+    for obj in (permutation_op(3), conjugator_T(3), yangian_so_R(4),
+                example2_solution(4, Realization.SKEW)):
+        (m,) = _held_matrices(decode(encode(obj)))
+        _assert_cleared_is_clear(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(encodable())
+def test_the_seeded_clear_of_a_decoded_matrix_is_linalg_clear(obj):
+    for m in _held_matrices(decode(encode(obj))):
+        _assert_cleared_is_clear(m)
+
+
 # -- the object encoder, the slow reference of the stack encoder ---------------
 
 
@@ -482,7 +549,9 @@ def _lifted(m: TensorMatrix) -> TensorMatrix:
     """m with every entry a Poly in u, as a family rebuilt from a stack holds it."""
     data = np.empty(m.data.shape, dtype=object)
     for idx, x in np.ndenumerate(m.data):
-        data[idx] = Poly.lift(x, ("u",))
+        # lift returns a Poly in no variable as it is: lift its value
+        data[idx] = Poly.lift(x.constant_value() if isinstance(x, Poly) and not x.vars
+                              else x, ("u",))
     return TensorMatrix(m.site_dim, m.legs, data)
 
 

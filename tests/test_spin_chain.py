@@ -276,7 +276,7 @@ def test_transfer_matrix_at_origin_is_shift():
         fam = transfer_matrix(yangian_sl_R(2), ChainSpec(sites))
         assert fam.sites == sites and fam.aux_dim == 2
         assert fam.matrix.substitute({"u": 0}) == shift_operator(sites)
-        assert fam.matrix.max_degree("u") <= sites
+        assert len(fam.matrix.cleared(("u",))[1][0]) - 1 <= sites
 
 
 def test_transfer_matches_dense_product(monkeypatch):

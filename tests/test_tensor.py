@@ -212,7 +212,7 @@ def test_poly_entries_and_substitute():
     p = permutation_op(2)
     family = TensorMatrix.identity(2, 2) * u + p
     assert family.variables() == ("u",)
-    assert family.max_degree("u") == 1
+    assert len(family.cleared(("u",))[1][0]) == 2  # layers for u^0 and u^1
     assert family.substitute({"u": 0}) == p
     assert family.coefficient("u", 1) == TensorMatrix.identity(2, 2)
     shifted = family.substitute({"u": Poly.variable("a") + Poly.variable("b")})

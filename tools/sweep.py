@@ -3,26 +3,31 @@ per fresh interpreter.
 
 Each case times one call in a new Python process, with the given `src`
 first on PYTHONPATH, so no case inherits another's caches or heap: a
-`check_ybe` call on one built solution, or one `baxter chain transfer` /
-`baxter chain hamiltonian` command line, run in-process through
-`baxter.cli.main` and written to a file.  A case runs three times per
+`check_ybe` call on one built solution, or one `baxter verify`,
+`baxter chain transfer` or `baxter chain hamiltonian` command line, run
+in-process through `baxter.cli.main` and written to a file.  A command
+line's `--in` file is written before the clock starts, so its time
+includes reading it.  A case runs three times per
 source; the sources take turns within each repetition, so a drift of the
 host's speed falls on all of them alike.  For every source the output
 records, per case, each wall time, their median, the largest `ru_maxrss`
 of the child processes (the whole process: imports, construction and the
-timed call) and the report line (the exit code for a command line), and
-for a command line the sha256 of the file it wrote.  Report lines and
+timed call) and the report line (for a command line, its exit code and
+the lines it printed), and for a command line the sha256 of the file it
+wrote (`--report` for verify, `--out` for chain).  Report lines and
 file hashes must agree between sources.
 
     python3 tools/sweep.py --src parent=../parent/src --src change=src \\
-        --out BENCH_pr13.json
+        --out BENCH_pr14.json
 
 Cases (see CASES): spectral so(N), N = 3..9, in both realizations and
 sl(n), n = 2..4, whose numerators satisfy R21 = R12; the skew twisted
 solution, N = 4..7, whose numerator does not; `--method poly` on so(3)
 and so(4); `chain transfer` on the baxterized n = 2 family at tau = 1
 and on yangian sl(2), L = 3..6; `chain hamiltonian` at xi = 1 on a
-periodic chain, L = 3..8.
+periodic chain, L = 3..8; `verify unitarity --in` the twisted solution,
+N = 4..6, in both realizations; `verify ybe --spectral --in` so(N),
+N = 3..7, antidiagonal.
 """
 
 from __future__ import annotations
@@ -51,24 +56,29 @@ print(json.dumps({{"wall_s": wall, "report": str(report),
                   "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}}))
 """
 
-# a command line writing to a file, after its --in file (when given) is built
+# a command line writing to a file with the option given, after its --in file
+# (when given) is built and written
 COMMAND = """
-import hashlib, json, resource, tempfile, time
+import contextlib, hashlib, io, json, resource, tempfile, time
 from pathlib import Path
 from baxter import serialize
 from baxter.cli import main
-from baxter.solutions import baxterize, example1_R, yangian_sl_R
+from baxter.solutions import (Realization, baxterize, example1_R, example2_solution,
+                              yangian_sl_R, yangian_so_R)
 with tempfile.TemporaryDirectory() as folder:
     source, out = Path(folder, "in.yb"), Path(folder, "out.yb")
     argv, built = {argv!r}, {build}
     if built is not None:
         serialize.save(built, source)
         argv += ["--in", str(source)]
+    printed = io.StringIO()
     start = time.perf_counter()
-    code = main([*argv, "--out", str(out)])
+    with contextlib.redirect_stdout(printed):
+        code = main([*argv, {option!r}, str(out)])
     wall = time.perf_counter() - start
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-print(json.dumps({{"wall_s": wall, "report": f"exit {{code}}", "sha256": digest,
+report = "; ".join([f"exit {{code}}", *printed.getvalue().splitlines()])
+print(json.dumps({{"wall_s": wall, "report": report, "sha256": digest,
                   "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}}))
 """
 
@@ -83,13 +93,21 @@ CASES = {
        for N in (4, 5, 6, 7)},
     **{f"so{N}-antidiag-poly": YBE.format(build=f"yangian_so_R({N})", method="poly")
        for N in (3, 4)},
-    **{f"transfer-{name}-{L}": COMMAND.format(build=build,
+    **{f"transfer-{name}-{L}": COMMAND.format(build=build, option="--out",
                                               argv=["chain", "transfer", "--sites", str(L)])
        for name, build in (("bx2", "baxterize(example1_R(2, 1))"), ("sl2", "yangian_sl_R(2)"))
        for L in range(3, 7)},
-    **{f"hamiltonian-{L}": COMMAND.format(build="None", argv=["chain", "hamiltonian", "--sites",
-                                                          str(L), "--xi", "1"])
+    **{f"hamiltonian-{L}": COMMAND.format(build="None", option="--out",
+                                          argv=["chain", "hamiltonian", "--sites", str(L),
+                                                "--xi", "1"])
        for L in range(3, 9)},
+    **{f"unitarity-file-twisted{N}-{r}": COMMAND.format(
+        build=f"example2_solution({N}, Realization.{r.upper()})", option="--report",
+        argv=["verify", "unitarity"])
+       for N in (4, 5, 6) for r in ("antidiag", "skew")},
+    **{f"ybe-file-so{N}-antidiag": COMMAND.format(build=f"yangian_so_R({N})", option="--report",
+                                                  argv=["verify", "ybe", "--spectral"])
+       for N in range(3, 8)},
 }
 
 
@@ -138,9 +156,10 @@ def main(argv=None) -> int:
         sources[label] = Path(path)
     blocks = sweep(sources)
     out = {
-        "what": "wall time of check_ybe or of one command line (median of the repeats, "
-                "each in a fresh interpreter), the largest ru_maxrss of those interpreters, "
-                "and the sha256 of the file a command line wrote, per case",
+        "what": "wall time of check_ybe or of one command line, reading its --in file "
+                "(median of the repeats, each in a fresh interpreter), the largest ru_maxrss "
+                "of those interpreters, and the sha256 of the file a command line wrote, "
+                "per case",
         "machine": {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
                     "cpus": os.cpu_count(), "system": platform.system(),
                     "machine": platform.machine()},
