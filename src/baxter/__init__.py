@@ -10,8 +10,6 @@ from .scalars import Ext, IM, SQRT2
 from .tensor import (
     TensorMatrix,
     anti_diagonal_form,
-    embed_pair,
-    embed_two_leg,
     kron,
     matrix_unit,
     permutation_op,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 import numpy as np
@@ -97,10 +97,18 @@ def max_abs(a: np.ndarray) -> int:
     return int(np.abs(a).max()) if a.size else 0
 
 
-def narrow(a: np.ndarray) -> np.ndarray:
-    """An integer array as int64 when every entry is below 2**62 in
-    absolute value, otherwise as Python-int objects."""
-    return a.astype(np.int64) if max_abs(a) < INT64_SAFE else a.astype(object)
+def kernel_dtype(bound: int):
+    """int64 for integers below 2**62 in absolute value, the kernel's
+    bound, else Python-int objects."""
+    return np.int64 if bound < INT64_SAFE else object
+
+
+def narrow(stack: list) -> list:
+    """A component list of integer arrays in one dtype: int64 when every
+    entry of every component is below 2**62 in absolute value, else
+    Python-int objects."""
+    dtype = kernel_dtype(max(map(max_abs, stack)))
+    return [c.astype(dtype, copy=False) for c in stack]
 
 
 class Padded:
@@ -167,10 +175,7 @@ def int_product(a, b: list) -> list:
         for j, mb in enumerate(max_b):
             k, coeff = _EXT_RULE[i, j]
             bound[k] += abs(coeff) * ma * mb
-    if max(*max_a, *max_b, inner * max(bound)) < INT64_SAFE:
-        dtype = np.int64
-    else:
-        dtype = object
+    dtype = kernel_dtype(max(*max_a, *max_b, inner * max(bound)))
     if rows is None:
         contract = np.matmul
     else:
@@ -222,8 +227,7 @@ def int_sum(*terms) -> list:
     """Exact sum of integer component lists, the narrower ones padded with
     zeros; int64 when the sum of the terms' largest entries stays below
     2**62, Python ints otherwise."""
-    bound = sum(max_abs(c) for term in terms for c in term)
-    dtype = np.int64 if bound < INT64_SAFE else object
+    dtype = kernel_dtype(sum(max_abs(c) for term in terms for c in term))
     out = [np.zeros(terms[0][0].shape, dtype=dtype) for _ in range(max(map(len, terms)))]
     for term in terms:
         for acc, c in zip(out, term):
@@ -243,10 +247,13 @@ def clear(a: np.ndarray, names=()):
     """(scale, stack): the integer coefficients of scale * a, scale being the
     least common denominator of every coefficient component.
 
-    stack holds one (rational) or four (Q(i, sqrt2)) integer arrays of shape
-    grid + a.shape, one grid axis per variable in names as long as its
-    highest power plus one; element (e, i, j) is the coefficient of x^e in
-    scale * a[i, j].  Entries in a variable outside names raise ValueError.
+    stack is a component list of the kernel (see int_product): one
+    (rational) or four (Q(i, sqrt2)) integer arrays of shape grid + a.shape,
+    one grid axis per variable in names as long as its highest power plus
+    one; element (e, i, j) is the coefficient of x^e in scale * a[i, j].
+    The arrays are int64 when every entry of the stack is below 2**62 in
+    absolute value, and Python-int objects otherwise (narrow).  Entries in
+    a variable outside names raise ValueError.
     """
     values = a.ravel().tolist()
     return _clear(values, set(map(type, values)), a.shape, names)
@@ -257,8 +264,7 @@ def _clear(values: list, kinds: set, shape: tuple, names):
     types, kinds, the caller has already collected."""
     if kinds <= {int, Fraction}:
         ints, scale = _rational_ints(values)
-        out = np.empty(len(values), dtype=object)
-        out[:] = ints
+        out = np.array(ints, dtype=kernel_dtype(max(map(abs, ints), default=0)))
         return scale, [out.reshape((1,) * len(names) + shape)]
     terms, origin = [], (0,) * len(names)
     for idx, x in enumerate(values):
@@ -279,7 +285,7 @@ def _clear(values: list, kinds: set, shape: tuple, names):
     ints, scale = scale_to_int(parts)
     at = np.array([e for e, _ in terms], dtype=np.intp).reshape(-1, len(names) + 1).T
     grid = tuple(max(row, default=0) + 1 for row in at[:-1].tolist())
-    stack = np.zeros((width,) + grid + (len(values),), dtype=object)
+    stack = np.zeros((width,) + grid + (len(values),), dtype=kernel_dtype(max_abs(ints)))
     stack[(slice(None), *at)] = ints
     return scale, list(stack.reshape((width,) + grid + shape))
 
@@ -288,37 +294,46 @@ def lowest_terms(scale: int, stack: list):
     """(scale, stack) as clear returns it, in one variable, for the matrix
     whose every entry is the Poly of rebuild(scale, names, stack, polys): the
     scale and every coefficient divided by their gcd, the trailing layers
-    that are zero throughout dropped (one layer stays), and the extension
-    components dropped when all three are zero throughout."""
+    that are zero throughout dropped (one layer stays), the extension
+    components dropped when all three are zero throughout, and the result
+    narrowed."""
     g = math.gcd(scale, *(int(np.gcd.reduce(c, axis=None)) for c in stack))
     if g > 1:
-        scale, stack = scale // g, [c // g for c in stack]
+        # a stack that is zero throughout has the scale as its gcd, which
+        # int64 division cannot take above the kernel's bound
+        scale = scale // g
+        stack = [(c if g < INT64_SAFE else c.astype(object)) // g for c in stack]
     live = np.logical_or.reduce([c != 0 for c in stack]).reshape(len(stack[0]), -1).any(axis=1)
     layers = int(np.flatnonzero(live)[-1]) + 1 if live.any() else 1
     stack = [c[:layers] for c in stack]
     if len(stack) == 4 and not any(c.any() for c in stack[1:]):
         stack = stack[:1]
-    return scale, stack
+    return scale, narrow(stack)
 
 
 def rebuild(scale: int, names, stack: list, polys: dict) -> np.ndarray:
     """The object matrix stack / scale for a stack laid out as clear's; polys
     maps the flat index of each Poly entry to its variables.  Scalars and
     coefficients are Python ints when the stack is rational and scale is 1,
-    else ext_value's."""
+    else ext_value's; equal values and equal Poly entries are built once
+    and shared."""
     m, n = stack[0].shape[len(names):]
     layers = [c.reshape(-1, m * n) for c in stack]
     plain = len(stack) == 1 and scale == 1
+    value = cache(lambda parts: parts[0] if plain else ext_value(parts, scale))
     out = np.empty(m * n, dtype=object)
     out[:] = (layers[0][0].tolist() if plain else
-              [ext_value(parts, scale) for parts in zip(*(c[0].tolist() for c in layers))])
+              list(map(value, zip(*(c[0].tolist() for c in layers)))))
     exps = list(product(*map(range, stack[0].shape[:len(names)]))) if polys else []
     by_entry = [c.T.tolist() for c in layers] if polys else []
+    made = {}
     for p, own in polys.items():
-        keep = [names.index(v) for v in own]
-        coeffs = zip(exps, zip(*(c[p] for c in by_entry)))
-        out[p] = Poly(own, {tuple(e[k] for k in keep): parts[0] if plain
-                            else ext_value(parts, scale) for e, parts in coeffs if any(parts)})
+        key = (own, *(tuple(c[p]) for c in by_entry))
+        if key not in made:
+            keep = [names.index(v) for v in own]
+            made[key] = Poly(own, {tuple(e[k] for k in keep): value(parts)
+                                   for e, parts in zip(exps, zip(*key[1:])) if any(parts)})
+        out[p] = made[key]
     return out.reshape(m, n)
 
 

@@ -6,11 +6,13 @@ are ascending coefficient lists with no trailing zeros.  The reader
 rejects anything non-canonical, with the JSON path of the offence.
 
 The one matrix encoder, _entry_texts, reads (scale, stack) as linalg.clear
-lays it out; objects are cleared first, and a transfer family is written
-from the stack it keeps.  The text is written directly, with the bytes of
-json.dumps(payload, sort_keys=True, indent=2) and a newline.  The reader
-decodes each distinct cell once and seeds the matrix's cleared form with
-one linalg.clear of the distinct values, gathered back by cell.
+lays it out, from TensorMatrix.cleared: a chain operator, made by
+TensorMatrix.from_cleared, is written from the stack it was made on,
+without building or clearing its entries.  The text is written directly,
+with the bytes of json.dumps(payload, sort_keys=True, indent=2) and a
+newline.  The reader decodes each distinct cell once and makes the matrix
+with TensorMatrix.from_cleared on one linalg.clear of the distinct values,
+gathered back by cell.
 """
 
 from __future__ import annotations
@@ -140,18 +142,19 @@ def _entry_texts(scale: int, stack: list, field: str, polynomial: bool, depth: i
     return [texts[i * n:(i + 1) * n] for i in range(m)]
 
 
-def _matrix_fields(site_dim: int, legs: int, names, scale: int, stack: list,
-                   field: str) -> dict:
-    """The matrix fields of a payload, for the matrix stack / scale cleared
-    in names."""
+def _matrix_fields(m: TensorMatrix, names, *also) -> dict:
+    """The matrix fields of a payload for m cleared in names, in the field of
+    its stack and of the stacks also."""
     if len(names) > 1:
         raise ValueError("matrices in two variables are not serialized")
+    scale, stack = m.cleared(names)
+    field = _field(stack, *also)
 
     def entries(depth):
         rows = _entry_texts(scale, stack, field, bool(names), depth + 2)
         return _block("[", [_block("[", row, "]", depth + 1) for row in rows], "]", depth)
 
-    return {"field": field, "site_dim": site_dim, "legs": legs, "variables": list(names),
+    return {"field": field, "site_dim": m.site_dim, "legs": m.legs, "variables": list(names),
             "entries": entries}
 
 
@@ -230,13 +233,11 @@ def _decode_matrix_payload(payload: dict) -> TensorMatrix:
                 seen[key] = len(values)
                 values.append(_decode_entry(row[j], field, variables, f"entries[{i}][{j}]"))
             ids.append(seen[key])
-    distinct = linalg.object_matrix([values])
-    matrix = TensorMatrix._checked(site_dim, legs, distinct[0, ids].reshape(size, size))
     names = tuple(variables)  # every entry is a Poly in them, or there are none
-    scale, stack = linalg.clear(distinct, names)
-    matrix._seed(names, scale, [c[..., 0, ids].reshape(c.shape[:-2] + (size, size))
-                                for c in stack])
-    return matrix
+    scale, stack = linalg.clear(linalg.object_matrix([values]), names)
+    return TensorMatrix.from_cleared(site_dim, legs, names, scale,
+                                     [c[..., 0, ids].reshape(c.shape[:-2] + (size, size))
+                                      for c in stack])
 
 
 # -- reports ---------------------------------------------------------------
@@ -345,30 +346,20 @@ def encode(obj) -> str:
     """The canonical JSON text of a matrix, spectral R-matrix, transfer
     family or report; every matrix is written from its cleared stack."""
     if isinstance(obj, TensorMatrix):
-        names = obj.variables()
-        scale, stack = obj.cleared(names)
-        payload = {"kind": "matrix", **_matrix_fields(obj.site_dim, obj.legs, names, scale,
-                                                      stack, _field(stack))}
+        payload = {"kind": "matrix", **_matrix_fields(obj, obj.variables())}
     elif isinstance(obj, SpectralRMatrix):
         names = (obj.variable,)
-        scale, stack = obj.numerator.cleared(names)
         scale_d, stack_d = linalg.clear(linalg.object_matrix([[obj.denominator]]), names)
-        field = _field(stack, stack_d)
+        fields = _matrix_fields(obj.numerator, names, stack_d)
         payload = {
             "kind": "spectral",
-            **_matrix_fields(obj.site_dim, obj.numerator.legs, names, scale, stack, field),
-            "denominator": _one_entry(scale_d, stack_d, field, True),
+            **fields,
+            "denominator": _one_entry(scale_d, stack_d, fields["field"], True),
             "label": obj.label,
         }
     elif isinstance(obj, TransferFamily):
-        names, scale, stack = obj.cleared()
-        payload = {
-            "kind": "chain",
-            **_matrix_fields(obj.site_dim, obj.legs, names, scale, stack, _field(stack)),
-            "sites": obj.sites,
-            "aux_dim": obj.aux_dim,
-            "label": obj.label,
-        }
+        payload = {"kind": "chain", **_matrix_fields(obj.matrix, obj.matrix.variables()),
+                   "sites": obj.sites, "aux_dim": obj.aux_dim, "label": obj.label}
     elif isinstance(obj, VerificationReport):
         payload = {"kind": "report", **_report_payload(obj)}
     else:

@@ -3,7 +3,10 @@
 Hamiltonians are sums of a two-site density over the bonds of an open or
 periodic chain.  Transfer matrices are built from a spectral R-matrix by
 tracing out an auxiliary leg; entries stay exact polynomials via
-interpolation at integer points.
+interpolation at integer points.  Every chain operator is built on the
+integer kernel and made with TensorMatrix.from_cleared on its cleared
+stack, which commutation, calibration and the writer read; its entries
+are built only when read.
 """
 
 from __future__ import annotations
@@ -58,13 +61,12 @@ def bonds(spec: ChainSpec):
     return out
 
 
-def _bond_stack(density: TensorMatrix, spec: ChainSpec):
-    """(names, scale, stack): the bond sum of density cleared as linalg.clear
-    clears it, over the density's variables.
+def _bond_sum(density: TensorMatrix, spec: ChainSpec) -> TensorMatrix:
+    """The sum of density over the bonds, in the density's variables.
 
     The density is cleared once; each of its monomial layers is applied on
     every bond of an integer identity tensor with one axis per site, and
-    the results are summed, so no dense embedding is built.
+    the results are summed, so no dense embedding and no entry is built.
     """
     n, sites = density.site_dim, spec.sites
     size = tensor.dense_dim(n, sites)
@@ -75,18 +77,10 @@ def _bond_stack(density: TensorMatrix, spec: ChainSpec):
     layers = [linalg.int_sum(*(linalg.apply_legs([c[e] for c in stack], eye, pair)
                                for pair in bonds(spec)))
               for e in np.ndindex(grid)]
-    return names, scale, [np.stack([layer[k] for layer in layers]).reshape(grid + (size, size))
-                          for k in range(len(stack))]
-
-
-def _bond_sum(density: TensorMatrix, spec: ChainSpec) -> TensorMatrix:
-    """The sum of density over the bonds; its entries are polynomials in
-    the density's variables when the density has any."""
-    names, scale, stack = _bond_stack(density, spec)
-    size = stack[0].shape[-1]
-    polys = dict.fromkeys(range(size * size), names) if names else {}
-    return TensorMatrix._checked(density.site_dim, spec.sites,
-                                 linalg.rebuild(scale, names, stack, polys))
+    return TensorMatrix.from_cleared(
+        n, sites, names, scale,
+        [np.stack([layer[k] for layer in layers]).reshape(grid + (size, size))
+         for k in range(len(stack))])
 
 
 def _remark_density(xi) -> TensorMatrix:
@@ -109,17 +103,21 @@ def remark_hamiltonian(spec: ChainSpec) -> TensorMatrix:
 
 
 def _derived_density(r: SpectralRMatrix) -> TensorMatrix:
+    """P N'(0) / c for the regularity scalar c of N(0) = c P."""
     report = verify.check_regularity(r)
     if not report.passed:
         raise ValueError("R-matrix is not regular at the origin")
     # the slope N'(0) is layer 1 of the cleared numerator, and row (i, j) of
-    # P N'(0) is its row (j, i)
+    # P N'(0) is its row (j, i); 1 / c is cleared as a 1 x 1 matrix
     n = r.site_dim
     scale, stack = r.numerator.cleared((r.variable,))
     swap = np.arange(n * n).reshape(n, n).T.ravel()
-    slope = [c[1][swap] if len(c) > 1 else np.zeros_like(c[0]) for c in stack]
-    density = TensorMatrix._checked(n, 2, linalg.rebuild(scale, (), slope, {}))
-    return density * linalg.reciprocal(report.scalar_factor)
+    slope = [(c[1][swap] if len(c) > 1 else np.zeros_like(c[0])).reshape(-1, 1) for c in stack]
+    inverse = linalg.object_matrix([[linalg.reciprocal(report.scalar_factor)]])
+    scale_c, stack_c = linalg.clear(inverse)
+    return TensorMatrix.from_cleared(n, 2, (), scale * scale_c,
+                                     [c.reshape(n * n, n * n)
+                                      for c in linalg.int_product(slope, stack_c)])
 
 
 def derive_hamiltonian(r: SpectralRMatrix, spec: ChainSpec) -> TensorMatrix:
@@ -131,63 +129,19 @@ def derive_hamiltonian(r: SpectralRMatrix, spec: ChainSpec) -> TensorMatrix:
     return _bond_sum(_derived_density(r), spec)
 
 
+@dataclass(frozen=True)
 class TransferFamily:
-    """Trace over one auxiliary leg of a product of R-matrix numerators.
+    """Trace over one auxiliary leg of a product of R-matrix numerators."""
 
-    A family made by transfer_matrix keeps the cleared stack that
-    interpolation gave (see cleared); its matrix is rebuilt from that stack
-    the first time it is read.
-    """
-
-    def __init__(self, matrix: TensorMatrix, sites: int, aux_dim: int, label: str = ""):
-        self.sites, self.aux_dim, self.label = sites, aux_dim, label
-        self.site_dim, self.legs = matrix.site_dim, matrix.legs
-        self._matrix, self._cleared = matrix, None
-
-    @classmethod
-    def from_stack(cls, names: tuple, scale: int, stack: list, site_dim: int, sites: int,
-                   aux_dim: int, label: str = "") -> "TransferFamily":
-        """The family on sites legs of dimension site_dim whose entries are
-        the polynomials in names of stack / scale, stack laid out as
-        linalg.clear lays it out; it need not be in lowest terms."""
-        family = cls.__new__(cls)
-        family.sites, family.aux_dim, family.label = sites, aux_dim, label
-        family.site_dim, family.legs = site_dim, sites
-        family._matrix, family._cleared = None, (tuple(names), scale, stack)
-        return family
-
-    @property
-    def matrix(self) -> TensorMatrix:
-        if self._matrix is None:
-            names, scale, stack = self._cleared
-            size = stack[0].shape[-1]
-            data = linalg.rebuild(scale, names, stack, dict.fromkeys(range(size * size), names))
-            self._matrix = TensorMatrix._checked(self.site_dim, self.legs, data)
-        return self._matrix
-
-    def cleared(self):
-        """(names, scale, stack): the entries as polynomials in names, stack
-        / scale laid out as linalg.clear lays it out; not always in lowest
-        terms."""
-        if self._cleared is None:
-            names = self._matrix.variables()
-            return (names, *self._matrix.cleared(names))
-        return self._cleared
-
-    def __eq__(self, other):
-        if not isinstance(other, TransferFamily):
-            return NotImplemented
-        return ((self.matrix, self.sites, self.aux_dim, self.label)
-                == (other.matrix, other.sites, other.aux_dim, other.label))
-
-    def __hash__(self):
-        return hash((self.site_dim, self.sites, self.aux_dim, self.label))
+    matrix: TensorMatrix
+    sites: int
+    aux_dim: int
+    label: str = ""
 
 
 def _transfer_stack(r: SpectralRMatrix, spec: ChainSpec):
     """(scale, stack): the transfer family of r as interpolation gives it,
-    laid out as linalg.clear's in the variable of r; its lowest terms are
-    linalg.clear of the family that transfer_matrix rebuilds.
+    laid out as linalg.clear's in the variable of r, not in lowest terms.
 
     At each of the points 0..L*d, where d is the numerator degree, the
     cleared numerator is applied on legs (0, k) of an integer tensor that
@@ -212,7 +166,7 @@ def _transfer_stack(r: SpectralRMatrix, spec: ChainSpec):
                   for a in range(n)]
         tables.append([c.reshape(1, -1) for c in linalg.int_sum(*blocks)])
     weights, denominator = linalg.lagrange_weights(points)
-    coeffs = linalg.int_product([linalg.narrow(weights)],
+    coeffs = linalg.int_product(linalg.narrow([weights]),
                                 [np.concatenate(c) for c in zip(*tables)])
     return denominator * scale ** sites, [c.reshape(-1, size, size) for c in coeffs]
 
@@ -221,28 +175,27 @@ def transfer_matrix(r: SpectralRMatrix, spec: ChainSpec) -> TransferFamily:
     """t(u) = tr_0 [ N_{0L}(u) ... N_{01}(u) ] built on the numerator.
 
     Entries are interpolated exactly (see _transfer_stack), so the result is
-    the true polynomial family; it stays a cleared stack until its matrix
-    is read.
+    the true polynomial family, a matrix known by its cleared stack.
     """
-    scale, stack = _transfer_stack(r, spec)
-    return TransferFamily.from_stack((r.variable,), scale, stack, r.site_dim, spec.sites,
-                                     r.site_dim, f"transfer({r.label})" if r.label else "transfer")
-
-
-def _family_matrix(operand) -> TensorMatrix:
-    if isinstance(operand, TransferFamily):
-        return operand.matrix
-    return operand
+    matrix = TensorMatrix.from_cleared(r.site_dim, spec.sites, (r.variable,),
+                                       *_transfer_stack(r, spec))
+    return TransferFamily(matrix, spec.sites, r.site_dim,
+                          f"transfer({r.label})" if r.label else "transfer")
 
 
 def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
     """[A(x), B(y)] = 0 for all arguments, on a conclusive integer grid.
 
     Either operand may be a constant matrix (its argument is then dropped)
-    or a polynomial family such as a transfer matrix.  An operand passed as
-    both is cleared and evaluated once, and its grid uses antisymmetry.
+    or a polynomial family such as a transfer matrix; each is cleared once,
+    as its TensorMatrix keeps it.  When b is a, [A(x), A(y)] = -[A(y), A(x)]
+    exactly: a diagonal point is zero, and so is (x, y) with x > y when its
+    mirror (y, x) was.  An operand of one layer is the same at every
+    argument, so its rows (columns) of the grid repeat row x = 0 (column
+    y = 0): a repeated point is zero when the first was.  Only a zero flag
+    is kept per point; every other point is computed.
     """
-    ma, mb = _family_matrix(a), _family_matrix(b)
+    ma, mb = (x.matrix if isinstance(x, TransferFamily) else x for x in (a, b))
     if ma.site_dim != mb.site_dim or ma.legs != mb.legs:
         raise ValueError("operands act on different spaces")
 
@@ -251,25 +204,12 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
         if len(names) > 1:
             raise ValueError(f"expected at most one variable, found {names}")
         # a constant is a polynomial of degree 0 in a placeholder variable
-        return m.cleared(names or ("u",))
+        scale, stack = m.cleared(names)
+        return scale, stack if names else [c[None] for c in stack]
 
-    first = cleared(ma)
-    return _commutation_grid(first, first if mb is ma else cleared(mb), grid_margin)
-
-
-def _commutation_grid(a, b, grid_margin: int) -> verify.VerificationReport:
-    """check_commutation on operands cleared as linalg.clear clears them in
-    one variable, (scale, stack) each.
-
-    When b is a, [A(x), A(y)] = -[A(y), A(x)] exactly: a diagonal point is
-    zero, and so is (x, y) with x > y when its mirror (y, x) was.  An
-    operand of one layer is the same at every argument, so its rows
-    (columns) of the grid repeat row x = 0 (column y = 0): a repeated point
-    is zero when the first was.  Only a zero flag is kept per point; every
-    other point is computed.
-    """
-    (scale_a, stack_a), (scale_b, stack_b) = a, b
-    same = b is a
+    same = mb is ma
+    scale_a, stack_a = cleared(ma)
+    scale_b, stack_b = (scale_a, stack_a) if same else cleared(mb)
     cache_a = {}
     cache_b = cache_a if same else {}
     m = stack_a[0].shape[-1]
@@ -298,19 +238,13 @@ def _commutation_grid(a, b, grid_margin: int) -> verify.VerificationReport:
 
 
 def check_chain(r: SpectralRMatrix, spec: ChainSpec, grid_margin: int = 1):
-    """(self, hamiltonian): the reports of check_commutation(t, t) and
-    check_commutation(h, t) for the transfer family t of r and the derived
-    Hamiltonian h on the chain spec.
-
-    Both stay cleared integer stacks throughout, in lowest terms, so grid
-    sizes, kernels and witnesses are those of the rebuilt objects; no entry
-    of a chain operator is built as an object.
-    """
-    family = linalg.lowest_terms(*_transfer_stack(r, spec))
-    _, scale, stack = _bond_stack(_derived_density(r), spec)
-    hamiltonian = linalg.lowest_terms(scale, [c[None] for c in stack])
-    return (_commutation_grid(family, family, grid_margin),
-            _commutation_grid(hamiltonian, family, grid_margin))
+    """(self, hamiltonian): check_commutation(t, t) and check_commutation(h, t)
+    for the transfer family t of r and the derived Hamiltonian h on the
+    chain spec; both stay cleared integer stacks throughout."""
+    family = transfer_matrix(r, spec)
+    hamiltonian = derive_hamiltonian(r, spec)
+    return (check_commutation(family, family, grid_margin),
+            check_commutation(hamiltonian, family, grid_margin))
 
 
 def _affine_fit(first, second, n: int, legs: int, conj):
@@ -399,14 +333,14 @@ def calibrate(sites: int, tau):
     from . import solutions
 
     tau = Fraction(tau)
-    spec = ChainSpec(sites)
     spectral = solutions.baxterize(solutions.example1_R(2, tau))
-    _, scale, (remark,) = _bond_stack(_remark_density(Poly.variable("xi")), spec)
+    scale, (remark,) = remark_hamiltonian(ChainSpec(sites, deformation=Poly.variable("xi"))
+                                          ).cleared(("xi",))
     if (remark[1] != 0).any():
         raise ValueError("linear deformation term did not telescope away")
     # xi^2 = tau^2 / 2 = p^2 / (2 q^2): the folded chain, times 2 q^2
     p, q = tau.numerator, tau.denominator
-    folded = linalg.narrow(remark[0].astype(object) * (2 * q * q)
-                           + remark[2].astype(object) * (p * p))
-    _, scale_d, stack_d = _bond_stack(_derived_density(spectral), spec)
-    return _affine_fit((2 * q * q * scale, [folded]), (scale_d, stack_d), 2, sites, sigma_x())
+    folded = remark[0].astype(object) * (2 * q * q) + remark[2].astype(object) * (p * p)
+    return _affine_fit((2 * q * q * scale, [folded]),
+                       derive_hamiltonian(spectral, ChainSpec(sites)).cleared(()),
+                       2, sites, sigma_x())

@@ -4,9 +4,6 @@ A TensorMatrix acts on (C^n)^{tensor legs} and stores its entries densely.
 The composite basis is row-major: e_{i1} tensor ... tensor e_{il} has index
 ((i1-1)*n + (i2-1))*n + ... with 1-based leg indices.  Entries are exact
 scalars or Poly values; floats never enter.
-A matrix is immutable: variables() and cleared(names), linalg.clear of its
-entries, are computed once and kept read-only in a memo slot made on first
-use, which the reader (serialize.decode) seeds.
 """
 
 from __future__ import annotations
@@ -47,7 +44,15 @@ def _leg_reorder(n: int, legs: int, source: tuple) -> np.ndarray:
 
 
 class TensorMatrix:
-    __slots__ = ("site_dim", "legs", "data", "_memo")
+    """An immutable square matrix on legs tensor factors of C^site_dim.
+
+    variables() and cleared(names), linalg.clear of the entries, are
+    computed once and kept read-only in a memo.  A matrix known by its
+    cleared stack (from_cleared: the chain operators and every matrix the
+    reader makes) starts with that memo seeded and rebuilds its entries on
+    first read.
+    """
+    __slots__ = ("site_dim", "legs", "_data", "_memo")
 
     def __init__(self, site_dim: int, legs: int, entries):
         if site_dim < 1 or legs < 1:
@@ -65,10 +70,47 @@ class TensorMatrix:
         self._set(site_dim, legs, data)
 
     def _set(self, site_dim, legs, data):
-        data.flags.writeable = False
+        if data is not None:
+            data.flags.writeable = False
         object.__setattr__(self, "site_dim", site_dim)
         object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_memo", {})
+
+    @classmethod
+    def from_cleared(cls, site_dim: int, legs: int, names, scale: int,
+                     stack: list) -> "TensorMatrix":
+        """The matrix stack / scale, for a stack laid out as linalg.clear lays
+        it out in names, at most one variable, and not always in lowest terms.
+
+        cleared(names) is seeded with the lowest terms, which are
+        linalg.clear(data, names) exactly, and variables() with names.  data
+        is rebuilt on first read, every entry a Poly in names when there are
+        names.  The arrays may be kept: no one else may write to them.
+        """
+        names, size = tuple(names), dense_dim(site_dim, legs)
+        if len(names) > 1 or stack[0].shape[len(names):] != (size, size):
+            raise ValueError(f"expected a stack of {size}x{size} matrices in at most one "
+                             f"variable, got shape {stack[0].shape} in {names}")
+        # lowest_terms reads one layer axis, which a constant has for the call
+        scale, lowest = linalg.lowest_terms(scale, stack if names else [c[None] for c in stack])
+        out = object.__new__(cls)
+        out._set(site_dim, legs, None)
+        out._seed(names, scale, lowest if names else [c[0] for c in lowest])
+        out._memo["variables"] = names
+        return out
+
+    @property
+    def data(self) -> np.ndarray:
+        """The entries as a read-only object array."""
+        if self._data is None:
+            names = self._memo["variables"]
+            scale, stack = self._memo[names]
+            polys = dict.fromkeys(range(self.size ** 2), names) if names else {}
+            data = linalg.rebuild(scale, names, stack, polys)
+            data.flags.writeable = False
+            object.__setattr__(self, "_data", data)
+        return self._data
 
     @classmethod
     def _checked(cls, site_dim: int, legs: int, data: np.ndarray) -> "TensorMatrix":
@@ -85,21 +127,16 @@ class TensorMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("TensorMatrix is immutable")
 
-    def _memory(self) -> dict:
-        if not hasattr(self, "_memo"):
-            object.__setattr__(self, "_memo", {})
-        return self._memo
-
     def _seed(self, names: tuple, scale: int, stack: list) -> None:
         """Keep (scale, stack), made read-only, as cleared(names)."""
         for c in stack:
             c.flags.writeable = False
-        self._memory()[names] = (scale, stack)
+        self._memo[names] = (scale, stack)
 
     def cleared(self, names=()):
         """linalg.clear(self.data, names), computed once per names; its
         arrays are read-only."""
-        if tuple(names) not in self._memory():
+        if tuple(names) not in self._memo:
             self._seed(tuple(names), *linalg.clear(self.data, names))
         scale, stack = self._memo[tuple(names)]
         return scale, list(stack)
@@ -206,7 +243,7 @@ class TensorMatrix:
     # -- polynomial entries --------------------------------------------------
 
     def variables(self) -> tuple:
-        memo = self._memory()
+        memo = self._memo
         if "variables" not in memo:
             names = set()
             for x in self.data.flat:

@@ -106,9 +106,9 @@ def evaluate_matrix(data: np.ndarray, var: str, value: int) -> np.ndarray:
 
 def int_values(stack: list, value: int) -> list:
     """Components of the stacked polynomial matrix at var = value (Horner),
-    as int64 arrays when every entry fits the kernel's bound.  An int64
-    component is evaluated in int64 only when max|c| * sum |value|^k, a bound
-    on every Horner step, stays below that bound."""
+    narrowed to one dtype (linalg.narrow).  An int64 component is evaluated
+    in int64 only when max|c| * sum |value|^k, a bound on every Horner step,
+    stays below the kernel's bound."""
     out = []
     for comp in stack:
         if comp.dtype != object:
@@ -118,8 +118,8 @@ def int_values(stack: list, value: int) -> list:
         acc = comp[-1]
         for layer in comp[-2::-1]:
             acc = acc * value + layer
-        out.append(linalg.narrow(acc))
-    return out
+        out.append(acc)
+    return linalg.narrow(out)
 
 
 def _first_int_hit(arrays):
@@ -337,7 +337,7 @@ def _ybe_spectral_poly(num: TensorMatrix) -> VerificationReport:
     numerator, the difference is the sum of a^i (a+b)^k b^l W(R_i, R_k, R_l),
     and every (a, b)-coefficient of it is compared with zero."""
     scale, stack = num.cleared((_single_variable(num),))
-    layers = [[linalg.narrow(c[e]) for c in stack] for e in range(len(stack[0]))]
+    layers = [[c[e] for c in stack] for e in range(len(stack[0]))]
     eye = _three_legs(num.site_dim)
     x12 = [linalg.apply_legs(r, eye, (1, 2)) for r in layers]
     z23 = [linalg.apply_legs(r, eye, (2, 3)) for r in layers]
@@ -409,7 +409,7 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
         raise ValueError(f"unknown mode {mode!r}")
     factors = [omega, r] if mode == "rational" else [r]
     scale, stack = linalg.clear(np.stack([m.data for m in factors]))
-    layers = [[linalg.narrow(c[k]) for c in stack] for k in range(len(factors))]
+    layers = [[c[k] for c in stack] for k in range(len(factors))]
     eye = _three_legs(r.site_dim)
     on_legs = {(k, legs): linalg.apply_legs(x, eye, legs)
                for k, x in enumerate(layers) for legs in ((1, 2), (1, 3), (2, 3))}

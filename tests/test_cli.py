@@ -203,9 +203,12 @@ def test_dense_size_ceiling_exits_2(tmp_path, capsys):
 
 
 def _degenerate_inputs(folder):
-    """Six degenerate input files: zero, identity and constant two-site
-    matrices, a one-site matrix, and the spectral zero and u * 1."""
+    """Seven degenerate input files: zero, identity and constant two-site
+    matrices, a one-site matrix, the spectral zero and u * 1, and
+    u / 2**40 E12 (x) E12, whose transfer family is zero over a scale above
+    2**80."""
     u = Poly.variable("u")
+    e12 = matrix_unit(2, 1, 2)
     objects = {
         "zero": TensorMatrix.zero(2, 2),
         "identity": TensorMatrix.identity(2, 2),
@@ -213,6 +216,8 @@ def _degenerate_inputs(folder):
         "one-site": matrix_unit(2, 1, 2),
         "spectral-zero": SpectralRMatrix(TensorMatrix.zero(2, 2) * u, Poly.lift(1, ("u",))),
         "u-identity": SpectralRMatrix(TensorMatrix.identity(2, 2) * u, Poly.lift(1, ("u",))),
+        "tiny-nilpotent": SpectralRMatrix(kron(e12, e12) * (u * Fraction(1, 2 ** 40)),
+                                          Poly.lift(1, ("u",))),
     }
     paths = {}
     for name, obj in objects.items():
@@ -268,7 +273,7 @@ def _non_canonical_cells(folder):
 
 
 def test_degenerate_inputs_keep_the_exit_code_contract(tmp_path, capsys):
-    # 6 inputs x 12 commands: exit 0 or 1 after a verification, 2 on bad
+    # 7 inputs x 12 commands: exit 0 or 1 after a verification, 2 on bad
     # input, and never an exception out of main (a traceback from the script);
     # 6 non-canonical inputs and 5 non-canonical cells x 12 commands: exit 2,
     # naming the bad field or cell

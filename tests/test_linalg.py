@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from baxter import linalg
 from baxter.poly import Poly
-from baxter.scalars import Ext, SQRT2
+from baxter.scalars import IM, Ext, SQRT2
 from baxter.tensor import TensorMatrix, embed_two_leg
 from conftest import naive_matmul
 
@@ -412,10 +412,44 @@ def test_int_sum_pads_widths_and_guards_the_bound():
 
 def test_narrow():
     small = np.array([[2 ** 62 - 1, -(2 ** 62 - 1)]], dtype=object)
-    assert linalg.narrow(small).dtype == np.int64
+    assert [c.dtype for c in linalg.narrow([small, small])] == [np.dtype(np.int64)] * 2
     big = np.array([[2 ** 62, 0]], dtype=object)
-    wide = linalg.narrow(big)
-    assert wide.dtype == object and wide[0, 0] == 2 ** 62
+    # one dtype for the whole component list, set by its largest entry
+    wide = linalg.narrow([small.astype(np.int64), big])
+    assert [c.dtype for c in wide] == [np.dtype(object)] * 2 and wide[1][0, 0] == 2 ** 62
+    assert wide[0].tolist() == small.tolist()
+
+
+@pytest.mark.parametrize("value, dtype", [(2 ** 62 - 1, np.int64), (1 - 2 ** 62, np.int64),
+                                          (2 ** 62, object), (-2 ** 62, object)])
+def test_clear_is_int64_below_the_kernel_bound(value, dtype):
+    """One dtype covers the whole stack: int64 when every entry is below
+    2**62 in absolute value, Python ints otherwise, whether the entries are
+    ints, Fractions, Q(i, sqrt2) values with small extension parts, or
+    polynomials."""
+    u = Poly.variable("u")
+    for entries, names in (([[value, 1], [0, 2]], ()),
+                           ([[Fraction(value), Fraction(1)], [0, 3]], ()),
+                           ([[Ext(value, 1, -2, 3), 1], [0, IM]], ()),
+                           ([[u * value + 1, u], [1, 0]], ("u",)),
+                           ([[Ext(value, 0, 1, 0) * u, 1], [IM, 0]], ("u",))):
+        scale, stack = linalg.clear(linalg.object_matrix(entries), names)
+        assert scale == 1
+        assert [c.dtype for c in stack] == [np.dtype(dtype)] * len(stack), entries
+        assert value in stack[0].ravel().tolist(), entries
+    big = linalg.clear(linalg.object_matrix([[Ext(2 ** 70, 1, 2, 3)]]))[1]
+    assert [c.dtype for c in big] == [np.dtype(object)] * 4
+    assert [c.tolist() for c in big] == [[[2 ** 70]], [[1]], [[2]], [[3]]]
+
+
+def test_lowest_terms_of_a_zero_stack_over_a_huge_scale():
+    # the gcd of zero int64 components and the scale is the scale itself,
+    # above what int64 division takes
+    stack = [np.zeros((3, 2, 2), dtype=np.int64) for _ in range(4)]
+    scale, lowest = linalg.lowest_terms(2 ** 80 + 2 ** 64, stack)
+    assert scale == 1 and len(lowest) == 1
+    assert (lowest[0].dtype, lowest[0].shape) == (np.dtype(np.int64), (1, 2, 2))
+    assert not lowest[0].any()
 
 
 # -- padded rows ----------------------------------------------------------------

@@ -447,24 +447,40 @@ CHAIN_CASES = ([(f"baxterized-{tau}", lambda tau=tau: baxterize(example1_R(2, Fr
 
 def assert_same_cleared(got, want):
     """Same scale, and the same integers with the same layer and component
-    counts; the dtype may differ."""
+    counts, shapes and dtypes."""
     (scale, stack), (scale_want, stack_want) = got, want
     assert scale == scale_want
     assert len(stack) == len(stack_want)
     for c, w in zip(stack, stack_want):
-        assert c.shape == w.shape and np.array_equal(c, w)
+        assert (c.shape, c.dtype) == (w.shape, w.dtype) and np.array_equal(c, w)
+
+
+def chain_operators(r, sites):
+    """Every matrix the chain layer makes on its cleared stack, by name: the
+    transfer family and the derived density of r, the derived Hamiltonian,
+    and the remark Hamiltonian with scalar and symbolic xi, each on an open
+    and a periodic chain of sites sites."""
+    out = {"transfer": transfer_matrix(r, ChainSpec(sites)).matrix,
+           "density": spin_chain._derived_density(r)}
+    for boundary in ("periodic", "open"):
+        out[f"derived-{boundary}"] = derive_hamiltonian(r, ChainSpec(sites, boundary))
+        for xi in (Fraction(-5, 2), Poly.variable("xi")):
+            out[f"remark-{xi}-{boundary}"] = remark_hamiltonian(ChainSpec(sites, boundary, xi))
+    return out
 
 
 @pytest.mark.parametrize("name, build, sites", CHAIN_CASES,
                          ids=[f"{name}-L{sites}" for name, _, sites in CHAIN_CASES])
 def test_chain_stacks_are_the_cleared_objects(name, build, sites):
-    r, spec = build(), ChainSpec(sites)
-    family = transfer_matrix(r, spec).matrix
-    assert_same_cleared(linalg.lowest_terms(*spin_chain._transfer_stack(r, spec)),
-                        linalg.clear(family.data, (r.variable,)))
-    _, scale, stack = spin_chain._bond_stack(spin_chain._derived_density(r), spec)
-    assert_same_cleared(linalg.lowest_terms(scale, [c[None] for c in stack]),
-                        linalg.clear(derive_hamiltonian(r, spec).data, ("u",)))
+    # what each operator keeps is linalg.clear of the entries it rebuilds,
+    # exactly and read-only, in the variables of those entries
+    for what, m in chain_operators(build(), sites).items():
+        names = m.variables()
+        assert names == tuple(sorted({v for x in m.data.flat if isinstance(x, Poly)
+                                      for v in x.vars})), what
+        got = m.cleared(names)
+        assert_same_cleared(got, linalg.clear(m.data, names))
+        assert not any(c.flags.writeable for c in got[1]), what
 
 
 def test_chain_cases_reach_every_lowest_terms_rule():
@@ -476,9 +492,27 @@ def test_chain_cases_reach_every_lowest_terms_rule():
     assert (scale, lowest) == (384, 4)
     (_, stack), (_, trimmed) = raw_and_lowest(nilpotent_R(), 3)
     assert (len(stack[0]), len(trimmed[0])) == (4, 2)
-    _, scale, stack = spin_chain._bond_stack(spin_chain._derived_density(telescoping_R()),
-                                             ChainSpec(3))
-    assert (len(stack), len(linalg.lowest_terms(scale, [c[None] for c in stack])[1])) == (4, 1)
+    # the bond sum of a density over Q(i, sqrt2) keeps its four components
+    # until the imaginary part telescopes away in lowest terms
+    density = spin_chain._derived_density(telescoping_R())
+    assert (len(density.cleared()[1]),
+            len(derive_hamiltonian(telescoping_R(), ChainSpec(3)).cleared()[1])) == (4, 1)
+
+
+def test_chain_operators_are_checked_and_written_from_their_stacks(monkeypatch):
+    r, spec = baxterize(example1_R(2, 1)), ChainSpec(3)
+    family, derived = transfer_matrix(r, spec), derive_hamiltonian(r, spec)
+    remark = remark_hamiltonian(ChainSpec(4, deformation=Poly.variable("xi")))
+
+    def refuse(*args):
+        raise AssertionError("a chain operator was rebuilt or cleared again")
+
+    monkeypatch.setattr(linalg, "rebuild", refuse)
+    monkeypatch.setattr(linalg, "clear", refuse)
+    for a, b in ((family, family), (derived, family), (family, derived)):
+        assert check_commutation(a, b).passed
+    for obj in (family, derived, remark):
+        serialize.encode(obj)
 
 
 @st.composite
@@ -504,7 +538,11 @@ def test_lowest_terms_is_clear_of_the_rebuilt_polys(raw):
     scale, stack = raw
     m = stack[0].shape[-1]
     rebuilt = linalg.rebuild(scale, ("u",), stack, dict.fromkeys(range(m * m), ("u",)))
-    assert_same_cleared(linalg.lowest_terms(scale, stack), linalg.clear(rebuilt, ("u",)))
+    want = linalg.clear(rebuilt, ("u",))
+    assert_same_cleared(linalg.lowest_terms(scale, stack), want)
+    made = TensorMatrix.from_cleared(m, 1, ("u",), scale, stack)
+    assert_same_cleared(made.cleared(("u",)), want)
+    assert made.variables() == ("u",) and (made.data == rebuilt).all()
 
 
 def full_grid_commutation(a, grid_margin=1):
@@ -552,8 +590,10 @@ def test_self_commutation_failure_on_the_degree_three_family():
                                           (lambda: example2_solution(4, Realization.SKEW), 2)])
 def test_check_chain_reports_equal_the_object_sequence(build, sites):
     r, spec = build(), ChainSpec(sites)
-    family = transfer_matrix(r, spec)
-    derived = derive_hamiltonian(r, spec)
+    # the references are built afresh from the rebuilt entries, and cleared
+    # from them
+    family, derived = (TensorMatrix(m.site_dim, m.legs, m.data)
+                       for m in (transfer_matrix(r, spec).matrix, derive_hamiltonian(r, spec)))
     for margin in (0, 1):
         got = spin_chain.check_chain(r, spec, grid_margin=margin)
         want = (check_commutation(family, family, grid_margin=margin),

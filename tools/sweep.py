@@ -3,31 +3,31 @@ per fresh interpreter.
 
 Each case times one call in a new Python process, with the given `src`
 first on PYTHONPATH, so no case inherits another's caches or heap: a
-`check_ybe` call on one built solution, or one `baxter verify`,
-`baxter chain transfer` or `baxter chain hamiltonian` command line, run
-in-process through `baxter.cli.main` and written to a file.  A command
-line's `--in` file is written before the clock starts, so its time
-includes reading it.  A case runs three times per
-source; the sources take turns within each repetition, so a drift of the
-host's speed falls on all of them alike.  For every source the output
+`check_ybe` call on one built solution, or one `baxter verify` or
+`baxter chain` command line, run in-process through `baxter.cli.main` and
+written to a file.  A command line's `--in` file is written before the
+clock starts, so its time includes reading it.  A case runs three times
+per source; the sources take turns within each repetition, so a drift of
+the host's speed falls on all of them alike.  For every source the output
 records, per case, each wall time, their median, the largest `ru_maxrss`
 of the child processes (the whole process: imports, construction and the
 timed call) and the report line (for a command line, its exit code and
 the lines it printed), and for a command line the sha256 of the file it
-wrote (`--report` for verify, `--out` for chain).  Report lines and
-file hashes must agree between sources.
+wrote (`--report` for verify and chain commute, `--out` for the other
+chain actions).  Report lines and file hashes must agree between sources.
 
     python3 tools/sweep.py --src parent=../parent/src --src change=src \\
-        --out BENCH_pr14.json
+        --out BENCH_pr15.json
 
 Cases (see CASES): spectral so(N), N = 3..9, in both realizations and
 sl(n), n = 2..4, whose numerators satisfy R21 = R12; the skew twisted
 solution, N = 4..7, whose numerator does not; `--method poly` on so(3)
 and so(4); `chain transfer` on the baxterized n = 2 family at tau = 1
 and on yangian sl(2), L = 3..6; `chain hamiltonian` at xi = 1 on a
-periodic chain, L = 3..8; `verify unitarity --in` the twisted solution,
-N = 4..6, in both realizations; `verify ybe --spectral --in` so(N),
-N = 3..7, antidiagonal.
+periodic chain, L = 3..8; `chain commute --report` and `chain derive` on
+the baxterized n = 2 family at tau = 1, L = 3..6; `verify unitarity
+--in` the twisted solution, N = 4..6, in both realizations; `verify ybe
+--spectral --in` so(N), N = 3..7, antidiagonal.
 """
 
 from __future__ import annotations
@@ -101,6 +101,10 @@ CASES = {
                                           argv=["chain", "hamiltonian", "--sites", str(L),
                                                 "--xi", "1"])
        for L in range(3, 9)},
+    **{f"{action}-bx2-{L}": COMMAND.format(build="baxterize(example1_R(2, 1))", option=option,
+                                           argv=["chain", action, "--sites", str(L)])
+       for action, option in (("commute", "--report"), ("derive", "--out"))
+       for L in range(3, 7)},
     **{f"unitarity-file-twisted{N}-{r}": COMMAND.format(
         build=f"example2_solution({N}, Realization.{r.upper()})", option="--report",
         argv=["verify", "unitarity"])
