@@ -11,6 +11,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import frobenius, serialize, solutions, spin_chain, suite, verify
 from .solutions import Realization, SpectralRMatrix
@@ -213,7 +214,10 @@ def _suite(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls and gives each call a fresh namespace."""
     parser = _Parser(
         prog="baxter",
         description="Exact constructions and verifiers for rational Yang-Baxter R-matrices.")

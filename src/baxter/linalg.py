@@ -111,6 +111,15 @@ def narrow(stack: list) -> list:
     return [c.astype(dtype, copy=False) for c in stack]
 
 
+def scaled(stack: list, factor: int) -> list:
+    """factor * stack for a component list and a positive int factor, in
+    int64 when every product stays below 2**62, else in Python ints."""
+    if factor == 1:
+        return stack
+    dtype = kernel_dtype(max(1, *map(max_abs, stack)) * factor)
+    return [c.astype(dtype, copy=False) * factor for c in stack]
+
+
 class Padded:
     """Square integer matrices stored by rows, in the spirit of ELLPACK.
 
@@ -263,7 +272,8 @@ def _clear(values: list, kinds: set, shape: tuple, names):
     """clear for the flat entries of a matrix of that shape whose entry
     types, kinds, the caller has already collected."""
     if kinds <= {int, Fraction}:
-        ints, scale = _rational_ints(values)
+        # integers need no common denominator
+        ints, scale = (values, 1) if kinds <= {int} else _rational_ints(values)
         out = np.array(ints, dtype=kernel_dtype(max(map(abs, ints), default=0)))
         return scale, [out.reshape((1,) * len(names) + shape)]
     terms, origin = [], (0,) * len(names)

@@ -295,7 +295,7 @@ def cli_interface() -> list:
 
 
 CRITERIA = (
-    ("triangular-family", triangular_family, 10),
+    ("triangular-family", triangular_family, 5),
     ("baxterized-family", baxterized_family, 2),
     ("yangian-families", yangian_families, 9),
     ("twisted-orthogonal", twisted_orthogonal, 16),

@@ -97,14 +97,14 @@ class TensorMatrix:
         out = object.__new__(cls)
         out._set(site_dim, legs, None)
         out._seed(names, scale, lowest if names else [c[0] for c in lowest])
-        out._memo["variables"] = names
+        out._memo["variables"] = out._memo["poly_entries"] = names
         return out
 
     @property
     def data(self) -> np.ndarray:
         """The entries as a read-only object array."""
         if self._data is None:
-            names = self._memo["variables"]
+            names = self._memo["poly_entries"]
             scale, stack = self._memo[names]
             polys = dict.fromkeys(range(self.size ** 2), names) if names else {}
             data = linalg.rebuild(scale, names, stack, polys)
@@ -135,11 +135,29 @@ class TensorMatrix:
 
     def cleared(self, names=()):
         """linalg.clear(self.data, names), computed once per names; its
-        arrays are read-only."""
-        if tuple(names) not in self._memo:
-            self._seed(tuple(names), *linalg.clear(self.data, names))
-        scale, stack = self._memo[tuple(names)]
+        arrays are read-only.  When every variable is among names and the
+        matrix is cleared in those it has, the stack is that one with a unit
+        axis for each name it lacks, and data is not read."""
+        names = tuple(names)
+        if names not in self._memo:
+            own = tuple(v for v in names if v in self.variables())
+            if own in self._memo and set(self.variables()) <= set(names):
+                scale, stack = self._memo[own]
+                lacking = [k for k, v in enumerate(names) if v not in own]
+                self._seed(names, scale, [np.expand_dims(c, tuple(lacking)) for c in stack])
+            else:
+                self._seed(names, *linalg.clear(self.data, names))
+        scale, stack = self._memo[names]
         return scale, list(stack)
+
+    def poly_rows(self, var: str) -> np.ndarray:
+        """Per row, whether it holds an entry that is a Poly in var.  A matrix
+        known by its stack (from_cleared) holds every entry as a Poly in its
+        names, so its rows are told without reading data."""
+        if "poly_entries" in self._memo:
+            return np.full(self.size, var in self._memo["poly_entries"])
+        return np.array([any(isinstance(x, Poly) and var in x.vars for x in row)
+                         for row in self.data.tolist()])
 
     # -- constructors ----------------------------------------------------
 

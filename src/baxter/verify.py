@@ -2,7 +2,8 @@
 
 Identities are decided on integer layers cleared by linalg.clear, with
 factors applied on their legs (linalg.apply_legs); only the constant braid
-identity forms object products.  The spectral braid identity is the braid
+identity forms object products, of the integer numerator, whose entries
+need no clearing.  The spectral braid identity is the braid
 word W(x, y, z) = x12 y13 z23 - z23 y13 x12 at the points of a grid that
 strictly exceeds the degree bound of the difference in each variable, so
 vanishing there is identical vanishing.  When R21 = R12 exactly on the
@@ -145,6 +146,14 @@ def _first_offence(layers: dict, scale: int):
     return Witness(row, col, exps, linalg.ext_value([int(c[row, col]) for c in comps], scale))
 
 
+def _on_one_scale(*cleared) -> tuple:
+    """(scale, stacks) for the (scale, stack) pairs of matrices cleared one
+    by one: each stack brought to the lcm of the scales, the common
+    denominator that clearing them jointly finds."""
+    scale = math.lcm(*(s for s, _ in cleared))
+    return scale, [linalg.scaled(stack, scale // s) for s, stack in cleared]
+
+
 def _three_legs(n: int) -> list:
     """The identity on three legs of C^n, one int64 component of shape
     (n, n, n, n^3), refused above the dense limit before it is allocated."""
@@ -161,8 +170,7 @@ def _add_weighted(sums: dict, weights: dict, term: list):
     """sums[e] += c * term for every monomial e with coefficient c in
     weights; c * term runs in Python ints where int64 could overflow."""
     for exps, c in weights.items():
-        scaled = term if c == 1 else [(x if c * linalg.max_abs(x) < linalg.INT64_SAFE
-                                       else x.astype(object)) * c for x in term]
+        scaled = linalg.scaled(term, c)
         sums[exps] = linalg.int_sum(sums[exps], scaled) if exps in sums else scaled
 
 
@@ -226,14 +234,23 @@ def grid_report(identity_name, diff_at, degree_a, degree_b,
 
 
 def _ybe_constant(m: TensorMatrix) -> VerificationReport:
-    e12 = embed_pair(m, (1, 2))
-    e13 = embed_pair(m, (1, 3))
-    e23 = embed_pair(m, (2, 3))
+    """The braid identity on the integer numerator N = scale * m: it is
+    homogeneous of degree 3, so it holds for m exactly when it holds for N,
+    and a witness of N divided by scale^3 is the witness of m.  N's entries
+    are ints over Q, Ext values with integer components over Q(i, sqrt2),
+    and Polys in m's variables when it has any."""
+    names = m.variables()
+    scale, stack = m.cleared(names)
+    polys = dict.fromkeys(range(m.size ** 2), names) if names else {}
+    num = TensorMatrix._checked(m.site_dim, m.legs, linalg.rebuild(1, names, stack, polys))
+    e12 = embed_pair(num, (1, 2))
+    e13 = embed_pair(num, (1, 3))
+    e23 = embed_pair(num, (2, 3))
     lhs = e12 @ e13 @ e23
     rhs = e23 @ e13 @ e12
-    scale, stack = linalg.clear(np.stack([lhs.data, rhs.data]), m.variables())
+    words, stack = linalg.clear(np.stack([lhs.data, rhs.data]), names)
     witness = _first_offence({e: [c[e][0] - c[e][1] for c in stack]
-                              for e in np.ndindex(stack[0].shape[:-3])}, scale)
+                              for e in np.ndindex(stack[0].shape[:-3])}, words * scale ** 3)
     return VerificationReport("ybe-constant", witness is None, witness)
 
 
@@ -394,9 +411,9 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
     variables a = u1 - u2, b = u2 - u3 after clearing a (a+b) b; with
     X(t) = omega + t r, of layers [omega, r], each (a, b)-coefficient of
     the residual (_CYBE_TERMS) is a weighted sum of commutators of layers.
-    Constant mode has the one layer r and weight 1.  Both modes clear the
-    layers by one common scale and apply each factor of a commutator on its
-    legs in integers; only the witness becomes a scalar.
+    Constant mode has the one layer r and weight 1.  Both modes bring the
+    memoised cleared layers to one common scale and apply each factor of a
+    commutator on its legs in integers; only the witness becomes a scalar.
     """
     if r.legs != 2:
         raise ValueError("classical Yang-Baxter check expects a two-leg matrix")
@@ -408,8 +425,7 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
     elif mode != "constant":
         raise ValueError(f"unknown mode {mode!r}")
     factors = [omega, r] if mode == "rational" else [r]
-    scale, stack = linalg.clear(np.stack([m.data for m in factors]))
-    layers = [[c[k] for c in stack] for k in range(len(factors))]
+    scale, layers = _on_one_scale(*(m.cleared() for m in factors))
     eye = _three_legs(r.site_dim)
     on_legs = {(k, legs): linalg.apply_legs(x, eye, legs)
                for k, x in enumerate(layers) for legs in ((1, 2), (1, 3), (2, 3))}
@@ -466,10 +482,10 @@ def check_unitarity(r) -> VerificationReport:
     num, var, scale, stack, swap = _cleared_two_leg(r, "unitarity")
     # an entry of the object product is a Poly when its row of R holds one or
     # its column of R21(-u) a non-constant one (a constant one is a scalar)
-    rows = [any(isinstance(x, Poly) and var in x.vars for x in row) for row in num.data.tolist()]
+    rows = num.poly_rows(var)
     swapped = [c[:, swap][:, :, swap] for c in stack]
     cols = np.logical_or.reduce([c[1:] != 0 for c in swapped]).any(axis=(0, 1))
-    spectral = any(rows)
+    spectral = rows.any()
     if spectral:
         sign = ((-1) ** np.arange(len(stack[0]))).reshape(-1, 1, 1)
         prod = linalg.stack_product(stack, [c * sign for c in swapped], 1)
@@ -477,7 +493,7 @@ def check_unitarity(r) -> VerificationReport:
         prod = linalg.stack_product(swapped, stack, 1)
     name = "unitarity-spectral" if spectral else "unitarity-constant"
     return _proportional(name, var, scale ** 2, prod, np.eye(len(swap), dtype=np.int64),
-                         np.array(rows)[:, None] | cols)
+                         rows[:, None] | cols)
 
 
 def check_regularity(r) -> VerificationReport:
@@ -490,17 +506,17 @@ def check_regularity(r) -> VerificationReport:
 
 def check_classical_limit(family: TensorMatrix, r: TensorMatrix) -> VerificationReport:
     """Degree-1 coefficient of a one-parameter family equals the constant r
-    exactly.  The family and r are cleared jointly: layer 0 of the family
+    exactly.  The family and r are brought to one scale: layer 0 of the family
     must be scale * 1, and layer 1 is compared with r."""
     var = _single_variable(family)
     if r.legs != family.legs or r.site_dim != family.site_dim:
         raise ValueError("candidate classical limit has mismatched shape")
     if r.variables():
         raise ValueError("candidate classical limit must be constant")
-    scale, stack = linalg.clear(np.stack([family.data, r.data]), (var,))
+    scale, (stack, limit) = _on_one_scale(family.cleared((var,)), r.cleared())
     eye = np.eye(family.size, dtype=object) * scale
-    if (stack[0][0, 0] != eye).any() or any(c[0, 0].any() for c in stack[1:]):
+    if (stack[0][0] != eye).any() or any(c[0].any() for c in stack[1:]):
         raise ValueError("family does not start at the identity")
-    diff = [(c[1, 0] if len(c) > 1 else 0) - c[0, 1] for c in stack]
-    witness = _first_offence({(1,): diff}, scale)
+    slope = [c[1] for c in stack] if len(stack[0]) > 1 else [np.zeros_like(stack[0][0])]
+    witness = _first_offence({(1,): linalg.int_sum(slope, [-c for c in limit])}, scale)
     return VerificationReport("classical-limit", witness is None, witness)

@@ -6,10 +6,13 @@ import sys
 
 import pytest
 
+from baxter import linalg
 from baxter.cli import main
 from baxter.poly import Poly
+from baxter.scalars import Ext
 from baxter.serialize import decode, encode, load, save
-from baxter.solutions import (SpectralRMatrix, example1_r, example1_R, yangian_sl_R,
+from baxter.solutions import (Realization, SpectralRMatrix, example1_r, example1_R,
+                              example2_solution, so_jordanian_data, yangian_sl_R,
                               yangian_so_R)
 from baxter.spin_chain import ChainSpec, remark_hamiltonian, transfer_matrix
 from baxter.tensor import TensorMatrix, kron, matrix_unit, permutation_op
@@ -354,3 +357,70 @@ def test_bad_scalar_values_exit_2_with_one_line(capsys):
     assert main(["chain", "calibrate", "--tau", "-1/2/3"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all("error" in line for line in err)
+
+
+def test_one_parser_serves_every_call_without_leaking(tmp_path, capsys):
+    # the parser is built once per process; what one call parses must not
+    # reach the next call's options
+    path = str(tmp_path / "so3.yb")
+    save(yangian_so_R(3), path)
+    capsys.readouterr()
+    ybe = ["verify", "ybe", "--spectral", "--in", path]
+    assert main([*ybe, "--method", "poly"]) == 0
+    assert main(ybe) == 0
+    assert main([*ybe, "--grid-margin", "4"]) == 0
+    assert main(ybe) == 0
+    poly, grid, wide, again = capsys.readouterr().out.splitlines()
+    assert "grid=" not in poly and "grid=6x6" in grid
+    assert "grid=9x9" in wide and again == grid
+    with pytest.raises(SystemExit) as exit_info:
+        main([*ybe, "--method", "cubic"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--method" in err
+    assert main(ybe) == 0 and capsys.readouterr().out == grid + "\n"
+
+
+def test_verifiers_check_decoded_files_from_their_stacks(tmp_path, capsys, monkeypatch):
+    # a matrix read from a file is known by its cleared stack: no verifier
+    # but the constant braid identity rebuilds its entries
+    skew, e12 = so_jordanian_data(4, Realization.SKEW), matrix_unit(2, 1, 2)
+    objects = {
+        "R3": example1_R(3), "r3": example1_r(3), "P2": permutation_op(2),
+        "R3-off": example1_R(3) + TensorMatrix.from_entries(3, 2, {(4, 2): Fraction(2, 3)}),
+        "r0": skew.r0, "r0-i": skew.r0 * Ext(0, 0, 1),
+        "exp3": example1_R(3, Poly.variable("xi")), "so3": yangian_so_R(3),
+        "twisted4": example2_solution(4, Realization.SKEW),
+        "sl2-off": yangian_sl_R(2).numerator + kron(e12, e12) * Poly.variable("u"),
+    }
+    for name, obj in objects.items():
+        save(obj, tmp_path / f"{name}.yb")
+    commands = [["unitarity", "R3"], ["unitarity", "R3-off"], ["unitarity", "r0"],
+                ["unitarity", "twisted4"], ["unitarity", "sl2-off"],
+                ["regularity", "R3"], ["regularity", "so3"], ["regularity", "sl2-off"],
+                ["cybe", "r3"], ["cybe", "P2"], ["cybe", "r0-i"],
+                ["cybe", "r3", "--rational"], ["cybe", "r0", "--rational"],
+                ["cybe", "r3", "--rational", "--omega", "R3-off"],
+                ["classical-limit", "exp3", "--against", "r3"],
+                ["classical-limit", "exp3", "--against", "R3-off"],
+                ["ybe", "so3", "--spectral"], ["ybe", "so3", "--spectral", "--method", "poly"],
+                ["ybe", "sl2-off", "--spectral", "--method", "poly"]]
+
+    def run_all():
+        out = []
+        for identity, name, *rest in commands:
+            rest = [str(tmp_path / f"{x}.yb") if x in objects else x for x in rest]
+            report = tmp_path / "report.json"
+            code = main(["verify", identity, "--in", str(tmp_path / f"{name}.yb"), *rest,
+                         "--report", str(report)])
+            out.append((code, capsys.readouterr().out, report.read_bytes()))
+        return out
+
+    want = run_all()
+    assert {code for code, _, _ in want} == {0, 1}
+
+    def refuse(*args):
+        raise AssertionError("a decoded matrix was rebuilt")
+
+    monkeypatch.setattr(linalg, "rebuild", refuse)
+    assert run_all() == want

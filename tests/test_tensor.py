@@ -220,6 +220,27 @@ def test_poly_entries_and_substitute():
     assert shifted.substitute({"a": 1, "b": 2}) == family.substitute({"u": 3})
 
 
+def test_cleared_in_more_names_adds_unit_axes_without_rebuilding(monkeypatch):
+    from baxter import linalg, serialize
+    u = Poly.variable("u")
+    cases = [(permutation_op(2) * Fraction(1, 3), ("u",)),
+             (permutation_op(2) * Fraction(1, 3), ("a", "u")),
+             (TensorMatrix.identity(2, 2) * u + permutation_op(2) * Fraction(2, 7), ("a", "u")),
+             (TensorMatrix.identity(2, 2) * u + permutation_op(2) * Fraction(2, 7), ("u", "v"))]
+    for m, names in cases:
+        want = linalg.clear(m.data, names)
+        decoded = serialize.decode(serialize.encode(m))
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rebuild", None)
+            scale, stack = decoded.cleared(names)
+        assert scale == want[0] and len(stack) == len(want[1])
+        for got, c in zip(stack, want[1]):
+            assert got.dtype == c.dtype and got.shape == c.shape and (got == c).all()
+    # a name the matrix lacks is no licence to drop one it has
+    with pytest.raises(ValueError, match="depends on"):
+        serialize.decode(serialize.encode(cases[2][0])).cleared(("a",))
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         TensorMatrix(2, 2, np.zeros((3, 3), dtype=object))

@@ -382,6 +382,62 @@ def object_ybe_witness(num):
     return None
 
 
+def object_constant_ybe(m):
+    """The constant braid identity of the unscaled m by object arithmetic:
+    each factor embedded by kron with the identity on one leg, reindexed to
+    legs (1, 3), multiplied entry by entry; the witness is the first
+    nonzero entry of the difference at its lowest monomial."""
+    n = m.site_dim
+    one = TensorMatrix.identity(n, 1)
+    e12, e23 = kron(m, one), kron(one, m)
+    e13 = e12.reindexed(np.arange(n ** 3).reshape(n, n, n).transpose(0, 2, 1).ravel())
+    lhs = naive_matmul(naive_matmul(e12.data, e13.data), e23.data)
+    rhs = naive_matmul(naive_matmul(e23.data, e13.data), e12.data)
+    for (i, j), entry in np.ndenumerate(lhs - rhs):
+        if entry:
+            exps, value = (Poly.lift(entry).monomials()[0] if m.variables()
+                           else ((), entry))
+            return VerificationReport("ybe-constant", False, Witness(i, j, exps, value))
+    return VerificationReport("ybe-constant", True)
+
+
+@st.composite
+def constant_braid_cases(draw):
+    """A solution (P, or exp(xi r) of the triangular family) over Q or
+    Q(i, sqrt2), times a scalar with a denominator of 2..9 and, in some
+    draws, a factor 2^40 that takes the products to Python ints; its
+    entries constant or in one or two variables; one entry perturbed or
+    none.  On three sites only constant rational draws, for the reference's
+    sake."""
+    names = draw(st.sampled_from([(), ("u",), ("a", "b")]))
+    ext = draw(st.booleans())
+    n = draw(st.sampled_from([2, 2, 3] if names == () and not ext else [2]))
+    big = 2 ** 40 if draw(st.booleans()) else 1
+    xi = Fraction(draw(st.sampled_from([1, -1, 3])), draw(st.integers(2, 9)) * big)
+    m = draw(st.sampled_from([permutation_op(n), example1_R(n, xi)]))
+    c = Fraction(draw(st.sampled_from([1, -2, 5])), draw(st.integers(2, 9)))
+    if ext:
+        c = c * draw(st.sampled_from([IM, SQRT2, Ext(1, 0, 1)]))
+    m = m * c
+    if names:
+        variables = [Poly.variable(v) for v in names]
+        m = m * (variables[0] + variables[-1] * Fraction(1, draw(st.integers(2, 9))))
+    if draw(st.booleans()):
+        size = n * n
+        at = {(draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))):
+              Fraction(draw(st.sampled_from([1, -1, 7])), draw(st.integers(2, 9)) * big)
+              * (Poly.variable(names[0]) if names and draw(st.booleans()) else 1)
+              * (SQRT2 if ext and draw(st.booleans()) else 1)}
+        m = m + TensorMatrix.from_entries(n, 2, at)
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(constant_braid_cases())
+def test_constant_ybe_matches_the_object_product_of_the_unscaled_matrix(m):
+    _same_bytes(check_ybe(m, mode="constant"), object_constant_ybe(m))
+
+
 @pytest.mark.parametrize("name", ["sl2", "baxterized2", "so3"])
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_poly_method_matches_object_product(name, perturbed):

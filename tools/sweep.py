@@ -17,7 +17,7 @@ wrote (`--report` for verify and chain commute, `--out` for the other
 chain actions).  Report lines and file hashes must agree between sources.
 
     python3 tools/sweep.py --src parent=../parent/src --src change=src \\
-        --out BENCH_pr15.json
+        --out BENCH_pr16.json
 
 Cases (see CASES): spectral so(N), N = 3..9, in both realizations and
 sl(n), n = 2..4, whose numerators satisfy R21 = R12; the skew twisted
@@ -27,7 +27,8 @@ and on yangian sl(2), L = 3..6; `chain hamiltonian` at xi = 1 on a
 periodic chain, L = 3..8; `chain commute --report` and `chain derive` on
 the baxterized n = 2 family at tau = 1, L = 3..6; `verify unitarity
 --in` the twisted solution, N = 4..6, in both realizations; `verify ybe
---spectral --in` so(N), N = 3..7, antidiagonal.
+--spectral --in` so(N), N = 3..7, antidiagonal; `verify ybe --constant
+--in` the triangular solution example1_R(n), n = 3..7.
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ CASES = {
     **{f"ybe-file-so{N}-antidiag": COMMAND.format(build=f"yangian_so_R({N})", option="--report",
                                                   argv=["verify", "ybe", "--spectral"])
        for N in range(3, 8)},
+    **{f"ybe-constant-R{n}": COMMAND.format(build=f"example1_R({n}, 1)", option="--report",
+                                            argv=["verify", "ybe", "--constant"])
+       for n in range(3, 8)},
 }
 
 
