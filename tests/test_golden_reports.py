@@ -2,9 +2,9 @@
 
 Each case builds one verification report from library constructions:
 unitarity (constant and spectral), regularity, the classical limit, the
-braid identity (constant, and spectral on the grid and by --method poly)
-and the classical identity (constant and rational), passing and failing,
-over Q and Q(i, sqrt2).  The test
+braid identity (constant, and spectral on the grid and by --method poly),
+the classical identity (constant and rational) and chain commutation,
+passing and failing, over Q and Q(i, sqrt2).  The test
 recomputes every report and compares `str(report)` and
 `serialize.encode(report)` with the stored text byte for byte, so any
 change to a verdict, a witness, a scalar or the encoding shows up as a
@@ -24,14 +24,17 @@ from pathlib import Path
 import pytest
 
 from baxter import serialize
+from baxter.spin_chain import (ChainSpec, check_chain, check_commutation, sigma_z,
+                               transfer_matrix)
 from baxter.poly import Poly
 from baxter.scalars import IM, SQRT2, Ext
 from baxter.solutions import (Realization, baxterize, example1_r, example1_R,
                               example2_solution, so_jordanian_data, yangian_sl_R,
                               yangian_so_R)
-from baxter.tensor import TensorMatrix, kron, matrix_unit, permutation_op
+from baxter.tensor import TensorMatrix, embed_two_leg, kron, matrix_unit, permutation_op
 from baxter.verify import (check_classical_limit, check_cybe, check_regularity,
                            check_unitarity, check_ybe)
+from test_spin_chain import _degree_three_pair, failing_R
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "reports.json"
 U = Poly.variable("u")
@@ -195,10 +198,32 @@ def _classical():
             yield f"cybe-{mode}-{label}", lambda check=check, r=r: check(r)
 
 
+def _commutation():
+    one = TensorMatrix.identity(2, 1)
+    sl2 = lambda: transfer_matrix(yangian_sl_R(2), ChainSpec(3))
+    chains = {f"bx2-tau{tau}": lambda tau=tau: baxterize(example1_R(2, Fraction(tau)))
+              for tau in (0, 1, 2)}
+    chains.update({"sl3": lambda: yangian_sl_R(3), "failing": failing_R,
+                   "ext-twisted4-skew": lambda: example2_solution(4, SKEW)})
+    for name, build in chains.items():
+        sites = 2 if name == "ext-twisted4-skew" else 3
+        for k, pair in enumerate(("tt", "ht")):
+            yield (f"commutation-{name}-L{sites}-{pair}",
+                   lambda build=build, sites=sites, k=k: check_chain(build(), ChainSpec(sites))[k])
+    yield "commutation-sigma-z-sl2", lambda: check_commutation(
+        embed_two_leg(kron(sigma_z(), one), 3, (1, 2)), sl2())
+    yield "commutation-ext-sigma-y-sl2", lambda: check_commutation(
+        embed_two_leg(kron((matrix_unit(2, 2, 1) - matrix_unit(2, 1, 2)) * IM, one), 3, (2, 3)),
+        sl2())
+    yield "commutation-degree-three", lambda: check_commutation(*_degree_three_pair())
+    yield "commutation-constant", lambda: check_commutation(
+        kron(sigma_z(), one) * Fraction(1, 2), permutation_op(2) * 3 + kron(one, sigma_z()))
+
+
 def cases():
     """(name, thunk) for every pinned report, in file order."""
     for group in (_unitarity, _regularity, _classical_limit, _braid, _classical,
-                  _spectral):
+                  _spectral, _commutation):
         yield from group()
 
 
