@@ -178,18 +178,16 @@ def _chain(args) -> int:
     if what == "hamiltonian":
         spec = spin_chain.ChainSpec(args.sites, args.boundary, _scalar(args.xi))
         return _write(spin_chain.remark_hamiltonian(spec), args)
+    spec = spin_chain.ChainSpec(args.sites, args.boundary)
     if what == "derive":
         spectral = _load(args.input, SPECTRAL)
-        spec = spin_chain.ChainSpec(args.sites, args.boundary)
         return _write(spin_chain.derive_hamiltonian(spectral, spec), args)
     if what == "transfer":
         spectral = _load(args.input, SPECTRAL)
-        family = spin_chain.transfer_matrix(spectral, spin_chain.ChainSpec(args.sites))
-        return _write(family, args)
+        return _write(spin_chain.transfer_matrix(spectral, spec), args)
     if what == "commute":
         spectral = _load(args.input, SPECTRAL)
-        first, second = spin_chain.check_chain(spectral, spin_chain.ChainSpec(args.sites),
-                                               grid_margin=args.grid_margin)
+        first, second = spin_chain.check_chain(spectral, spec)
         print(first)
         print(second)
         if getattr(args, "report", None):
@@ -197,6 +195,8 @@ def _chain(args) -> int:
             serialize.save(worst, args.report)
         return 0 if first.passed and second.passed else 1
     if what == "calibrate":
+        if spec.boundary != "periodic":
+            raise ValueError("calibration needs a periodic chain")
         found = spin_chain.calibrate(args.sites, _scalar(args.tau))
         if found is None:
             print("no exact affine match")
@@ -267,7 +267,6 @@ def _parser() -> argparse.ArgumentParser:
     chain.add_argument("--xi", default="0", help="deformation scalar")
     chain.add_argument("--tau", default="0", help="twist-side parameter for calibrate")
     chain.add_argument("--in", dest="input", help="spectral R-matrix file")
-    chain.add_argument("--grid-margin", type=_non_negative, default=1)
     chain.add_argument("--report", help="write the (worst) report to this file")
     common(chain)
     chain.set_defaults(func=_chain)

@@ -6,13 +6,15 @@ tracing out an auxiliary leg; entries stay exact polynomials via
 interpolation at integer points.  Every chain operator is built on the
 integer kernel and made with TensorMatrix.from_cleared on its cleared
 stack, which commutation, calibration and the writer read; its entries
-are built only when read.
+are built only when read.  Commutation is decided on the coefficients:
+the commutators of every pair of layers, with no grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -183,17 +185,17 @@ def transfer_matrix(r: SpectralRMatrix, spec: ChainSpec) -> TransferFamily:
                           f"transfer({r.label})" if r.label else "transfer")
 
 
-def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
-    """[A(x), B(y)] = 0 for all arguments, on a conclusive integer grid.
+def check_commutation(a, b) -> verify.VerificationReport:
+    """[A(x), B(y)] = 0 for all arguments, decided on the coefficients.
 
     Either operand may be a constant matrix (its argument is then dropped)
     or a polynomial family such as a transfer matrix; each is cleared once,
-    as its TensorMatrix keeps it.  When b is a, [A(x), A(y)] = -[A(y), A(x)]
-    exactly: a diagonal point is zero, and so is (x, y) with x > y when its
-    mirror (y, x) was.  An operand of one layer is the same at every
-    argument, so its rows (columns) of the grid repeat row x = 0 (column
-    y = 0): a repeated point is zero when the first was.  Only a zero flag
-    is kept per point; every other point is computed.
+    as its TensorMatrix keeps it, a constant as one layer.  The coefficient
+    of x^i y^j is the commutator [A_i, B_j] of the layers, so the identity
+    holds exactly when each is zero.  When b is a, [A_i, A_i] = 0 and
+    [A_j, A_i] = -[A_i, A_j]: only the pairs i < j are formed, and the
+    lowest nonzero pair at an entry, where the witness is taken, is one
+    of them.
     """
     ma, mb = (x.matrix if isinstance(x, TransferFamily) else x for x in (a, b))
     if ma.site_dim != mb.site_dim or ma.legs != mb.legs:
@@ -210,41 +212,27 @@ def check_commutation(a, b, grid_margin: int = 1) -> verify.VerificationReport:
     same = mb is ma
     scale_a, stack_a = cleared(ma)
     scale_b, stack_b = (scale_a, stack_a) if same else cleared(mb)
-    cache_a = {}
-    cache_b = cache_a if same else {}
-    m = stack_a[0].shape[-1]
-    nothing = [np.zeros((m, m), dtype=np.int64)]
-    zero = set()
-    vary_a, vary_b = len(stack_a[0]) > 1, len(stack_b[0]) > 1
-
-    def diff_at(x, y):
-        x, y = (x if vary_a else 0), (y if vary_b else 0)
-        if (x, y) in zero or same and (x == y or (x > y and (y, x) in zero)):
-            return nothing
-        if x not in cache_a:
-            cache_a[x] = verify.int_values(stack_a, x)
-        if y not in cache_b:
-            cache_b[y] = verify.int_values(stack_b, y)
-        left, right = cache_a[x], cache_b[y]
+    commutators = {}
+    for i, j in product(range(len(stack_a[0])), range(len(stack_b[0]))):
+        if same and i >= j:
+            continue
+        left, right = [c[i] for c in stack_a], [c[j] for c in stack_b]
         diff = [p - q for p, q in zip(linalg.int_product(left, right),
                                       linalg.int_product(right, left))]
-        if not any(c.any() for c in diff):
-            zero.add((x, y))
-        return diff
-
-    return verify.grid_report("commutation", diff_at, len(stack_a[0]) - 1,
-                              len(stack_b[0]) - 1,
-                              grid_margin=grid_margin, scale=scale_a * scale_b)
+        if any(c.any() for c in diff):
+            commutators[i, j] = diff
+    witness = verify._first_offence(commutators, scale_a * scale_b)
+    return verify.VerificationReport("commutation", witness is None, witness)
 
 
-def check_chain(r: SpectralRMatrix, spec: ChainSpec, grid_margin: int = 1):
+def check_chain(r: SpectralRMatrix, spec: ChainSpec):
     """(self, hamiltonian): check_commutation(t, t) and check_commutation(h, t)
     for the transfer family t of r and the derived Hamiltonian h on the
     chain spec; both stay cleared integer stacks throughout."""
     family = transfer_matrix(r, spec)
     hamiltonian = derive_hamiltonian(r, spec)
-    return (check_commutation(family, family, grid_margin),
-            check_commutation(hamiltonian, family, grid_margin))
+    return (check_commutation(family, family),
+            check_commutation(hamiltonian, family))
 
 
 def _affine_fit(first, second, n: int, legs: int, conj):

@@ -180,14 +180,28 @@ def test_malformed_report_input_exits_2(tmp_path, capsys, field, value):
     assert err.count("\n") == 1 and err.startswith("error: ") and f"at {field}" in err
 
 
-@pytest.mark.parametrize("argv", [["verify", "ybe", "--in", "x.yb"],
-                                  ["chain", "commute", "--in", "x.yb"]])
+@pytest.mark.parametrize("argv", [["verify", "ybe", "--in", "x.yb", "--grid-margin", "-1"],
+                                  ["chain", "commute", "--in", "x.yb", "--grid-margin", "1"]])
 def test_negative_grid_margin_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
-        main([*argv, "--grid-margin", "-1"])
+        main(argv)
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--grid-margin: must be >= 0" in err
+    # chain commutation runs no grid, so chain takes no --grid-margin
+    message = ("--grid-margin: must be >= 0" if argv[0] == "verify"
+               else "unrecognized arguments: --grid-margin 1")
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("action", ["transfer", "commute", "calibrate"])
+def test_periodic_chain_actions_refuse_an_open_chain(tmp_path, capsys, action):
+    path = tmp_path / "sl2.yb"
+    save(yangian_sl_R(2), path)
+    argv = ["chain", action, "--boundary", "open", "--sites", "3"]
+    assert main(argv if action == "calibrate" else [*argv, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "periodic chain" in captured.err
 
 
 def test_dense_size_ceiling_exits_2(tmp_path, capsys):

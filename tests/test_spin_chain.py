@@ -21,6 +21,7 @@ from baxter.spin_chain import (ChainSpec, bonds, calibrate, check_commutation,
                                transfer_matrix)
 from baxter.tensor import (TensorMatrix, embed_two_leg, kron, matrix_unit,
                            permutation_op)
+from baxter.verify import check_ybe
 
 
 def sigma_y():
@@ -314,7 +315,9 @@ def test_transfer_matrix_needs_periodic():
 def test_transfer_self_commutation():
     fam = transfer_matrix(yangian_sl_R(2), ChainSpec(3))
     rep = check_commutation(fam, fam)
-    assert rep.passed and rep.grid_size is not None
+    # decided on the coefficients, with no grid
+    assert rep.passed and rep.grid_size is None
+    assert full_grid_commutation(fam.matrix, fam.matrix).passed
 
 
 def test_hamiltonian_commutes_with_transfer():
@@ -380,20 +383,25 @@ def _degree_three_pair():
 
 
 def test_negative_grid_margin_is_rejected():
+    # commutation has no grid and takes no margin; the spectral braid grid
+    # keeps the guard
     a, b = _degree_three_pair()
     rep = check_commutation(a, b)
-    assert not rep.passed and rep.grid_size == (5, 3)
-    assert check_commutation(a, b, grid_margin=0).grid_size == (4, 2)
+    assert not rep.passed and rep.grid_size is None
+    assert rep.witness == full_grid_commutation(a, b, grid_margin=0).witness
+    with pytest.raises(TypeError):
+        check_commutation(a, b, grid_margin=1)
+    assert check_ybe(yangian_sl_R(2), grid_margin=0).grid_size == (3, 3)
     with pytest.raises(ValueError, match="grid_margin"):
-        check_commutation(a, b, grid_margin=-1)
+        check_ybe(yangian_sl_R(2), grid_margin=-1)
 
 
 def test_negative_grid_margin_is_rejected_under_optimize():
     # python -O strips assert statements; the guard must survive it
     code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2])\n"
-            "from test_spin_chain import _degree_three_pair, check_commutation\n"
+            "from test_spin_chain import check_ybe, yangian_sl_R\n"
             "try:\n"
-            "    print(check_commutation(*_degree_three_pair(), grid_margin=-1))\n"
+            "    print(check_ybe(yangian_sl_R(2), grid_margin=-1))\n"
             "except ValueError as err:\n"
             "    print('rejected:', err)\n")
     tests = os.path.dirname(os.path.abspath(__file__))
@@ -545,18 +553,26 @@ def test_lowest_terms_is_clear_of_the_rebuilt_polys(raw):
     assert made.variables() == ("u",) and (made.data == rebuilt).all()
 
 
-def full_grid_commutation(a, grid_margin=1):
-    """[A(x), A(y)] at every point of the grid, with no mirror reuse."""
-    scale, stack = linalg.clear(a.data, a.variables() or ("u",))
+def full_grid_commutation(a, b, grid_margin=1):
+    """[A(x), B(y)] at every point of a conclusive grid, interpolated: the
+    slow exact reference of check_commutation, which skips no pair."""
+    (scale_a, stack_a), (scale_b, stack_b) = (linalg.clear(m.data, m.variables() or ("u",))
+                                              for m in (a, b))
 
     def diff_at(x, y):
-        left, right = verify.int_values(stack, x), verify.int_values(stack, y)
+        left, right = verify.int_values(stack_a, x), verify.int_values(stack_b, y)
         return [p - q for p, q in zip(linalg.int_product(left, right),
                                       linalg.int_product(right, left))]
 
-    degree = len(stack[0]) - 1
-    return verify.grid_report("commutation", diff_at, degree, degree,
-                              grid_margin=grid_margin, scale=scale * scale)
+    return verify.grid_report("commutation", diff_at, len(stack_a[0]) - 1,
+                              len(stack_b[0]) - 1, grid_margin=grid_margin,
+                              scale=scale_a * scale_b)
+
+
+def assert_same_verdict(got, want):
+    assert got.grid_size is None
+    assert (got.passed, got.witness, str(got.witness)) == (want.passed, want.witness,
+                                                           str(want.witness))
 
 
 @st.composite
@@ -571,18 +587,61 @@ def integer_families(draw):
 @settings(max_examples=80, deadline=None)
 @given(integer_families(), st.integers(0, 2))
 def test_self_commutation_matches_the_full_grid(family, margin):
-    want = full_grid_commutation(family, margin)
+    want = full_grid_commutation(family, family, margin)
     assume(not want.passed)
-    got = check_commutation(family, family, grid_margin=margin)
-    assert (got.passed, got.witness, got.grid_size) == (want.passed, want.witness, want.grid_size)
+    assert_same_verdict(check_commutation(family, family), want)
 
 
 def test_self_commutation_failure_on_the_degree_three_family():
     a, _ = _degree_three_pair()
     a = a + matrix_unit(2, 2, 1) * Poly.variable("u")
-    got, want = check_commutation(a, a), full_grid_commutation(a)
+    got, want = check_commutation(a, a), full_grid_commutation(a, a)
     assert not got.passed
-    assert (got.witness, got.grid_size) == (want.witness, want.grid_size)
+    assert_same_verdict(got, want)
+
+
+RATIONALS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+EXT_SCALARS = st.sampled_from([IM, SQRT2, Ext(1, 0, 1, 0), Ext(Fraction(1, 2), 0, 0, -1)])
+
+
+@st.composite
+def commutation_pairs(draw):
+    """(a, b): polynomials in u of degree 0..3 in one base matrix M, which
+    commute, over Q or Q(i, sqrt2); b is a in half the draws, and either
+    operand may carry a one-entry change c u^k, which breaks that."""
+    n, legs = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    size = n ** legs
+    extension = draw(st.booleans())
+    base = TensorMatrix.from_entries(n, legs, {
+        (i, j): draw(RATIONALS) for i in range(size) for j in range(size) if draw(st.booleans())})
+    if extension:
+        base = base + TensorMatrix.from_entries(n, legs, {
+            (draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))): draw(EXT_SCALARS)})
+    powers = [TensorMatrix.identity(n, legs), base, base @ base]
+    u = Poly.variable("u")
+
+    def operand():
+        degree = draw(st.integers(0, 3))
+        out = TensorMatrix.zero(n, legs)
+        for power in powers:
+            coeffs = [draw(RATIONALS | st.just(0)) for _ in range(degree + 1)]
+            out = out + power * (coeffs[0] if degree == 0 else Poly.univariate("u", coeffs))
+        if draw(st.booleans()):
+            value = draw(EXT_SCALARS if extension else RATIONALS)
+            out = out + TensorMatrix.from_entries(n, legs, {
+                (draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))):
+                    value * u ** draw(st.integers(0, 2)) if degree else value})
+        return out
+
+    a = operand()
+    return a, a if draw(st.booleans()) else operand()
+
+
+@settings(max_examples=200, deadline=None)
+@given(commutation_pairs())
+def test_commutation_matches_the_full_grid(pair):
+    a, b = pair
+    assert_same_verdict(check_commutation(a, b), full_grid_commutation(a, b))
 
 
 @pytest.mark.parametrize("build, sites", [(lambda: yangian_sl_R(2), 3), (nilpotent_R, 4),
@@ -594,10 +653,10 @@ def test_check_chain_reports_equal_the_object_sequence(build, sites):
     # from them
     family, derived = (TensorMatrix(m.site_dim, m.legs, m.data)
                        for m in (transfer_matrix(r, spec).matrix, derive_hamiltonian(r, spec)))
-    for margin in (0, 1):
-        got = spin_chain.check_chain(r, spec, grid_margin=margin)
-        want = (check_commutation(family, family, grid_margin=margin),
-                check_commutation(derived, family, grid_margin=margin))
-        assert got == want
-        assert list(map(serialize.encode, got)) == list(map(serialize.encode, want))
-        assert all(rep.passed for rep in got) == (build is not failing_R)
+    got = spin_chain.check_chain(r, spec)
+    want = (check_commutation(family, family), check_commutation(derived, family))
+    assert got == want
+    assert list(map(serialize.encode, got)) == list(map(serialize.encode, want))
+    assert all(rep.passed for rep in got) == (build is not failing_R)
+    for rep, (a, b) in zip(got, ((family, family), (derived, family))):
+        assert_same_verdict(rep, full_grid_commutation(a, b))

@@ -14,7 +14,13 @@ of the child processes (the whole process: imports, construction and the
 timed call) and the report line (for a command line, its exit code and
 the lines it printed), and for a command line the sha256 of the file it
 wrote (`--report` for verify and chain commute, `--out` for the other
-chain actions).  Report lines and file hashes must agree between sources.
+chain actions).  Report lines and file hashes must agree between sources,
+byte for byte, except on `chain commute`: its lines are compared without
+a ` grid=AxB` token and its report without the `grid_size` field, so a
+tree that decides commutation with no grid compares equal to one that
+used a grid.  A `chain commute` case also records how many products of
+the integer kernel ran inside `check_commutation` and how many of them
+in Python ints.
 
     python3 tools/sweep.py --src parent=../parent/src --src change=src \\
         --out BENCH_pr16.json
@@ -24,8 +30,9 @@ sl(n), n = 2..4, whose numerators satisfy R21 = R12; the skew twisted
 solution, N = 4..7, whose numerator does not; `--method poly` on so(3)
 and so(4); `chain transfer` on the baxterized n = 2 family at tau = 1
 and on yangian sl(2), L = 3..6; `chain hamiltonian` at xi = 1 on a
-periodic chain, L = 3..8; `chain commute --report` and `chain derive` on
-the baxterized n = 2 family at tau = 1, L = 3..6; `verify unitarity
+periodic chain, L = 3..8; `chain commute --report` on the baxterized n = 2 family at tau = 1,
+L = 3..8, and on yangian sl(2), L = 7, 8; `chain derive` on the
+baxterized n = 2 family at tau = 1, L = 3..6; `verify unitarity
 --in` the twisted solution, N = 4..6, in both realizations; `verify ybe
 --spectral --in` so(N), N = 3..7, antidiagonal; `verify ybe --constant
 --in` the triangular solution example1_R(n), n = 3..7.
@@ -38,6 +45,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -58,12 +66,31 @@ print(json.dumps({{"wall_s": wall, "report": str(report),
 """
 
 # a command line writing to a file with the option given, after its --in file
-# (when given) is built and written
+# (when given) is built and written; for chain commute, the kernel's products
+# inside check_commutation are counted, and the report is hashed without its
+# grid_size
 COMMAND = """
 import contextlib, hashlib, io, json, resource, tempfile, time
 from pathlib import Path
-from baxter import serialize
+from baxter import linalg, serialize, spin_chain
 from baxter.cli import main
+commute, products = {commute!r}, [0, 0]
+check, int_product = spin_chain.check_commutation, linalg.int_product
+
+def counted(a, b):
+    out = int_product(a, b)
+    products[0] += 1
+    products[1] += out[0].dtype == object
+    return out
+
+def check_commutation(*args):
+    linalg.int_product = counted
+    try:
+        return check(*args)
+    finally:
+        linalg.int_product = int_product
+
+spin_chain.check_commutation = check_commutation
 from baxter.solutions import (Realization, baxterize, example1_R, example2_solution,
                               yangian_sl_R, yangian_so_R)
 with tempfile.TemporaryDirectory() as folder:
@@ -77,11 +104,21 @@ with tempfile.TemporaryDirectory() as folder:
     with contextlib.redirect_stdout(printed):
         code = main([*argv, {option!r}, str(out)])
     wall = time.perf_counter() - start
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    written = out.read_bytes()
+    if commute:
+        payload = json.loads(written)
+        payload.pop("grid_size")
+        written = json.dumps(payload, sort_keys=True, indent=2).encode()
+    digest = hashlib.sha256(written).hexdigest()
 report = "; ".join([f"exit {{code}}", *printed.getvalue().splitlines()])
 print(json.dumps({{"wall_s": wall, "report": report, "sha256": digest,
-                  "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}}))
+                  "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                  **({{"products": products[0], "python_int_products": products[1]}}
+                     if commute else {{}})}}))
 """
+
+# the token chain commute lines carried while commutation ran on a grid
+GRID = re.compile(r" grid=\d+x\d+")
 
 # name: the child program
 CASES = {
@@ -94,26 +131,32 @@ CASES = {
        for N in (4, 5, 6, 7)},
     **{f"so{N}-antidiag-poly": YBE.format(build=f"yangian_so_R({N})", method="poly")
        for N in (3, 4)},
-    **{f"transfer-{name}-{L}": COMMAND.format(build=build, option="--out",
+    **{f"transfer-{name}-{L}": COMMAND.format(build=build, option="--out", commute=False,
                                               argv=["chain", "transfer", "--sites", str(L)])
        for name, build in (("bx2", "baxterize(example1_R(2, 1))"), ("sl2", "yangian_sl_R(2)"))
        for L in range(3, 7)},
-    **{f"hamiltonian-{L}": COMMAND.format(build="None", option="--out",
+    **{f"hamiltonian-{L}": COMMAND.format(build="None", option="--out", commute=False,
                                           argv=["chain", "hamiltonian", "--sites", str(L),
                                                 "--xi", "1"])
        for L in range(3, 9)},
-    **{f"{action}-bx2-{L}": COMMAND.format(build="baxterize(example1_R(2, 1))", option=option,
-                                           argv=["chain", action, "--sites", str(L)])
-       for action, option in (("commute", "--report"), ("derive", "--out"))
+    **{f"commute-{name}-{L}": COMMAND.format(build=build, option="--report", commute=True,
+                                             argv=["chain", "commute", "--sites", str(L)])
+       for name, build, sites in (("bx2", "baxterize(example1_R(2, 1))", range(3, 9)),
+                                  ("sl2", "yangian_sl_R(2)", (7, 8)))
+       for L in sites},
+    **{f"derive-bx2-{L}": COMMAND.format(build="baxterize(example1_R(2, 1))", option="--out",
+                                         commute=False, argv=["chain", "derive", "--sites", str(L)])
        for L in range(3, 7)},
     **{f"unitarity-file-twisted{N}-{r}": COMMAND.format(
         build=f"example2_solution({N}, Realization.{r.upper()})", option="--report",
-        argv=["verify", "unitarity"])
+        commute=False, argv=["verify", "unitarity"])
        for N in (4, 5, 6) for r in ("antidiag", "skew")},
     **{f"ybe-file-so{N}-antidiag": COMMAND.format(build=f"yangian_so_R({N})", option="--report",
+                                                  commute=False,
                                                   argv=["verify", "ybe", "--spectral"])
        for N in range(3, 8)},
     **{f"ybe-constant-R{n}": COMMAND.format(build=f"example1_R({n}, 1)", option="--report",
+                                            commute=False,
                                             argv=["verify", "ybe", "--constant"])
        for n in range(3, 8)},
 }
@@ -134,8 +177,8 @@ def sweep(sources: dict) -> dict:
         for _ in range(REPEAT):
             for label, src in sources.items():
                 runs[label][name].append(run_case(src, name))
-        results = {(r["report"], r.get("sha256")) for by_name in runs.values()
-                   for r in by_name[name]}
+        results = {(GRID.sub("", r["report"]) if name.startswith("commute-") else r["report"],
+                    r.get("sha256")) for by_name in runs.values() for r in by_name[name]}
         if len(results) != 1:
             raise SystemExit(f"{name}: the reports or written files differ: {sorted(results)}")
         line = ", ".join(f"{label} {statistics.median(r['wall_s'] for r in runs[label][name]):.4f} s"
@@ -145,7 +188,8 @@ def sweep(sources: dict) -> dict:
                            "median_s": round(statistics.median(r["wall_s"] for r in rs), 5),
                            "maxrss_mb": round(max(r["maxrss_kb"] for r in rs) / 1024, 1),
                            "report": rs[0]["report"],
-                           **({"sha256": rs[0]["sha256"]} if "sha256" in rs[0] else {})}
+                           **{key: rs[0][key] for key in ("sha256", "products",
+                                                          "python_int_products") if key in rs[0]}}
                     for name, rs in by_name.items()}
             for label, by_name in runs.items()}
 
