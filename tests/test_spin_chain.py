@@ -600,6 +600,19 @@ def test_self_commutation_failure_on_the_degree_three_family():
     assert_same_verdict(got, want)
 
 
+def test_commutation_takes_every_pair_at_both_scales():
+    # [E12 / 2, E21 / 3] = (E11 - E22) / 6: at x^2 y a pair with i > j, at
+    # x y^2 one with i < j, and for constants the pair i = j
+    u = Poly.variable("u")
+    e12, e21 = matrix_unit(2, 1, 2) * Fraction(1, 2), matrix_unit(2, 2, 1) * Fraction(1, 3)
+    for a, b, exponents, value in ((e12 * (u * u), e21 * u, (2, 1), Fraction(1, 6)),
+                                   (e21 * u, e12 * (u * u), (1, 2), Fraction(-1, 6)),
+                                   (e12, e21, (0, 0), Fraction(1, 6))):
+        rep = check_commutation(a, b)
+        assert rep.witness == verify.Witness(0, 0, exponents, value)
+        assert_same_verdict(rep, full_grid_commutation(a, b))
+
+
 RATIONALS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
 EXT_SCALARS = st.sampled_from([IM, SQRT2, Ext(1, 0, 1, 0), Ext(Fraction(1, 2), 0, 0, -1)])
 
