@@ -219,7 +219,7 @@ def check_commutation(a, b) -> verify.VerificationReport:
         left, right = [c[i] for c in stack_a], [c[j] for c in stack_b]
         diff = [p - q for p, q in zip(linalg.int_product(left, right),
                                       linalg.int_product(right, left))]
-        if any(c.any() for c in diff):
+        if any(c.any() for c in diff):  # a PASS holds no commutator
             commutators[i, j] = diff
     witness = verify._first_offence(commutators, scale_a * scale_b)
     return verify.VerificationReport("commutation", witness is None, witness)
@@ -228,7 +228,7 @@ def check_commutation(a, b) -> verify.VerificationReport:
 def check_chain(r: SpectralRMatrix, spec: ChainSpec):
     """(self, hamiltonian): check_commutation(t, t) and check_commutation(h, t)
     for the transfer family t of r and the derived Hamiltonian h on the
-    chain spec; both stay cleared integer stacks throughout."""
+    chain spec, both decided on the commutators of their cleared layers."""
     family = transfer_matrix(r, spec)
     hamiltonian = derive_hamiltonian(r, spec)
     return (check_commutation(family, family),

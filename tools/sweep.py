@@ -23,19 +23,20 @@ the integer kernel ran inside `check_commutation` and how many of them
 in Python ints.
 
     python3 tools/sweep.py --src parent=../parent/src --src change=src \\
-        --out BENCH_pr16.json
+        --out BENCH_pr17.json
 
 Cases (see CASES): spectral so(N), N = 3..9, in both realizations and
 sl(n), n = 2..4, whose numerators satisfy R21 = R12; the skew twisted
 solution, N = 4..7, whose numerator does not; `--method poly` on so(3)
 and so(4); `chain transfer` on the baxterized n = 2 family at tau = 1
 and on yangian sl(2), L = 3..6; `chain hamiltonian` at xi = 1 on a
-periodic chain, L = 3..8; `chain commute --report` on the baxterized n = 2 family at tau = 1,
-L = 3..8, and on yangian sl(2), L = 7, 8; `chain derive` on the
-baxterized n = 2 family at tau = 1, L = 3..6; `verify unitarity
---in` the twisted solution, N = 4..6, in both realizations; `verify ybe
---spectral --in` so(N), N = 3..7, antidiagonal; `verify ybe --constant
---in` the triangular solution example1_R(n), n = 3..7.
+periodic chain, L = 3..8; `chain commute --report` on the baxterized
+n = 2 family at tau = 1, L = 3..8, and on yangian sl(2), L = 7, 8;
+`chain derive` on the baxterized n = 2 family at tau = 1, L = 3..6;
+`verify unitarity --in` the twisted solution, N = 4..6, in both
+realizations; `verify ybe --spectral --in` so(N), N = 3..7, antidiagonal;
+`verify ybe --constant --in` the triangular solution example1_R(n),
+n = 3..7.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import contextlib, hashlib, io, json, resource, tempfile, time
 from pathlib import Path
 from baxter import linalg, serialize, spin_chain
 from baxter.cli import main
-commute, products = {commute!r}, [0, 0]
+products = [0, 0]
 check, int_product = spin_chain.check_commutation, linalg.int_product
 
 def counted(a, b):
@@ -96,6 +97,7 @@ from baxter.solutions import (Realization, baxterize, example1_R, example2_solut
 with tempfile.TemporaryDirectory() as folder:
     source, out = Path(folder, "in.yb"), Path(folder, "out.yb")
     argv, built = {argv!r}, {build}
+    commute = argv[:2] == ["chain", "commute"]
     if built is not None:
         serialize.save(built, source)
         argv += ["--in", str(source)]
@@ -131,32 +133,30 @@ CASES = {
        for N in (4, 5, 6, 7)},
     **{f"so{N}-antidiag-poly": YBE.format(build=f"yangian_so_R({N})", method="poly")
        for N in (3, 4)},
-    **{f"transfer-{name}-{L}": COMMAND.format(build=build, option="--out", commute=False,
+    **{f"transfer-{name}-{L}": COMMAND.format(build=build, option="--out",
                                               argv=["chain", "transfer", "--sites", str(L)])
        for name, build in (("bx2", "baxterize(example1_R(2, 1))"), ("sl2", "yangian_sl_R(2)"))
        for L in range(3, 7)},
-    **{f"hamiltonian-{L}": COMMAND.format(build="None", option="--out", commute=False,
+    **{f"hamiltonian-{L}": COMMAND.format(build="None", option="--out",
                                           argv=["chain", "hamiltonian", "--sites", str(L),
                                                 "--xi", "1"])
        for L in range(3, 9)},
-    **{f"commute-{name}-{L}": COMMAND.format(build=build, option="--report", commute=True,
+    **{f"commute-{name}-{L}": COMMAND.format(build=build, option="--report",
                                              argv=["chain", "commute", "--sites", str(L)])
        for name, build, sites in (("bx2", "baxterize(example1_R(2, 1))", range(3, 9)),
                                   ("sl2", "yangian_sl_R(2)", (7, 8)))
        for L in sites},
     **{f"derive-bx2-{L}": COMMAND.format(build="baxterize(example1_R(2, 1))", option="--out",
-                                         commute=False, argv=["chain", "derive", "--sites", str(L)])
+                                         argv=["chain", "derive", "--sites", str(L)])
        for L in range(3, 7)},
     **{f"unitarity-file-twisted{N}-{r}": COMMAND.format(
         build=f"example2_solution({N}, Realization.{r.upper()})", option="--report",
-        commute=False, argv=["verify", "unitarity"])
+        argv=["verify", "unitarity"])
        for N in (4, 5, 6) for r in ("antidiag", "skew")},
     **{f"ybe-file-so{N}-antidiag": COMMAND.format(build=f"yangian_so_R({N})", option="--report",
-                                                  commute=False,
                                                   argv=["verify", "ybe", "--spectral"])
        for N in range(3, 8)},
     **{f"ybe-constant-R{n}": COMMAND.format(build=f"example1_R({n}, 1)", option="--report",
-                                            commute=False,
                                             argv=["verify", "ybe", "--constant"])
        for n in range(3, 8)},
 }
