@@ -2,13 +2,14 @@
 
 Each case is one `baxter build` or `baxter chain` command that writes an
 object file: every object kind of `build` (the skew realizations over
-Q(i, sqrt2) among them), `chain transfer` on the baxterized family at
-tau = 0, 1, 2 and on yangian sl(2) for L = 3..5, `chain hamiltonian` for
-L = 3..6 on periodic and open chains at xi = 0, 1, 2, -5/2, and
-`chain derive` on the baxterized family.  An argument "@name" is the file
-written by the earlier case of that name.  The test runs every case and
-compares the sha256 and the length of each file with the stored ones, so
-any change to a written byte shows up as a diff of that file.
+Q(i, sqrt2) among them, and frobenius-r for n = 2..5), `chain transfer`
+on the baxterized family at tau = 0, 1, 2 and on yangian sl(2) for
+L = 3..5, `chain hamiltonian` for L = 3..6 on periodic and open chains at
+xi = 0, 1, 2, -5/2, and `chain derive` on the baxterized family.  An
+argument "@name" is the file written by the earlier case of that name.
+The test runs every case and compares the sha256 and the length of each
+file with the stored ones, so any change to a written byte shows up as a
+diff of that file.
 
 Regenerate the file, from the checkout whose bytes it should hold, with
 
@@ -38,6 +39,8 @@ def _builds():
         yield f"frobenius-r{n}", ["frobenius-r", "--n", n]
         for xi in ("1", "2/3", "-5/2"):
             yield f"example1-r{n}-{xi}", ["example1-r", "--n", n, "--xi", xi]
+    for n in ("4", "5"):
+        yield f"frobenius-r{n}", ["frobenius-r", "--n", n]
     for tau in TAUS:
         yield f"R2-{tau}", ["example1-R", "--n", "2", "--xi", tau]
         yield f"bx2-{tau}", ["baxterize", "--in", f"@R2-{tau}"]

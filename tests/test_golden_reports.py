@@ -3,8 +3,8 @@
 Each case builds one verification report from library constructions:
 unitarity (constant and spectral), regularity, the classical limit, the
 braid identity (constant, and spectral on the grid and by --method poly),
-the classical identity (constant and rational) and chain commutation,
-passing and failing, over Q and Q(i, sqrt2).  The test
+the classical identity (constant and rational), chain commutation and
+the 2-cocycle identity, passing and failing, over Q and Q(i, sqrt2).  The test
 recomputes every report and compares `str(report)` and
 `serialize.encode(report)` with the stored text byte for byte, so any
 change to a verdict, a witness, a scalar or the encoding shows up as a
@@ -23,7 +23,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from baxter import serialize
+from baxter.frobenius import (CocycleMatrix, LinearFunctional, check_cocycle,
+                              closure_and_structure, cocycle_from_functional,
+                              example1_basis, example1_pair)
 from baxter.spin_chain import (ChainSpec, check_chain, check_commutation, sigma_z,
                                transfer_matrix)
 from baxter.poly import Poly
@@ -220,10 +225,39 @@ def _commutation():
         kron(sigma_z(), one) * Fraction(1, 2), permutation_op(2) * 3 + kron(one, sigma_z()))
 
 
+def _skew(m, entries):
+    """The m x m skew object matrix with the given {(i, j): value} above the
+    diagonal."""
+    out = np.zeros((m, m), dtype=object)
+    for (i, j), value in entries.items():
+        out[i, j], out[j, i] = value, -value
+    return out
+
+
+def _conjugated_basis():
+    """example1_basis(3) conjugated by a Q(i, sqrt2) matrix g: g x g^-1."""
+    g = (TensorMatrix.identity(3) + matrix_unit(3, 2, 1) * IM + matrix_unit(3, 3, 2) * SQRT2
+         + matrix_unit(3, 1, 3) * Fraction(1, 2))
+    inverse = g.inverse()
+    return closure_and_structure([g @ x @ inverse for x in example1_basis(3).elements])
+
+
+def _cocycle():
+    for n in (2, 3, 4, 5):
+        yield f"cocycle-n{n}", lambda n=n: check_cocycle(
+            cocycle_from_functional(*example1_pair(n)))
+    yield "cocycle-cyclic-failure", lambda: check_cocycle(
+        CocycleMatrix(example1_pair(3)[0], _skew(4, {(0, 1): 1, (2, 3): 1})))
+    yield "cocycle-zero-functional", lambda: check_cocycle(cocycle_from_functional(
+        example1_pair(2)[0], LinearFunctional(TensorMatrix.zero(2, 1))))
+    yield "cocycle-ext-conjugated-failure", lambda: check_cocycle(CocycleMatrix(
+        _conjugated_basis(), _skew(4, {(0, 1): IM + 1, (1, 3): SQRT2, (2, 3): Fraction(1, 3)})))
+
+
 def cases():
     """(name, thunk) for every pinned report, in file order."""
     for group in (_unitarity, _regularity, _classical_limit, _braid, _classical,
-                  _spectral, _commutation):
+                  _spectral, _commutation, _cocycle):
         yield from group()
 
 
