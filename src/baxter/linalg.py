@@ -430,10 +430,6 @@ def rref(a: np.ndarray):
     return m, pivots
 
 
-def rank(a: np.ndarray) -> int:
-    return len(rref(a)[1])
-
-
 def solve(a: np.ndarray, b: np.ndarray):
     """A particular exact solution X of A X = B, or None if inconsistent."""
     if b.ndim == 1:

@@ -193,6 +193,20 @@ def test_negative_grid_margin_exits_2(capsys, argv):
     assert err.count("\n") == 1 and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "cocycle", "--n", "15"],
+                                  ["verify", "cocycle", "--n", "4096"],
+                                  ["build", "frobenius-r", "--n", "15"]])
+def test_oversized_cocycle_sizes_exit_2_at_once(baxter_command, argv):
+    # the closure system of example1_basis(n) is refused before any element
+    # is built, so the command answers at once instead of running for minutes
+    command, env = baxter_command
+    proc = subprocess.run([*command, *argv], capture_output=True, text=True, env=env,
+                          timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "above the limit" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("action", ["transfer", "commute", "calibrate"])
 def test_periodic_chain_actions_refuse_an_open_chain(tmp_path, capsys, action):
     path = tmp_path / "sl2.yb"

@@ -186,7 +186,7 @@ def test_scale_to_int():
 def test_rref_and_rank():
     a = linalg.object_matrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     reduced, pivots = linalg.rref(a)
-    assert linalg.rank(a) == 2
+    assert len(linalg.rref(a)[1]) == 2
     assert pivots == [0, 1]
     assert reduced[0].tolist() == [1, 0, -1]
     assert reduced[1].tolist() == [0, 1, 2]

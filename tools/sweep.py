@@ -36,7 +36,8 @@ n = 2 family at tau = 1, L = 3..8, and on yangian sl(2), L = 7, 8;
 `verify unitarity --in` the twisted solution, N = 4..6, in both
 realizations; `verify ybe --spectral --in` so(N), N = 3..7, antidiagonal;
 `verify ybe --constant --in` the triangular solution example1_R(n),
-n = 3..7.
+n = 3..7; `verify cocycle --report` on the triangular basis,
+n = 4, 6, 8, 10; `build frobenius-r --out`, n = 4, 6.
 """
 
 from __future__ import annotations
@@ -159,6 +160,12 @@ CASES = {
     **{f"ybe-constant-R{n}": COMMAND.format(build=f"example1_R({n}, 1)", option="--report",
                                             argv=["verify", "ybe", "--constant"])
        for n in range(3, 8)},
+    **{f"cocycle-{n}": COMMAND.format(build="None", option="--report",
+                                      argv=["verify", "cocycle", "--n", str(n)])
+       for n in (4, 6, 8, 10)},
+    **{f"frobenius-r-{n}": COMMAND.format(build="None", option="--out",
+                                          argv=["build", "frobenius-r", "--n", str(n)])
+       for n in (4, 6)},
 }
 
 
