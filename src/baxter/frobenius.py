@@ -104,21 +104,21 @@ def _commutators(elements) -> tuple:
 def closure_and_structure(basis) -> SubalgebraBasis:
     """Verify closure, returning the basis with structure constants filled.
 
-    One row reduction of [s x_k | s^2 [x_i, x_j] for i < j] decides
-    independence and closure; its reduced columns are s times the constants.
+    One row reduction of [s^2 x_k | s^2 [x_i, x_j] for i < j] decides
+    independence and closure; its reduced columns are the constants.
     """
     elements = basis.elements if isinstance(basis, SubalgebraBasis) else tuple(basis)
     m, size = len(elements), elements[0].size ** 2
     scale, stack, comm = _commutators(elements)
     upper = np.triu_indices(m, 1)
     system = [np.concatenate([x.reshape(m, size).T, c[upper].reshape(-1, size).T], axis=1)
-              for x, c in zip(stack, comm)]
+              for x, c in zip(linalg.scaled(stack, scale), comm)]
     reduced, pivots = linalg.rref(linalg.rebuild(1, (), system, {}))
     if pivots[:m] != list(range(m)):
         raise DependentBasis(f"{m} elements span a smaller space")
     if len(pivots) > m:
         raise NotClosed(tuple(int(k[pivots[m] - m]) for k in upper))
-    constants = reduced[:m, m:].T / scale
+    constants = reduced[:m, m:].T
     structure = np.zeros((m, m, m), dtype=object)
     structure[upper], structure[upper[::-1]] = constants, -constants
     structure.flags.writeable = False
