@@ -57,16 +57,6 @@ def _load(path, kinds):
     return obj
 
 
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 # Options whose value is a scalar and may be negative.
 _SCALAR_OPTIONS = ("--xi", "--tau")
 
@@ -156,8 +146,7 @@ def _verify(args) -> int:
             report = verify.check_cybe(target)
     elif which == "ybe":
         mode = "constant" if args.constant else "spectral" if args.spectral else None
-        report = verify.check_ybe(target, mode=mode, method=args.method,
-                                  grid_margin=args.grid_margin)
+        report = verify.check_ybe(target, mode=mode, method=args.method)
     elif which == "unitarity":
         report = verify.check_unitarity(target)
     elif which == "regularity":
@@ -255,7 +244,6 @@ def _parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--omega", help="cybe: file with the omega matrix (default P)")
     ver_p.add_argument("--against", help="classical-limit: file with the expected r")
     ver_p.add_argument("--method", choices=["grid", "poly"], default="grid")
-    ver_p.add_argument("--grid-margin", type=_non_negative, default=1)
     ver_p.add_argument("--report", help="write the verification report to this file")
     ver_p.set_defaults(func=_verify)
 

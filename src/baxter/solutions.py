@@ -204,6 +204,8 @@ def apply_twist(solution, f0: TensorMatrix):
     Works for a constant TensorMatrix or a SpectralRMatrix (the twist is
     constant, so it acts on the numerator and leaves the denominator alone).
     """
+    if f0.variables():
+        raise ValueError("the twist cocycle must be constant")
     left = swap_factors(f0).inverse()
     if isinstance(solution, SpectralRMatrix):
         numerator = left @ solution.numerator @ f0

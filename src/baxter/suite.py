@@ -295,9 +295,9 @@ def cli_interface() -> list:
 
 CRITERIA = (
     ("triangular-family", triangular_family, 5),
-    ("baxterized-family", baxterized_family, 2),
-    ("yangian-families", yangian_families, 9),
-    ("twisted-orthogonal", twisted_orthogonal, 16),
+    ("baxterized-family", baxterized_family, 0.5),
+    ("yangian-families", yangian_families, 6),
+    ("twisted-orthogonal", twisted_orthogonal, 12),
     ("frobenius-construction", frobenius_construction, 0.2),
     ("classical-equivalence", classical_equivalence, 2),
     ("chain-checks", chain_checks, 2),

@@ -4,10 +4,11 @@ Identities are decided on integer layers cleared by linalg.clear, with
 factors applied on their legs (linalg.apply_legs); only the constant braid
 identity forms object products, of the integer numerator, whose entries
 need no clearing.  The spectral braid identity is the braid
-word W(x, y, z) = x12 y13 z23 - z23 y13 x12 at the points of a grid that
-strictly exceeds the degree bound of the difference in each variable, so
-vanishing there is identical vanishing.  When R21 = R12 exactly on the
-cleared numerator, the right-hand word at (x, y) is P13 L(y, x) P13 for
+word W(x, y, z) = x12 y13 z23 - z23 y13 x12 at the points of a grid of
+degree + 1 points in each variable, (2d+1)^2 for a numerator of degree d,
+so vanishing there is identical vanishing; the witness is interpolated
+from the grid with the integer Lagrange weights.  When R21 = R12 exactly
+on the cleared numerator, the right-hand word at (x, y) is P13 L(y, x) P13 for
 the left-hand word L(x, y) = R12(x) R13(x+y) R23(y), and the grid builds
 left-hand words alone, two per pair of points mirrored in the diagonal.
 The method "poly" and the classical identity compare every
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cache
 from itertools import product
 
@@ -174,60 +174,59 @@ def _add_weighted(sums: dict, weights: dict, term: list):
         sums[exps] = linalg.int_sum(sums[exps], scaled) if exps in sums else scaled
 
 
-def interpolate_grid(xs, ys, table):
-    """Exact bivariate coefficients c[i][j] from values on the product grid of
-    xs = 0..len(xs)-1 and ys = 0..len(ys)-1."""
-    inverse = [linalg.object_matrix([[Fraction(w, denominator) for w in row]
-                                     for row in weights.tolist()])
-               for weights, denominator in map(linalg.lagrange_weights, (len(xs), len(ys)))]
-    return linalg.matmul(linalg.matmul(inverse[0], linalg.object_matrix(table)), inverse[1].T)
+def interpolate_grid(table: list):
+    """(denominator, coefficients): denominator * c[i][j] for the exact
+    bivariate coefficients c[i][j] of a polynomial, from its values on the
+    grid 0..a-1 by 0..b-1 given as a component list of integer (a, b)
+    tables (see linalg.int_product).  For the integer Lagrange weights W_k
+    over their denominators d_k, the coefficients are W_a T W_b^T over
+    d_a d_b."""
+    (w_a, d_a), (w_b, d_b) = map(linalg.lagrange_weights, table[0].shape)
+    rows = linalg.int_product(linalg.narrow([w_a]), table)
+    return d_a * d_b, linalg.int_product(rows, linalg.narrow([w_b.T]))
 
 
-def grid_report(identity_name, diff_at, degree_a, degree_b,
-                grid_margin=1, scale=1) -> VerificationReport:
+def grid_report(identity_name, diff_at, degree_a, degree_b, scale=1) -> VerificationReport:
     """Check a bivariate polynomial matrix identity on a conclusive grid.
 
     diff_at(x, y) returns the integer components (see linalg.int_product)
-    of the scaled difference matrix at integer points; the grid strictly
-    exceeds the stated degree bound in each variable, so all-zero on the
-    grid proves the identity.  Witness values are divided by scale to
-    return to unscaled units.
+    of the scaled difference matrix at integer points.  The grid is
+    0..degree_a by 0..degree_b: a polynomial of degree at most degree_a in
+    x and degree_b in y that vanishes there is zero (Alon, Combinatorial
+    Nullstellensatz, Lemma 2.1), so all-zero on the grid proves the
+    identity.  The witness is the first nonzero coefficient, in row-major
+    order of its exponents, of the first offending entry, divided by scale
+    to return to unscaled units.
     """
-    pts_a = degree_a + 1 + grid_margin
-    pts_b = degree_b + 1 + grid_margin
-    if pts_a <= degree_a or pts_b <= degree_b:
-        raise ValueError(f"grid {pts_a}x{pts_b} does not exceed the degree bound "
-                         f"({degree_a}, {degree_b}); grid_margin must be >= 0")
-    xs = list(range(pts_a))
-    ys = list(range(pts_b))
+    grid = (degree_a + 1, degree_b + 1)
     # The witness entry is the first nonzero one, in row-major order, over
     # the whole grid.  No later entry can be it, so each point keeps only
     # its flat prefix up to the first nonzero entry seen so far, and a
     # point before the first nonzero one keeps nothing: it is zero there.
     first, kept = None, {}
-    for x in xs:
-        for y in ys:
-            comps = diff_at(x, y)
-            hit = _first_int_hit(comps)
-            if hit is not None:
-                cols = comps[0].shape[1]
-                at = hit[0] * cols + hit[1]
-                first = at if first is None else min(first, at)
-            if first is not None:
-                kept[x, y] = [c.reshape(-1)[:first + 1].copy() for c in comps]
+    for x, y in product(*map(range, grid)):
+        comps = diff_at(x, y)
+        hit = _first_int_hit(comps)
+        if hit is not None:
+            cols = comps[0].shape[1]
+            at = hit[0] * cols + hit[1]
+            first = at if first is None else min(first, at)
+        if first is not None:
+            kept[x, y] = [c.reshape(-1)[:first + 1].copy() for c in comps]
     if first is None:
-        return VerificationReport(identity_name, True, grid_size=(pts_a, pts_b))
+        return VerificationReport(identity_name, True, grid_size=grid)
+    table = [np.zeros(grid, dtype=object) for _ in range(max(map(len, kept.values())))]
+    for at, comps in kept.items():
+        for t, c in zip(table, comps):
+            t[at] = int(c[first])
+    denominator, coeff = interpolate_grid(linalg.narrow(table))
+    hit = _first_int_hit(coeff)
+    if hit is None:
+        raise AssertionError("nonzero grid value with zero interpolant")
+    value = linalg.ext_value([int(c[hit]) for c in coeff], scale * denominator)
     row, col = divmod(first, cols)
-    table = [[linalg.ext_value([int(c[first]) for c in kept[x, y]] if (x, y) in kept
-                               else [0], scale) for y in ys] for x in xs]
-    coeff = interpolate_grid(xs, ys, table)
-    for i in range(pts_a):
-        for j in range(pts_b):
-            if coeff[i, j]:
-                witness = Witness(row, col, (i, j), coeff[i, j])
-                return VerificationReport(identity_name, False, witness,
-                                          grid_size=(pts_a, pts_b))
-    raise AssertionError("nonzero grid value with zero interpolant")
+    return VerificationReport(identity_name, False, Witness(row, col, hit, value),
+                              grid_size=grid)
 
 
 # -- Yang-Baxter -------------------------------------------------------------
@@ -276,7 +275,7 @@ def _leg_symmetric(stack: list, swap: np.ndarray) -> bool:
     return all(np.array_equal(c[:, swap][:, :, swap], c) for c in stack)
 
 
-def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationReport:
+def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
     _single_variable(num)  # refuses a numerator in no variable or in two
     _, _, scale, stack, swap = _cleared_two_leg(num, "Yang-Baxter")
     degree = len(stack[0]) - 1
@@ -341,7 +340,7 @@ def _ybe_spectral_grid(num: TensorMatrix, grid_margin: int) -> VerificationRepor
         return minus_mirror(here, there)
 
     report = grid_report("ybe-spectral", mirrored_diff_at if symmetric else diff_at,
-                         2 * degree, 2 * degree, grid_margin=grid_margin, scale=scale ** 3)
+                         2 * degree, 2 * degree, scale=scale ** 3)
     if degree == 0 and report.witness is not None:
         # with no power of the variable every entry is a scalar, at no
         # monomial, as --method poly reports it
@@ -367,8 +366,7 @@ def _ybe_spectral_poly(num: TensorMatrix) -> VerificationReport:
     return VerificationReport("ybe-spectral", witness is None, witness)
 
 
-def check_ybe(r, mode: str | None = None, method: str = "grid",
-              grid_margin: int = 1) -> VerificationReport:
+def check_ybe(r, mode: str | None = None, method: str = "grid") -> VerificationReport:
     """R12 R13 R23 = R23 R13 R12, constant or with spectral arguments.
 
     In spectral mode the identity is taken at arguments (a, a+b, b); the
@@ -387,7 +385,7 @@ def check_ybe(r, mode: str | None = None, method: str = "grid",
         if method == "poly":
             return _ybe_spectral_poly(num)
         if method == "grid":
-            return _ybe_spectral_grid(num, grid_margin)
+            return _ybe_spectral_grid(num)
         raise ValueError(f"unknown method {method!r}")
     raise ValueError(f"unknown mode {mode!r}")
 

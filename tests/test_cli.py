@@ -56,6 +56,21 @@ def test_twist_sequence(tmp_path):
     assert routed.denominator == closed.denominator
 
 
+@pytest.mark.parametrize("target", [example1_R(2), yangian_sl_R(2)])
+def test_spectral_twist_cocycle_exits_2(tmp_path, capsys, target):
+    # F0 = u P + 1 has no constant inverse; it is refused before any
+    # elimination, with one line
+    f0 = permutation_op(2) * Poly.variable("u") + TensorMatrix.identity(2, 2)
+    r_path, f0_path = str(tmp_path / "r.yb"), str(tmp_path / "f0.yb")
+    save(target, r_path)
+    save(f0, f0_path)
+    assert main(["build", "twist", "--in", r_path, "--f0", f0_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (captured.err.count("\n") == 1 and "the twist cocycle must be constant" in captured.err
+            and "Traceback" not in captured.err)
+
+
 def test_failure_writes_report(tmp_path, capsys):
     p_path = str(tmp_path / "p.yb")
     report_path = tmp_path / "report.json"
@@ -180,17 +195,17 @@ def test_malformed_report_input_exits_2(tmp_path, capsys, field, value):
     assert err.count("\n") == 1 and err.startswith("error: ") and f"at {field}" in err
 
 
-@pytest.mark.parametrize("argv", [["verify", "ybe", "--in", "x.yb", "--grid-margin", "-1"],
+@pytest.mark.parametrize("argv", [["verify", "ybe", "--in", "x.yb", "--grid-margin", "1"],
                                   ["chain", "commute", "--in", "x.yb", "--grid-margin", "1"]])
 def test_negative_grid_margin_exits_2(capsys, argv):
+    # chain commutation runs no grid, and the spectral braid grid is the
+    # degree bound plus one: no subcommand takes a --grid-margin, of any sign
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    # chain commutation runs no grid, so chain takes no --grid-margin
-    message = ("--grid-margin: must be >= 0" if argv[0] == "verify"
-               else "unrecognized arguments: --grid-margin 1")
-    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+    assert (err.count("\n") == 1 and "unrecognized arguments: --grid-margin 1" in err
+            and "Traceback" not in err)
 
 
 @pytest.mark.parametrize("argv", [["verify", "cocycle", "--n", "15"],
@@ -396,11 +411,13 @@ def test_one_parser_serves_every_call_without_leaking(tmp_path, capsys):
     ybe = ["verify", "ybe", "--spectral", "--in", path]
     assert main([*ybe, "--method", "poly"]) == 0
     assert main(ybe) == 0
-    assert main([*ybe, "--grid-margin", "4"]) == 0
-    assert main(ybe) == 0
-    poly, grid, wide, again = capsys.readouterr().out.splitlines()
-    assert "grid=" not in poly and "grid=6x6" in grid
-    assert "grid=9x9" in wide and again == grid
+    saved = tmp_path / "so3.json"
+    assert main([*ybe, "--report", str(saved)]) == 0
+    saved.unlink()
+    assert main(ybe) == 0 and not saved.exists()
+    poly, grid, reported, again = capsys.readouterr().out.splitlines()
+    assert "grid=" not in poly and "grid=5x5" in grid
+    assert reported == grid and again == grid
     with pytest.raises(SystemExit) as exit_info:
         main([*ybe, "--method", "cubic"])
     assert exit_info.value.code == 2

@@ -191,6 +191,13 @@ def test_twist_by_identity_is_identity_map():
     assert apply_twist(r, TensorMatrix.identity(2, 2)) == r
 
 
+def test_twist_refuses_a_spectral_cocycle():
+    f0 = permutation_op(2) * Poly.variable("u") + TensorMatrix.identity(2, 2)
+    for target in (example1_R(2), yangian_sl_R(2)):
+        with pytest.raises(ValueError, match="the twist cocycle must be constant"):
+            apply_twist(target, f0)
+
+
 def test_twisted_solution_properties():
     e2 = example2_solution(4)
     assert check_ybe(e2).passed

@@ -383,26 +383,30 @@ def _degree_three_pair():
 
 
 def test_negative_grid_margin_is_rejected():
-    # commutation has no grid and takes no margin; the spectral braid grid
-    # keeps the guard
+    # commutation has no grid, and the spectral braid grid is the degree
+    # bound plus one: neither takes a margin, of any sign
     a, b = _degree_three_pair()
     rep = check_commutation(a, b)
     assert not rep.passed and rep.grid_size is None
-    assert rep.witness == full_grid_commutation(a, b, grid_margin=0).witness
-    with pytest.raises(TypeError):
-        check_commutation(a, b, grid_margin=1)
-    assert check_ybe(yangian_sl_R(2), grid_margin=0).grid_size == (3, 3)
-    with pytest.raises(ValueError, match="grid_margin"):
-        check_ybe(yangian_sl_R(2), grid_margin=-1)
+    assert rep.witness == full_grid_commutation(a, b).witness
+    for check, args in ((check_commutation, (a, b)), (check_ybe, (yangian_sl_R(2),))):
+        for margin in (-1, 1):
+            with pytest.raises(TypeError):
+                check(*args, grid_margin=margin)
+    assert check_ybe(yangian_sl_R(2)).grid_size == (3, 3)
 
 
 def test_negative_grid_margin_is_rejected_under_optimize():
-    # python -O strips assert statements; the guard must survive it
+    # python -O strips assert statements; the verdicts must not rest on them
     code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2])\n"
-            "from test_spin_chain import check_ybe, yangian_sl_R\n"
+            "from test_spin_chain import (_degree_three_pair, check_commutation, check_ybe,\n"
+            "                             full_grid_commutation, yangian_sl_R)\n"
+            "a, b = _degree_three_pair()\n"
+            "if check_commutation(a, b).witness != full_grid_commutation(a, b).witness:\n"
+            "    sys.exit('witnesses differ')\n"
             "try:\n"
             "    print(check_ybe(yangian_sl_R(2), grid_margin=-1))\n"
-            "except ValueError as err:\n"
+            "except TypeError as err:\n"
             "    print('rejected:', err)\n")
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(tests), "src")
@@ -553,7 +557,7 @@ def test_lowest_terms_is_clear_of_the_rebuilt_polys(raw):
     assert made.variables() == ("u",) and (made.data == rebuilt).all()
 
 
-def full_grid_commutation(a, b, grid_margin=1):
+def full_grid_commutation(a, b):
     """[A(x), B(y)] at every point of a conclusive grid, interpolated: the
     slow exact reference of check_commutation, which skips no pair."""
     (scale_a, stack_a), (scale_b, stack_b) = (linalg.clear(m.data, m.variables() or ("u",))
@@ -565,8 +569,7 @@ def full_grid_commutation(a, b, grid_margin=1):
                                       linalg.int_product(right, left))]
 
     return verify.grid_report("commutation", diff_at, len(stack_a[0]) - 1,
-                              len(stack_b[0]) - 1, grid_margin=grid_margin,
-                              scale=scale_a * scale_b)
+                              len(stack_b[0]) - 1, scale=scale_a * scale_b)
 
 
 def assert_same_verdict(got, want):
@@ -585,9 +588,9 @@ def integer_families(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(integer_families(), st.integers(0, 2))
-def test_self_commutation_matches_the_full_grid(family, margin):
-    want = full_grid_commutation(family, family, margin)
+@given(integer_families())
+def test_self_commutation_matches_the_full_grid(family):
+    want = full_grid_commutation(family, family)
     assume(not want.passed)
     assert_same_verdict(check_commutation(family, family), want)
 

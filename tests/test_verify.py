@@ -1,5 +1,6 @@
 """Tests for the identity verifiers: YBE, classical YBE, unitarity."""
 
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -52,11 +53,14 @@ def test_interpolate_grid():
     # plant p(x, y) = 2 + x*y - 3*y^2, read coefficients back from values
     def p(x, y):
         return 2 + x * y - 3 * y ** 2
-    xs, ys = [0, 1], [0, 1, 2]
-    table = [[p(x, y) for y in ys] for x in xs]
-    coeff = interpolate_grid(xs, ys, table)
-    assert coeff[0][0] == 2 and coeff[1][1] == 1 and coeff[0][2] == -3
-    assert coeff[1][0] == 0 and coeff[0][1] == 0 and coeff[1][2] == 0
+    table = np.array([[p(x, y) for y in range(3)] for x in range(2)], dtype=np.int64)
+    denominator, (coeff,) = interpolate_grid([table])
+    want = np.array([[2, 0, -3], [0, 1, 0]])
+    assert (coeff == denominator * want).all()
+    # a Q(i, sqrt2) table interpolates component-wise
+    denominator, coeff = interpolate_grid([table, 0 * table, 2 * table, 0 * table])
+    assert len(coeff) == 4
+    assert all((c == denominator * k * want).all() for c, k in zip(coeff, (1, 0, 2, 0)))
 
 
 def test_constant_ybe():
@@ -216,9 +220,7 @@ def test_cybe_conjugation_invariance():
 def test_spectral_ybe_grid():
     rep = check_ybe(yangian_sl_R(2))
     assert rep.passed
-    assert rep.grid_size == (4, 4)
-    rep = check_ybe(yangian_sl_R(2), grid_margin=2)
-    assert rep.passed and rep.grid_size == (5, 5)
+    assert rep.grid_size == (3, 3)
 
 
 def test_spectral_ybe_grid_poly_agree():
@@ -512,12 +514,27 @@ def test_poly_method_on_entries_of_degree_zero():
     assert (grid.row, grid.col, grid.exponents, grid.value) == want
 
 
-def test_grid_margin_below_zero_is_rejected():
-    with pytest.raises(ValueError):
-        check_ybe(yangian_sl_R(2), grid_margin=-1)
-    with pytest.raises(ValueError):
-        grid_report("x", lambda x, y: [np.zeros((1, 1), dtype=np.int64)], 2, 0,
-                    grid_margin=-1)
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_the_minimal_grid_is_conclusive(degree, axis):
+    # the falling factorial f(t) = t (t-1) ... (t-degree+1) in x, or in y,
+    # vanishes on the first degree points of its axis, so a grid of one
+    # point fewer there would pass it; the other axis is one degree wider
+    def falling(t):
+        return math.prod(t - k for k in range(degree))
+
+    degrees, low, top = (((degree, degree + 1), (1, 0), (degree, 0)) if axis == 0
+                         else ((degree + 1, degree), (0, 1), (0, degree)))
+    rep = grid_report("f", lambda x, y: [np.array([[falling((x, y)[axis])]])], *degrees)
+    assert rep.grid_size == (degrees[0] + 1, degrees[1] + 1)
+    # f's coefficients are the Stirling numbers s(degree, k): the witness is
+    # the lowest, that of t, (-1)^(degree-1) (degree-1)!, and the top one is 1
+    assert not rep.passed
+    assert rep.witness == Witness(0, 0, low, (-1) ** (degree - 1) * math.factorial(degree - 1))
+    table = np.array([[falling((x, y)[axis]) for y in range(degrees[1] + 1)]
+                      for x in range(degrees[0] + 1)])
+    denominator, (coeff,) = interpolate_grid([table])
+    assert coeff[top] == denominator and np.count_nonzero(coeff) == degree
 
 
 SPECTRAL_CASES = {**{f"so{N}-{r.value}": (lambda N=N, r=r: yangian_so_R(N, r))
@@ -626,6 +643,16 @@ def test_leg_symmetry_of_the_spectral_families(name):
     assert verify._leg_symmetric(stack, swap) is want
 
 
+def fraction_interpolation(pts_a, pts_b, table):
+    """The bivariate coefficients of values on the grid 0..pts_a-1 by
+    0..pts_b-1 as Fraction object products with the inverse Vandermonde
+    matrices, a reference for the integer interpolation of grid_report."""
+    inverse = [linalg.object_matrix([[Fraction(w, denominator) for w in row]
+                                     for row in weights.tolist()])
+               for weights, denominator in map(linalg.lagrange_weights, (pts_a, pts_b))]
+    return linalg.matmul(linalg.matmul(inverse[0], linalg.object_matrix(table)), inverse[1].T)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_grid_report_witness_matches_whole_grid_search(width, data):
@@ -641,7 +668,7 @@ def test_grid_report_witness_matches_whole_grid_search(width, data):
                       data.draw(st.integers(0, 3)))
                 comps[at] = data.draw(st.integers(-5, 5))
             grid[x, y] = list(comps)
-    rep = grid_report("t", lambda x, y: grid[x, y], 1, 0, grid_margin=1, scale=3)
+    rep = grid_report("t", lambda x, y: grid[x, y], 2, 1, scale=3)
     hits = np.argwhere(np.logical_or.reduce([c != 0 for comps in grid.values() for c in comps]))
     if not len(hits):
         assert rep.passed
@@ -649,7 +676,7 @@ def test_grid_report_witness_matches_whole_grid_search(width, data):
     row, col = hits[0]
     table = [[linalg.ext_value([int(c[row, col]) for c in grid[x, y]], 3) for y in range(2)]
              for x in range(3)]
-    coeff = interpolate_grid(range(3), range(2), table)
+    coeff = fraction_interpolation(3, 2, table)
     i, j = next((i, j) for i in range(3) for j in range(2) if coeff[i, j])
     assert rep.witness == Witness(row, col, (i, j), coeff[i, j])
 

@@ -15,15 +15,16 @@ timed call) and the report line (for a command line, its exit code and
 the lines it printed), and for a command line the sha256 of the file it
 wrote (`--report` for verify and chain commute, `--out` for the other
 chain actions).  Report lines and file hashes must agree between sources,
-byte for byte, except on `chain commute`: its lines are compared without
-a ` grid=AxB` token and its report without the `grid_size` field, so a
-tree that decides commutation with no grid compares equal to one that
-used a grid.  A `chain commute` case also records how many products of
-the integer kernel ran inside `check_commutation` and how many of them
-in Python ints.
+byte for byte, except on the size of a grid: report lines are compared
+without a ` grid=AxB` token, and the reports of `chain commute` and
+`verify ybe --spectral` are hashed without the `grid_size` field, so a
+tree that decides an identity on another grid, or on none, compares equal
+when its verdict and witness are the same.  A `chain commute` case also
+records how many products of the integer kernel ran inside
+`check_commutation` and how many of them in Python ints.
 
     python3 tools/sweep.py --src parent=../parent/src --src change=src \\
-        --out BENCH_pr17.json
+        --out BENCH_pr19.json
 
 Cases (see CASES): spectral so(N), N = 3..9, in both realizations and
 sl(n), n = 2..4, whose numerators satisfy R21 = R12; the skew twisted
@@ -69,8 +70,8 @@ print(json.dumps({{"wall_s": wall, "report": str(report),
 
 # a command line writing to a file with the option given, after its --in file
 # (when given) is built and written; for chain commute, the kernel's products
-# inside check_commutation are counted, and the report is hashed without its
-# grid_size
+# inside check_commutation are counted; the report of chain commute and of
+# verify ybe --spectral is hashed without its grid_size
 COMMAND = """
 import contextlib, hashlib, io, json, resource, tempfile, time
 from pathlib import Path
@@ -108,7 +109,7 @@ with tempfile.TemporaryDirectory() as folder:
         code = main([*argv, {option!r}, str(out)])
     wall = time.perf_counter() - start
     written = out.read_bytes()
-    if commute:
+    if commute or argv[:3] == ["verify", "ybe", "--spectral"]:
         payload = json.loads(written)
         payload.pop("grid_size")
         written = json.dumps(payload, sort_keys=True, indent=2).encode()
@@ -120,7 +121,7 @@ print(json.dumps({{"wall_s": wall, "report": report, "sha256": digest,
                      if commute else {{}})}}))
 """
 
-# the token chain commute lines carried while commutation ran on a grid
+# the token of a report line decided on a grid
 GRID = re.compile(r" grid=\d+x\d+")
 
 # name: the child program
@@ -184,8 +185,8 @@ def sweep(sources: dict) -> dict:
         for _ in range(REPEAT):
             for label, src in sources.items():
                 runs[label][name].append(run_case(src, name))
-        results = {(GRID.sub("", r["report"]) if name.startswith("commute-") else r["report"],
-                    r.get("sha256")) for by_name in runs.values() for r in by_name[name]}
+        results = {(GRID.sub("", r["report"]), r.get("sha256"))
+                   for by_name in runs.values() for r in by_name[name]}
         if len(results) != 1:
             raise SystemExit(f"{name}: the reports or written files differ: {sorted(results)}")
         line = ", ".join(f"{label} {statistics.median(r['wall_s'] for r in runs[label][name]):.4f} s"
