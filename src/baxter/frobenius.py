@@ -113,7 +113,7 @@ def closure_and_structure(basis) -> SubalgebraBasis:
     upper = np.triu_indices(m, 1)
     system = [np.concatenate([x.reshape(m, size).T, c[upper].reshape(-1, size).T], axis=1)
               for x, c in zip(linalg.scaled(stack, scale), comm)]
-    reduced, pivots = linalg.rref(linalg.rebuild(1, (), system, {}))
+    reduced, pivots = linalg.rref(linalg.rebuild(1, (), system))
     if pivots[:m] != list(range(m)):
         raise DependentBasis(f"{m} elements span a smaller space")
     if len(pivots) > m:
@@ -134,7 +134,7 @@ def cocycle_from_functional(basis, functional: LinearFunctional) -> CocycleMatri
     scale_f, weights = functional.coefficients.cleared()
     values = linalg.int_product([c.reshape(m * m, -1) for c in comm],
                                 [w.reshape(-1, 1) for w in weights])
-    matrix = linalg.rebuild(scale * scale * scale_f, (), [v.reshape(m, m) for v in values], {})
+    matrix = linalg.rebuild(scale * scale * scale_f, (), [v.reshape(m, m) for v in values])
     matrix.flags.writeable = False
     return CocycleMatrix(basis, matrix)
 

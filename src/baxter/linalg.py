@@ -301,10 +301,10 @@ def _clear(values: list, kinds: set, shape: tuple, names):
 
 
 def lowest_terms(scale: int, stack: list):
-    """(scale, stack) as clear returns it, in one variable, for the matrix
-    whose every entry is the Poly of rebuild(scale, names, stack, polys): the
-    scale and every coefficient divided by their gcd, the trailing layers
-    that are zero throughout dropped (one layer stays), the extension
+    """(scale, stack) as clear returns it, in one variable var, for the
+    matrix rebuild(scale, (var,), stack), every entry of which is a Poly in
+    var: the scale and every coefficient divided by their gcd, the trailing
+    layers that are zero throughout dropped (one layer stays), the extension
     components dropped when all three are zero throughout, and the result
     narrowed."""
     g = math.gcd(scale, *(int(np.gcd.reduce(c, axis=None)) for c in stack))
@@ -321,9 +321,9 @@ def lowest_terms(scale: int, stack: list):
     return scale, narrow(stack)
 
 
-def rebuild(scale: int, names, stack: list, polys: dict) -> np.ndarray:
-    """The object matrix stack / scale for a stack laid out as clear's; polys
-    maps the flat index of each Poly entry to its variables.  Scalars and
+def rebuild(scale: int, names, stack: list) -> np.ndarray:
+    """The object matrix stack / scale for a stack laid out as clear's: every
+    entry a Poly in names when there are names, else a scalar.  Scalars and
     coefficients are Python ints when the stack is rational and scale is 1,
     else ext_value's; equal values and equal Poly entries are built once
     and shared."""
@@ -332,45 +332,33 @@ def rebuild(scale: int, names, stack: list, polys: dict) -> np.ndarray:
     plain = len(stack) == 1 and scale == 1
     value = cache(lambda parts: parts[0] if plain else ext_value(parts, scale))
     out = np.empty(m * n, dtype=object)
-    out[:] = (layers[0][0].tolist() if plain else
-              list(map(value, zip(*(c[0].tolist() for c in layers)))))
-    exps = list(product(*map(range, stack[0].shape[:len(names)]))) if polys else []
-    by_entry = [c.T.tolist() for c in layers] if polys else []
-    made = {}
-    for p, own in polys.items():
-        key = (own, *(tuple(c[p]) for c in by_entry))
-        if key not in made:
-            keep = [names.index(v) for v in own]
-            made[key] = Poly(own, {tuple(e[k] for k in keep): value(parts)
-                                   for e, parts in zip(exps, zip(*key[1:])) if any(parts)})
-        out[p] = made[key]
+    if not names:
+        out[:] = (layers[0][0].tolist() if plain else
+                  list(map(value, zip(*(c[0].tolist() for c in layers)))))
+        return out.reshape(m, n)
+    exps = list(product(*map(range, stack[0].shape[:len(names)])))
+    # an entry's key holds its coefficients by layer, one tuple per component
+    poly = cache(lambda key: Poly(names, {e: value(parts) for e, parts in zip(exps, zip(*key))
+                                          if any(parts)}))
+    out[:] = list(map(poly, zip(*(map(tuple, c.T.tolist()) for c in layers))))
     return out.reshape(m, n)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of two matrices of exact scalars or Poly values: both are
-    cleared over the union of their variables, and the coefficient of x^e in
-    the product is the integer sum of A[ea] B[eb] over ea + eb = e.  As in
-    the entry-by-entry product, an entry is a Poly in the variables of its
-    row of a and column of b when those hold one."""
+    cleared over the union of the variables of their Poly entries, and the
+    coefficient of x^e in the product is the integer sum of A[ea] B[eb] over
+    ea + eb = e.  Every entry of the product is a Poly in that union when it
+    is not empty, and a scalar otherwise (rebuild)."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     values_a, values_b = a.ravel().tolist(), b.ravel().tolist()
     kinds_a, kinds_b = set(map(type, values_a)), set(map(type, values_b))
-    names, polys = (), {}
-    if Poly in kinds_a or Poly in kinds_b:
-        # per row of a and column of b: None without a Poly entry, else the
-        # sorted variables of its Poly entries
-        rows, cols = ([tuple(sorted({v for x in line if type(x) is Poly for v in x.vars}))
-                       if Poly in set(map(type, line)) else None for line in lines]
-                      for lines in (a.tolist(), b.T.tolist()))
-        names = tuple(sorted({v for line in rows + cols if line for v in line}))
-        polys = {i * len(cols) + j: tuple(sorted({*(r or ()), *(c or ())}))
-                 for i, r in enumerate(rows) for j, c in enumerate(cols)
-                 if r is not None or c is not None}
+    names = (tuple(sorted({v for x in values_a + values_b if type(x) is Poly for v in x.vars}))
+             if Poly in kinds_a | kinds_b else ())
     scale_a, stack_a = _clear(values_a, kinds_a, a.shape, names)
     scale_b, stack_b = _clear(values_b, kinds_b, b.shape, names)
-    return rebuild(scale_a * scale_b, names, stack_product(stack_a, stack_b, len(names)), polys)
+    return rebuild(scale_a * scale_b, names, stack_product(stack_a, stack_b, len(names)))
 
 
 def stack_product(a: list, b: list, axes: int) -> list:

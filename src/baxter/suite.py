@@ -299,8 +299,8 @@ CRITERIA = (
     ("yangian-families", yangian_families, 6),
     ("twisted-orthogonal", twisted_orthogonal, 12),
     ("frobenius-construction", frobenius_construction, 0.2),
-    ("classical-equivalence", classical_equivalence, 2),
-    ("chain-checks", chain_checks, 2),
+    ("classical-equivalence", classical_equivalence, 1),
+    ("chain-checks", chain_checks, 1.5),
     ("cli-interface", cli_interface, None),
 )
 

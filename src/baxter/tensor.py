@@ -85,7 +85,7 @@ class TensorMatrix:
 
         cleared(names) is seeded with the lowest terms, which are
         linalg.clear(data, names) exactly, and variables() with names.  data
-        is rebuilt on first read, every entry a Poly in names when there are
+        is rebuilt on first read: all Polys in names, or all scalars without
         names.  The arrays may be kept: no one else may write to them.
         """
         names, size = tuple(names), dense_dim(site_dim, legs)
@@ -97,17 +97,17 @@ class TensorMatrix:
         out = object.__new__(cls)
         out._set(site_dim, legs, None)
         out._seed(names, scale, lowest if names else [c[0] for c in lowest])
-        out._memo["variables"] = out._memo["poly_entries"] = names
+        out._memo["variables"] = names
         return out
 
     @property
     def data(self) -> np.ndarray:
-        """The entries as a read-only object array."""
+        """The entries as a read-only object array, as given; for a matrix
+        known by its stack, as linalg.rebuild makes them (see from_cleared)."""
         if self._data is None:
-            names = self._memo["poly_entries"]
+            names = self._memo["variables"]
             scale, stack = self._memo[names]
-            polys = dict.fromkeys(range(self.size ** 2), names) if names else {}
-            data = linalg.rebuild(scale, names, stack, polys)
+            data = linalg.rebuild(scale, names, stack)
             data.flags.writeable = False
             object.__setattr__(self, "_data", data)
         return self._data
@@ -115,8 +115,8 @@ class TensorMatrix:
     @classmethod
     def _checked(cls, site_dim: int, legs: int, data: np.ndarray) -> "TensorMatrix":
         """A matrix on an object array that no one else writes to, whose
-        entries are ring combinations of entries of checked matrices and
-        therefore exact: the entry loop of __init__ is skipped."""
+        entries are ring combinations of checked entries and exact scalars,
+        and therefore exact: the entry loop of __init__ is skipped."""
         if data.shape != (site_dim ** legs,) * 2:
             raise ValueError(f"expected {site_dim ** legs}x{site_dim ** legs} entries, "
                              f"got {data.shape}")
@@ -149,15 +149,6 @@ class TensorMatrix:
                 self._seed(names, *linalg.clear(self.data, names))
         scale, stack = self._memo[names]
         return scale, list(stack)
-
-    def poly_rows(self, var: str) -> np.ndarray:
-        """Per row, whether it holds an entry that is a Poly in var.  A matrix
-        known by its stack (from_cleared) holds every entry as a Poly in its
-        names, so its rows are told without reading data."""
-        if "poly_entries" in self._memo:
-            return np.full(self.size, var in self._memo["poly_entries"])
-        return np.array([any(isinstance(x, Poly) and var in x.vars for x in row)
-                         for row in self.data.tolist()])
 
     # -- constructors ----------------------------------------------------
 
@@ -217,10 +208,7 @@ class TensorMatrix:
     def __mul__(self, scalar):
         if not (is_exact_scalar(scalar) or isinstance(scalar, Poly)):
             return NotImplemented
-        out = np.empty(self.data.shape, dtype=object)
-        for idx, x in np.ndenumerate(self.data):
-            out[idx] = x * scalar
-        return self._like(out)
+        return self._derived(self.data * scalar)
 
     __rmul__ = __mul__
 

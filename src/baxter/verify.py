@@ -240,8 +240,7 @@ def _ybe_constant(m: TensorMatrix) -> VerificationReport:
     and Polys in m's variables when it has any."""
     names = m.variables()
     scale, stack = m.cleared(names)
-    polys = dict.fromkeys(range(m.size ** 2), names) if names else {}
-    num = TensorMatrix._checked(m.site_dim, m.legs, linalg.rebuild(1, names, stack, polys))
+    num = TensorMatrix._checked(m.site_dim, m.legs, linalg.rebuild(1, names, stack))
     e12 = embed_pair(num, (1, 2))
     e13 = embed_pair(num, (1, 3))
     e23 = embed_pair(num, (2, 3))
@@ -443,11 +442,11 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
 
 
 def _proportional(name: str, var: str, scale: int, stack: list, reference: np.ndarray,
-                  polys: np.ndarray) -> VerificationReport:
+                  spectral: bool) -> VerificationReport:
     """The report on stack / scale = c reference for stack in var, laid out as
-    linalg.clear's, and c read at entry (0, 0), where reference is 1.  polys
-    flags the entries that object arithmetic holds as a Poly in var: their
-    witness names its power, that of a scalar entry none."""
+    linalg.clear's, and c read at entry (0, 0), where reference is 1.  spectral
+    tells whether the matrix compared holds a Poly in var, and so every entry
+    as one (linalg.rebuild): its witness then names its power, else none."""
     diff = [c - c[:, :1, :1] * reference for c in stack]
     witness = _first_offence({(e,): [d[e] for d in diff] for e in range(len(diff[0]))}, scale)
     at = [linalg.ext_value(parts, scale) for parts in zip(*(c[:, 0, 0].tolist() for c in stack))]
@@ -456,7 +455,7 @@ def _proportional(name: str, var: str, scale: int, stack: list, reference: np.nd
         if c:
             return VerificationReport(name, True, scalar_factor=c)
         witness = Witness(0, 0, (0,), 0)
-    if not (polys[witness.row, witness.col] or isinstance(c, Poly)):
+    if not spectral:
         witness = replace(witness, exponents=())
     return VerificationReport(name, False, witness, scalar_factor=c if c else None)
 
@@ -478,12 +477,8 @@ def check_unitarity(r) -> VerificationReport:
     numerator: R21 swaps the legs of the rows and columns of each layer, and
     -u negates the odd layers."""
     num, var, scale, stack, swap = _cleared_two_leg(r, "unitarity")
-    # an entry of the object product is a Poly when its row of R holds one or
-    # its column of R21(-u) a non-constant one (a constant one is a scalar)
-    rows = num.poly_rows(var)
     swapped = [c[:, swap][:, :, swap] for c in stack]
-    cols = np.logical_or.reduce([c[1:] != 0 for c in swapped]).any(axis=(0, 1))
-    spectral = rows.any()
+    spectral = bool(num.variables())
     if spectral:
         sign = ((-1) ** np.arange(len(stack[0]))).reshape(-1, 1, 1)
         prod = linalg.stack_product(stack, [c * sign for c in swapped], 1)
@@ -491,15 +486,14 @@ def check_unitarity(r) -> VerificationReport:
         prod = linalg.stack_product(swapped, stack, 1)
     name = "unitarity-spectral" if spectral else "unitarity-constant"
     return _proportional(name, var, scale ** 2, prod, np.eye(len(swap), dtype=np.int64),
-                         rows[:, None] | cols)
+                         spectral)
 
 
 def check_regularity(r) -> VerificationReport:
     """Numerator at u = 0, its layer 0, equals c P for a nonzero scalar c."""
     _, var, scale, stack, swap = _cleared_two_leg(r, "regularity")
     flip = np.eye(len(swap), dtype=np.int64)[swap]
-    return _proportional("regularity", var, scale, [c[:1] for c in stack], flip,
-                         np.zeros(flip.shape, dtype=bool))
+    return _proportional("regularity", var, scale, [c[:1] for c in stack], flip, False)
 
 
 def check_classical_limit(family: TensorMatrix, r: TensorMatrix) -> VerificationReport:

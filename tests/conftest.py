@@ -105,6 +105,9 @@ def _lowest(value):
 
 
 def object_unitarity(r):
+    """The product holds every entry as a Poly in the variable when the
+    numerator has one, and as a scalar otherwise, so the witness names a
+    power exactly when the check is spectral."""
     num = getattr(r, "numerator", r)
     eye = TensorMatrix.identity(num.site_dim, 2)
     names = num.variables()

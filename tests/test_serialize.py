@@ -16,7 +16,8 @@ from baxter.solutions import (Realization, SpectralRMatrix, conjugator_T, exampl
                               example2_solution, yangian_sl_R, yangian_so_R)
 from baxter.spin_chain import ChainSpec, TransferFamily, transfer_matrix
 from baxter.tensor import TensorMatrix, kron, matrix_unit, permutation_op
-from baxter.verify import VerificationReport, Witness, check_unitarity, check_ybe
+from baxter.verify import VerificationReport, Witness, check_regularity, \
+    check_unitarity, check_ybe
 
 GOLDEN_PERMUTATION = """{
   "entries": [
@@ -580,3 +581,55 @@ def test_family_from_a_stack_matches_the_object_encoder(m, data):
     assert encode(family) == want
     assert family.matrix == _lifted(m)
     assert encode(family) == want
+
+
+# -- one entry-kind rule: a matrix and its own file give the same answers ------
+
+SMALL_RATIONALS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+SMALL_EXTS = st.builds(Ext, SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS)
+
+
+@st.composite
+def mixed_two_leg(draw):
+    """A sparse two-leg matrix on C^2 or C^3, over Q or Q(i, sqrt2), whose
+    entries mix scalars, constant Polys (in u or in no variable) and Polys
+    in u of degree 1 or 2, the Polys all in some rows or anywhere."""
+    n = draw(st.sampled_from([2, 3]))
+    scalars = draw(st.sampled_from([SMALL_RATIONALS, st.one_of(SMALL_RATIONALS, SMALL_EXTS)]))
+    entries = st.one_of(scalars, st.builds(Poly.lift, scalars, st.just(("u",))),
+                        st.builds(Poly.lift, scalars),
+                        st.builds(lambda c: Poly.univariate("u", c),
+                                  st.lists(scalars, min_size=2, max_size=3)))
+    size = n * n
+    poly_rows = draw(st.sets(st.integers(0, size - 1), max_size=2) | st.just(set(range(size))))
+    out = np.zeros((size, size), dtype=object)
+    for _ in range(draw(st.integers(1, 2 * size))):
+        row, col = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        out[row, col] = draw(entries if row in poly_rows else scalars)
+    return TensorMatrix(n, 2, out)
+
+
+def _answer(check, m) -> str:
+    try:
+        return encode(check(m))
+    except ValueError as err:  # no variable, where a spectral check needs one
+        return f"ValueError: {err}"
+
+
+CHECKS = (check_unitarity, check_regularity, lambda m: check_ybe(m, "constant"),
+          lambda m: check_ybe(m, "spectral"), lambda m: check_ybe(m, "spectral", "poly"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_two_leg())
+def test_a_matrix_and_its_round_trip_answer_alike(m):
+    back = decode(encode(m))
+    for check in CHECKS:
+        assert _answer(check, m) == _answer(check, back)
+    # every entry of a product holds one kind: a Poly in all the variables
+    # when a factor holds a Poly in some, else a scalar, as the reader rebuilds
+    # every entry of a file
+    square, back_square = (m @ m).data, (back @ back).data
+    assert (square == back_square).all()
+    assert [(type(x), getattr(x, "vars", None)) for x in square.flat] == \
+        [(type(x), getattr(x, "vars", None)) for x in back_square.flat]

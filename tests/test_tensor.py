@@ -271,16 +271,22 @@ def test_entries_are_checked_once(monkeypatch):
 
     monkeypatch.setattr(TensorMatrix, "__init__", spy)
     # results of ring operations on checked matrices skip the entry loop
-    derived = [a @ b, a + b, a - b, -a, a.transpose(), a.reindexed(perm), kron(one, one)]
+    # and so do multiples by a scalar, which is checked itself
+    derived = [a @ b, a + b, a - b, -a, a.transpose(), a.reindexed(perm), kron(one, one),
+               a * 2]
     assert checked == []
     for m in derived:
         assert not m.data.flags.writeable
     assert derived[0] == TensorMatrix(2, 2, [[sum(a.data[i, k] * b.data[k, j] for k in range(4))
                                               for j in range(4)] for i in range(4)])
-    # anything built from outside is still checked
+    assert derived[-1] == TensorMatrix(2, 2, [[2 * x for x in row] for row in a.data])
+    with pytest.raises(TypeError):
+        a * 0.5
+    # anything built from outside is still checked: substitute's assignment
+    # comes from the caller
     checked.clear()
-    a * 2, a.substitute({"u": 1}), permutation_op(2)
-    assert len(checked) == 3
+    a.substitute({"u": 1}), permutation_op(2)
+    assert len(checked) == 2
     with pytest.raises(TypeError, match="inexact"):
         TensorMatrix(1, 1, [[0.5]])
     with pytest.raises(ValueError, match="expected 4x4"):
