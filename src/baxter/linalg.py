@@ -44,7 +44,10 @@ def object_matrix(rows) -> np.ndarray:
 
 
 def classify(*matrices) -> str:
-    """The widest entry kind present: 'rational', 'ext', or 'poly'."""
+    """The widest entry kind present: 'rational', 'ext', or 'poly'.
+
+    Nothing in src calls it; it stays only because perfbench/trace.py's
+    TRACED wraps it by name, until ROADMAP item 2a replaces that tracer."""
     kinds = set()
     for m in matrices:
         kinds.update(map(type, m.ravel().tolist()))
@@ -77,7 +80,10 @@ def scale_to_int(a: np.ndarray):
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of integer object matrices; int64 when provably safe."""
+    """Exact product of integer object matrices; int64 when provably safe.
+
+    Nothing in src calls it; it stays only because perfbench/trace.py's
+    TRACED wraps it by name, until ROADMAP item 2a replaces that tracer."""
     return int_product([a], [b])[0].astype(object)
 
 
@@ -378,60 +384,50 @@ def stack_product(a: list, b: list, axes: int) -> list:
             for c in zip(*(sums[e] for e in sorted(sums)))]
 
 
-def reciprocal(x):
-    """1 / x for a nonzero exact scalar: an Ext, or else a Fraction."""
-    return x.inverse() if isinstance(x, Ext) else 1 / Fraction(x)
-
-
-def _as_field(a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape, dtype=object)
-    for idx, x in np.ndenumerate(a):
-        out[idx] = Fraction(x) if isinstance(x, int) else x
-    return out
-
-
-def rref(a: np.ndarray):
-    """Reduced row echelon form by exact Gauss-Jordan; returns (R, pivots)."""
-    m = _as_field(a.copy())
+def _gauss_jordan(a: np.ndarray):
+    """(R, pivots, d): the reduced row echelon form R of a by exact
+    Gauss-Jordan, its pivot columns, and d the product of the pivots,
+    negated once per row swap, which is det a when a is square of full rank.
+    Int entries become Fractions; each pivot row is scaled by 1 / p and
+    every other row with a nonzero in the pivot column is updated at once."""
+    field = [Fraction(x) if isinstance(x, int) else x for x in a.ravel().tolist()]
+    m = np.array(field, dtype=object).reshape(a.shape)
     rows, cols = m.shape
-    pivots = []
-    r = 0
+    pivots, d = [], Fraction(1)
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if m[i, c]), None)
         if pivot is None:
             continue
         if pivot != r:
             m[[r, pivot]] = m[[pivot, r]]
-        inv = reciprocal(m[r, c])
-        for j in range(c, cols):
-            m[r, j] = m[r, j] * inv
-        for i in range(rows):
-            if i != r and m[i, c]:
-                factor = m[i, c]
-                for j in range(c, cols):
-                    m[i, j] = m[i, j] - factor * m[r, j]
-                m[i, c] = 0 * m[i, c]
+            d = -d
+        d = d * m[r, c]
+        m[r, c:] = m[r, c:] * (1 / m[r, c])
+        others = m[:, c].astype(bool)
+        others[r] = False
+        m[others, c:] = m[others, c:] - np.multiply.outer(m[others, c], m[r, c:])
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    return m, pivots, d
+
+
+def rref(a: np.ndarray):
+    """Reduced row echelon form by exact Gauss-Jordan; returns (R, pivots)."""
+    return _gauss_jordan(a)[:2]
 
 
 def solve(a: np.ndarray, b: np.ndarray):
     """A particular exact solution X of A X = B, or None if inconsistent."""
     if b.ndim == 1:
         b = b.reshape(-1, 1)
-    aug = np.concatenate([a, b], axis=1)
-    r, pivots = rref(aug)
     n = a.shape[1]
+    reduced, pivots = rref(np.concatenate([a, b], axis=1))
     if any(p >= n for p in pivots):
         return None
-    x = np.empty((n, b.shape[1]), dtype=object)
-    x[:] = Fraction(0)
-    for row, p in enumerate(pivots):
-        for k in range(b.shape[1]):
-            x[p, k] = r[row, n + k]
+    x = np.full((n, b.shape[1]), Fraction(0), dtype=object)
+    x[pivots] = reduced[:len(pivots), n:]
     return x
 
 
@@ -439,14 +435,10 @@ def inverse(a: np.ndarray) -> np.ndarray:
     n, m = a.shape
     if n != m:
         raise ValueError("inverse of a non-square matrix")
-    eye = np.empty((n, n), dtype=object)
-    eye[:] = Fraction(0)
-    for i in range(n):
-        eye[i, i] = Fraction(1)
-    r, pivots = rref(np.concatenate([a, eye], axis=1))
+    reduced, pivots = rref(np.concatenate([a, np.eye(n, dtype=object)], axis=1))
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular over its field")
-    return r[:, n:]
+    return reduced[:, n:]
 
 
 def lagrange_weights(k: int):
@@ -471,21 +463,5 @@ def det(a: np.ndarray):
     n, m = a.shape
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    work = _as_field(a.copy())
-    sign = 1
-    value = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i, c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            work[[c, pivot]] = work[[pivot, c]]
-            sign = -sign
-        value = value * work[c, c]
-        inv = reciprocal(work[c, c])
-        for i in range(c + 1, n):
-            if work[i, c]:
-                factor = work[i, c] * inv
-                for j in range(c, n):
-                    work[i, j] = work[i, j] - factor * work[c, j]
-    return sign * value
+    _, pivots, d = _gauss_jordan(a)
+    return d if len(pivots) == n else Fraction(0)

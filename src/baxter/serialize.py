@@ -33,6 +33,13 @@ from .tensor import ShapeError, TensorMatrix, dense_dim
 from .verify import VerificationReport, Witness
 
 FORMAT_VERSION = 1
+# The reader refuses a matrix whose cleared stack, layers x size^2
+# coefficients per component, exceeds this, before clearing or gathering it.
+# The largest stack a shipped construction writes at the dense limit is 12
+# layers of 2048^2 (chain transfer --sites 11 on yangian-sl --n 2), or 3 of
+# 4096^2 (a degree-2 two-leg R of site_dim 64), about 5.0e7 each; 2^26 admits
+# both.
+MAX_DECODED_COEFFICIENTS = 2 ** 26
 FIELD_RATIONAL = "Q"
 FIELD_EXTENSION = "Q(i,sqrt2)"
 
@@ -234,6 +241,11 @@ def _decode_matrix_payload(payload: dict) -> TensorMatrix:
                 values.append(_decode_entry(row[j], field, variables, f"entries[{i}][{j}]"))
             ids.append(seen[key])
     names = tuple(variables)  # every entry is a Poly in them, or there are none
+    # the clear below holds layers x (distinct cells <= size^2) coefficients
+    layers = max(x.degree() for x in values) + 1 if names else 1
+    if layers * size * size > MAX_DECODED_COEFFICIENTS:
+        raise ShapeError(f"{layers} layers of {size}x{size} coefficients exceed the "
+                         f"decoded limit {MAX_DECODED_COEFFICIENTS}")
     scale, stack = linalg.clear(linalg.object_matrix([values]), names)
     return TensorMatrix.from_cleared(site_dim, legs, names, scale,
                                      [c[..., 0, ids].reshape(c.shape[:-2] + (size, size))

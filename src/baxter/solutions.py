@@ -231,10 +231,8 @@ def example2_solution(n: int, realization: Realization = Realization.ANTIDIAG) -
     e_minus = data.e @ data.h
     e_plus = data.h @ data.e
     constant_part = one + data.r0 - kron(e_minus, e_plus)
-    twisted_kay = ((one - kron(data.e, data.h)) @ kay
-                   @ (one + kron(data.h, data.e)))
     numerator = (constant_part * (pole * u)
                  + permutation_op(n) * pole
-                 - twisted_kay * u)
+                 - (data.f0_inverse_swapped @ kay @ data.f0) * u)
     return SpectralRMatrix(numerator, pole,
                            f"twisted-yangian-so({n},{realization.value})")

@@ -115,7 +115,7 @@ def _derived_density(r: SpectralRMatrix) -> TensorMatrix:
     scale, stack = r.numerator.cleared((r.variable,))
     swap = np.arange(n * n).reshape(n, n).T.ravel()
     slope = [(c[1][swap] if len(c) > 1 else np.zeros_like(c[0])).reshape(-1, 1) for c in stack]
-    inverse = linalg.object_matrix([[linalg.reciprocal(report.scalar_factor)]])
+    inverse = linalg.object_matrix([[1 / report.scalar_factor]])
     scale_c, stack_c = linalg.clear(inverse)
     return TensorMatrix.from_cleared(n, 2, (), scale * scale_c,
                                      [c.reshape(n * n, n * n)

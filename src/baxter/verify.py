@@ -89,12 +89,19 @@ def _single_variable(m: TensorMatrix) -> str:
 
 
 def uniform_int_scale(m: TensorMatrix):
-    """(scale, scaled entries) with every coefficient an integer."""
+    """(scale, scaled entries) with every coefficient an integer.
+
+    Nothing in src calls it; it stays only because perfbench/trace.py's
+    TRACED wraps it by name, until ROADMAP item 2a replaces that tracer."""
     scale = m.cleared(m.variables())[0]
     return scale, m.data if scale == 1 else (m * scale).data
 
 
 def evaluate_matrix(data: np.ndarray, var: str, value: int) -> np.ndarray:
+    """data with var set to value in every Poly entry.
+
+    Nothing in src calls it; it stays only because perfbench/trace.py's
+    TRACED wraps it by name, until ROADMAP item 2a replaces that tracer."""
     out = np.empty(data.shape, dtype=object)
     for idx, x in np.ndenumerate(data):
         if isinstance(x, Poly):

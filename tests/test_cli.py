@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -246,6 +247,32 @@ def test_dense_size_ceiling_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "exceeds the dense limit" in captured.err
+
+
+def test_decoded_stack_ceiling_exits_2(tmp_path, capsys):
+    # a one-leg matrix in u of site_dim 64 whose cells are all distinct and
+    # one of which has 16385 coefficients: about 100 kB on disk, but 16385
+    # layers of 64^2 exceed the reader's 2^26 coefficients, so it is refused
+    # before the distinct cells are cleared (16385 x 64^2 int64, 537 MB) or
+    # gathered
+    cells = [[[str(64 * i + j)] for j in range(64)] for i in range(64)]
+    cells[0][0] = ["0"] * 16384 + ["1"]
+    path = tmp_path / "deep.yb"
+    path.write_text(json.dumps({"kind": "matrix", "format_version": 1, "field": "Q",
+                                "site_dim": 64, "legs": 1, "variables": ["u"],
+                                "entries": cells}, separators=(",", ":")))
+    assert path.stat().st_size < 2 * 10 ** 5
+    tracemalloc.start()
+    try:
+        assert main(["build", "baxterize", "--in", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 26
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "16385 layers of 64x64 coefficients exceed the decoded limit 67108864" in captured.err
 
 
 def _degenerate_inputs(folder):

@@ -267,6 +267,139 @@ def test_solve():
     assert (linalg.matmul(a2, x3) == b3).all()
 
 
+# The entry-by-entry Fraction/Ext elimination that linalg.rref, det, solve
+# and inverse ran before one Gauss-Jordan routine served all four: the
+# reference their answers, entry types and pivots are held to.
+
+def ref_field(a):
+    out = np.empty(a.shape, dtype=object)
+    for idx, x in np.ndenumerate(a):
+        out[idx] = Fraction(x) if isinstance(x, int) else x
+    return out
+
+
+def ref_reciprocal(x):
+    return x.inverse() if isinstance(x, Ext) else 1 / Fraction(x)
+
+
+def ref_rref(a):
+    m = ref_field(a.copy())
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i, c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        inv = ref_reciprocal(m[r, c])
+        for j in range(c, cols):
+            m[r, j] = m[r, j] * inv
+        for i in range(rows):
+            if i != r and m[i, c]:
+                factor = m[i, c]
+                for j in range(c, cols):
+                    m[i, j] = m[i, j] - factor * m[r, j]
+                m[i, c] = 0 * m[i, c]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def ref_solve(a, b):
+    aug = np.concatenate([a, b], axis=1)
+    r, pivots = ref_rref(aug)
+    n = a.shape[1]
+    if any(p >= n for p in pivots):
+        return None
+    x = np.empty((n, b.shape[1]), dtype=object)
+    x[:] = Fraction(0)
+    for row, p in enumerate(pivots):
+        for k in range(b.shape[1]):
+            x[p, k] = r[row, n + k]
+    return x
+
+
+def ref_inverse(a):
+    n = a.shape[0]
+    eye = np.empty((n, n), dtype=object)
+    eye[:] = Fraction(0)
+    for i in range(n):
+        eye[i, i] = Fraction(1)
+    r, pivots = ref_rref(np.concatenate([a, eye], axis=1))
+    if pivots != list(range(n)):
+        raise linalg.SingularMatrixError("matrix is singular over its field")
+    return r[:, n:]
+
+
+def ref_det(a):
+    n = a.shape[0]
+    work = ref_field(a.copy())
+    sign = 1
+    value = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i, c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            work[[c, pivot]] = work[[pivot, c]]
+            sign = -sign
+        value = value * work[c, c]
+        inv = ref_reciprocal(work[c, c])
+        for i in range(c + 1, n):
+            if work[i, c]:
+                factor = work[i, c] * inv
+                for j in range(c, n):
+                    work[i, j] = work[i, j] - factor * work[c, j]
+    return sign * value
+
+
+def typed(values):
+    return [(type(x), x) for x in np.asarray(values, dtype=object).flat]
+
+
+# sparse entries, so that leading zeros force row swaps; over Q(i, sqrt2)
+# ints, Fractions and Ext values mix, the zero Ext among them
+VALUES = {ext: st.one_of(st.integers(-3, 3), COEFFS if ext else SMALL) for ext in (False, True)}
+SPARSE = {ext: st.one_of(st.just(0), values) for ext, values in VALUES.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_gauss_jordan_matches_the_entrywise_reference(ext, rows, cols, data):
+    values = data.draw(st.lists(SPARSE[ext], min_size=rows * (cols + 1),
+                                max_size=rows * (cols + 1)))
+    aug = np.empty(rows * (cols + 1), dtype=object)
+    aug[:] = values
+    aug = aug.reshape(rows, cols + 1)
+    if rows > 1 and data.draw(st.booleans()):  # rank-deficient: one row a multiple of another
+        i, j = data.draw(st.permutations(range(rows)))[:2]
+        aug[j] = aug[i] * data.draw(VALUES[ext])
+    a, b = aug[:, :cols], aug[:, cols:]
+    for m in (a, aug):
+        (got, pivots), (want, want_pivots) = linalg.rref(m), ref_rref(m)
+        assert pivots == want_pivots
+        assert typed(got) == typed(want)
+    got, want = linalg.solve(a, b), ref_solve(a, b)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert typed(got) == typed(want)
+    k = min(rows, cols + 1)
+    square = aug[:k, :k]
+    for m in (square, square[::-1]):
+        assert typed(linalg.det(m)) == typed(ref_det(m))
+    try:
+        want = ref_inverse(square)
+    except linalg.SingularMatrixError:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.inverse(square)
+    else:
+        assert typed(linalg.inverse(square)) == typed(want)
+
+
 # -- integer kernel -----------------------------------------------------------
 
 

@@ -8,7 +8,8 @@ perfbench.run.Run, checks the outputs as the benchmark does, and prints
 `<sha256> <cases>`: the sha256 of each case's workload, seed, id, output
 digest (exit code, stdout and the files it wrote) and check error, over
 all cases.  Two trees that print the same line give the same bytes on
-every case.  It imports baxter from the checkout's src and changes
+every case; tools/same_bytes.expected holds the line this tree prints,
+which CI compares.  It imports baxter from the checkout's src and changes
 nothing under perfbench/; its scratch directories are removed.
 """
 
