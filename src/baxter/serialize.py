@@ -35,11 +35,12 @@ from .verify import VerificationReport, Witness
 FORMAT_VERSION = 1
 # The reader refuses a matrix whose cleared stack, layers x size^2
 # coefficients per component, exceeds this, before clearing or gathering it.
-# The largest stack a shipped construction writes at the dense limit is 12
-# layers of 2048^2 (chain transfer --sites 11 on yangian-sl --n 2), or 3 of
-# 4096^2 (a degree-2 two-leg R of site_dim 64), about 5.0e7 each; 2^26 admits
-# both.
-MAX_DECODED_COEFFICIENTS = 2 ** 26
+# A two-leg R of degree d and site_dim n clears to d + 1 layers of (n^2)^2,
+# its transfer family on L sites (n^(L+1) <= 4096) to L d + 1 layers of
+# (n^L)^2. The largest stack a shipped construction writes at the dense limit
+# is 23 layers of 2048^2, about 9.6e7 (chain transfer --sites 11 on
+# yangian-so --N 2, of degree 2); 2^27 is the least power of two above it.
+MAX_DECODED_COEFFICIENTS = 2 ** 27
 FIELD_RATIONAL = "Q"
 FIELD_EXTENSION = "Q(i,sqrt2)"
 

@@ -250,16 +250,17 @@ def test_dense_size_ceiling_exits_2(tmp_path, capsys):
 
 
 def test_decoded_stack_ceiling_exits_2(tmp_path, capsys):
-    # a one-leg matrix in u of site_dim 64 whose cells are all distinct and
-    # one of which has 16385 coefficients: about 100 kB on disk, but 16385
-    # layers of 64^2 exceed the reader's 2^26 coefficients, so it is refused
-    # before the distinct cells are cleared (16385 x 64^2 int64, 537 MB) or
+    # a one-leg matrix in u of site_dim 128 whose first 32 rows are distinct
+    # cells, one of them of 8193 coefficients: about 140 kB on disk, but 8193
+    # layers of 128^2 exceed the reader's 2^27 coefficients, so it is refused
+    # before the distinct cells are cleared (8193 x 4097 int64, 269 MB) or
     # gathered
-    cells = [[[str(64 * i + j)] for j in range(64)] for i in range(64)]
-    cells[0][0] = ["0"] * 16384 + ["1"]
+    cells = [[[str(128 * i + j)] if i < 32 else ["0"] for j in range(128)]
+             for i in range(128)]
+    cells[0][0] = ["0"] * 8192 + ["1"]
     path = tmp_path / "deep.yb"
     path.write_text(json.dumps({"kind": "matrix", "format_version": 1, "field": "Q",
-                                "site_dim": 64, "legs": 1, "variables": ["u"],
+                                "site_dim": 128, "legs": 1, "variables": ["u"],
                                 "entries": cells}, separators=(",", ":")))
     assert path.stat().st_size < 2 * 10 ** 5
     tracemalloc.start()
@@ -272,7 +273,7 @@ def test_decoded_stack_ceiling_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert "16385 layers of 64x64 coefficients exceed the decoded limit 67108864" in captured.err
+    assert "8193 layers of 128x128 coefficients exceed the decoded limit 134217728" in captured.err
 
 
 def _degenerate_inputs(folder):

@@ -10,12 +10,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from baxter.linalg import clear, narrow
 from baxter.poly import Poly
 from baxter.scalars import Ext
-from baxter.serialize import ParseError, ShapeError, VersionError, _dump, decode, \
-    encode, load, save
-from baxter.solutions import (Realization, SpectralRMatrix, conjugator_T, example1_R,
-                              example2_solution, yangian_sl_R, yangian_so_R)
+from baxter.serialize import MAX_DECODED_COEFFICIENTS, ParseError, ShapeError, \
+    VersionError, _dump, decode, encode, load, save
+from baxter.solutions import (Realization, SpectralRMatrix, baxterize, conjugator_T,
+                              example1_R, example2_solution, yangian_sl_R, yangian_so_R)
 from baxter.spin_chain import ChainSpec, TransferFamily, transfer_matrix
-from baxter.tensor import TensorMatrix, kron, matrix_unit, permutation_op
+from baxter.tensor import MAX_DENSE_DIM, TensorMatrix, kron, matrix_unit, permutation_op
 from baxter.verify import VerificationReport, Witness, check_regularity, \
     check_unitarity, check_ybe
 
@@ -134,6 +134,25 @@ def test_shape_errors():
         doc["site_dim"], doc["legs"] = site_dim, legs
         with pytest.raises(ShapeError, match="dense limit"):
             decode(json.dumps(doc))
+
+
+def test_decoded_limit_admits_every_shipped_stack():
+    # a two-leg R of degree d and site_dim n clears to d + 1 layers of
+    # (n^2)^2, and its transfer family on L sites, which needs
+    # n^(L+1) <= MAX_DENSE_DIM, to L d + 1 layers of (n^L)^2; each
+    # construction has one degree for every n, and a twist keeps it
+    largest = 0
+    for r in (yangian_sl_R(2), baxterize(example1_R(2)), yangian_so_R(2),
+              example2_solution(4)):
+        degree = len(r.numerator.cleared((r.variable,))[1][0]) - 1
+        family = decode(encode(transfer_matrix(r, ChainSpec(2))))
+        assert len(family.matrix.cleared((r.variable,))[1][0]) == 2 * degree + 1
+        for n in range(2, 65):
+            sites = max(s for s in range(1, 13) if n ** (s + 1) <= MAX_DENSE_DIM)
+            largest = max(largest, (degree + 1) * n ** 4,
+                          (sites * degree + 1) * n ** (2 * sites))
+    # chain transfer --sites 11 on yangian-so --N 2
+    assert largest == 23 * 2048 ** 2 <= MAX_DECODED_COEFFICIENTS
 
 
 def test_unknown_kind():
