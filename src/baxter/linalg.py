@@ -12,15 +12,22 @@ The integer kernel (int_product, int_sum, apply_legs) works on matrices
 already cleared to integers, given as component lists: one array for a
 rational matrix, four for a Q(i, sqrt2) matrix on the basis (1, sqrt2, i,
 i*sqrt2).  A sparse left factor may come in padded rows instead (Padded,
-chosen by padded).  A product runs in int64 when a bound proves it cannot
-overflow, and in Python ints otherwise.
+chosen by padded).  Every product is one np.einsum contraction per left
+component, in the narrowest of three integer types that a bound on its
+entries and sums proves exact: int32 below 2**30, int64 below 2**62, and
+Python ints otherwise.  numpy's integer matmul has no BLAS path, and its
+loop is slower than einsum's: a 512 x 512 product took 362 ms by matmul
+and 73 ms by einsum in int64, and 44 ms by einsum in int32 with both
+conversions (2-core x86_64, numpy 2.4).  An int32 product is
+widened to int64 before it leaves int_product, so every array the kernel
+hands out is int64 or Python ints.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -29,6 +36,7 @@ from .poly import Poly
 from .scalars import Ext
 
 INT64_SAFE = 2 ** 62
+INT32_SAFE = 2 ** 30
 
 
 class SingularMatrixError(ValueError):
@@ -100,7 +108,8 @@ def max_abs(a: np.ndarray) -> int:
     """Largest absolute entry of an integer array (int64 or Python ints)."""
     if a.dtype == object:
         return max(map(abs, a.ravel().tolist()), default=0)
-    return int(np.abs(a).max()) if a.size else 0
+    # no np.abs temporary; the Python int takes -(-2**63) without wrapping
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def kernel_dtype(bound: int):
@@ -158,7 +167,12 @@ def padded(stack: list):
 
     This is the one sparse-or-dense rule of the kernel: padded rows pay
     when the longest row needs at most half of the m slots, 2K <= m, and
-    m >= 16; below that one dense @ is at least as fast.
+    m >= 16.  Measured against the dense einsum on an (m, m) by (m, m^2)
+    product, as the spectral grid applies R (padded / dense time, median of
+    9, in int32 and in int64, 2-core x86_64, numpy 2.4): 0.93-1.15 at m = 9
+    for every K; at 2K = m, 0.97 and 0.81 at m = 16, 1.20 and 0.93 at
+    m = 36, 1.7 at m = 64; at 4K = m, 0.44-0.81.  The rule holds through
+    m = 36 and is loose above, where no shipped R has 3K > m.
     """
     m = stack[0].shape[-1]
     if m < 16:
@@ -173,10 +187,12 @@ def int_product(a, b: list) -> list:
     Each operand is a list of one (rational) or four (Q(i, sqrt2))
     integer arrays, int64 or Python-int objects; a may also be a Padded
     matrix, applied as one gathered contraction over its K slots per row.
-    The product runs in int64 when every operand entry and inner * sum
-    |coefficient| * max|a_i| * max|b_j| for each output component stay
-    below 2**62, inner being K for a Padded a, and in Python ints
-    otherwise.  The result has four components when either operand has.
+    With inner the inner dimension, or K for a Padded a, the bound is every
+    operand entry and inner * sum |coefficient| * max|a_i| * max|b_j| for
+    each output component.  The contractions (np.einsum, "ik,kc->ic" or
+    "ik,ikc->ic") run in int32 when the bound is below 2**30, in int64 below
+    2**62, and in Python ints otherwise; an int32 result is returned as
+    int64.  The result has four components when either operand has.
     """
     if isinstance(a, Padded):
         rows, a, inner = a, a.vals, a.cols.shape[1]
@@ -190,32 +206,33 @@ def int_product(a, b: list) -> list:
         for j, mb in enumerate(max_b):
             k, coeff = _EXT_RULE[i, j]
             bound[k] += abs(coeff) * ma * mb
-    dtype = kernel_dtype(max(*max_a, *max_b, inner * max(bound)))
-    if rows is None:
-        contract = np.matmul
-    else:
-        contract = partial(np.einsum, "ik,ikc->ic")
+    top = max(*max_a, *max_b, inner * max(bound))
+    dtype = np.int32 if top < INT32_SAFE else kernel_dtype(top)
+    spec = "ik,kc->ic" if rows is None else "ik,ikc->ic"
     if width == 1:
         x = b[0].astype(dtype, copy=False)
-        return [contract(a[0].astype(dtype, copy=False), x if rows is None else x[rows.cols])]
-    cols = b[0].shape[1]
-    out = [np.zeros((a[0].shape[0], cols), dtype=dtype) for _ in range(width)]
-    # a component that is zero throughout adds nothing: the twisted
-    # solutions over Q(i, sqrt2) have no sqrt2 parts
-    live = [j for j, mb in enumerate(max_b) if mb]
-    if not live:
-        return out
-    stacked = np.concatenate([b[j].astype(dtype, copy=False) for j in live], axis=1)
-    if rows is not None:
-        stacked = stacked[rows.cols]
-    for i, x in enumerate(a):
-        if not max_a[i]:
-            continue
-        prod = contract(x.astype(dtype, copy=False), stacked)
-        for slot, j in enumerate(live):
-            k, coeff = _EXT_RULE[i, j]
-            out[k] += coeff * prod[:, slot * cols:(slot + 1) * cols]
-    return out
+        out = [np.einsum(spec, a[0].astype(dtype, copy=False),
+                         x if rows is None else x[rows.cols])]
+    else:
+        cols = b[0].shape[1]
+        out = [np.zeros((a[0].shape[0], cols), dtype=dtype) for _ in range(width)]
+        # a component that is zero throughout adds nothing: the twisted
+        # solutions over Q(i, sqrt2) have no sqrt2 parts
+        live = [j for j, mb in enumerate(max_b) if mb]
+        if live:
+            stacked = np.concatenate([b[j].astype(dtype, copy=False) for j in live], axis=1)
+            if rows is not None:
+                stacked = stacked[rows.cols]
+            for i, x in enumerate(a):
+                if not max_a[i]:
+                    continue
+                prod = np.einsum(spec, x.astype(dtype, copy=False), stacked)
+                for slot, j in enumerate(live):
+                    k, coeff = _EXT_RULE[i, j]
+                    out[k] += coeff * prod[:, slot * cols:(slot + 1) * cols]
+    # numpy 2 keeps int32 in arithmetic with Python ints (NEP 50), so an
+    # int32 array must not reach a caller
+    return [c.astype(np.int64) for c in out] if dtype is np.int32 else out
 
 
 def apply_legs(r, x: list, legs) -> list:

@@ -425,11 +425,22 @@ def assemble(comps):
 
 
 def int_entries(ext, big):
-    limit = 2 ** 40 if big else 3
-    ints = st.integers(-limit, limit)
+    """Small entries, or big ones (big=True) whose products cross the
+    kernel's int64 bound 2**62, or (big="near") entries of absolute value
+    3 * 2**13 to 2**15: a product of two stays within the kernel's int32
+    bound 2**30, and a sum of a few reaches 2**31, where int32 wraps."""
+    if big == "near":
+        near = st.integers(3 * 2 ** 13, 2 ** 15)
+        ints = st.one_of(near, near.map(lambda v: -v))
+    else:
+        limit = 2 ** 40 if big else 3
+        ints = st.integers(-limit, limit)
     if not ext:
         return ints
     return st.builds(Ext, ints, ints, ints, ints)
+
+
+SIZES = st.sampled_from([False, "near", True])
 
 
 @st.composite
@@ -496,10 +507,9 @@ def test_apply_legs_matches_index_embedding(count, n, ext, big, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.booleans(), st.booleans(), st.data())
-def test_int_product_matches_object_product(size, ext_a, ext_b, data):
+@given(st.integers(1, 4), st.booleans(), st.booleans(), SIZES, st.data())
+def test_int_product_matches_object_product(size, ext_a, ext_b, big, data):
     def matrix(ext):
-        big = data.draw(st.booleans())
         values = data.draw(st.lists(int_entries(ext, big), min_size=size * size,
                                     max_size=size * size))
         return np.array(values, dtype=object).reshape(size, size)
@@ -533,6 +543,95 @@ def test_int_product_ext_bound_sums_rule_coefficients():
     assert all(c.dtype == object for c in got)
     want = naive_matmul(assemble(a), assemble(a))
     assert (assemble(got) == want).all()
+
+
+@pytest.fixture
+def einsum_dtypes(monkeypatch):
+    """The operand dtypes of every np.einsum call, in order."""
+    seen, einsum = [], np.einsum
+
+    def spy(spec, *operands, **kwargs):
+        seen.append({x.dtype for x in operands})
+        return einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return seen
+
+
+def test_int_product_int32_edge(einsum_dtypes):
+    # inner * max|a| * max|b| below 2**30 contracts in int32; above it, in
+    # int64, here with products that reach 2**31, where int32 wraps
+    a = np.full((4, 4), 2 ** 14, dtype=np.int64)
+    below = np.full((4, 4), 2 ** 14 - 1, dtype=np.int64)
+    at = np.full((4, 4), 2 ** 15, dtype=np.int64)
+    low = linalg.int_product([a], [below])[0]
+    assert einsum_dtypes.pop() == {np.dtype(np.int32)}
+    assert low.dtype == np.int64 and (low == 4 * 2 ** 14 * (2 ** 14 - 1)).all()
+    high = linalg.int_product([a], [at])[0]
+    assert einsum_dtypes.pop() == {np.dtype(np.int64)}
+    assert high.dtype == np.int64 and (high == 2 ** 31).all()
+    assert (linalg.int_product([-a], [at])[0] == -2 ** 31).all()
+
+
+def test_padded_int32_bound_counts_row_slots(einsum_dtypes):
+    # one nonzero per row of 16: 2**15 * (2**15 - 1) fits int32's bound
+    # once, not 16 times; two per row of 2**15 * 2**15 reach 2**31
+    m, big = 16, 2 ** 15
+    r = np.zeros((m, m), dtype=np.int64)
+    r[np.arange(m), (3 * np.arange(m)) % m] = big
+    x = np.full((m, 2), big - 1, dtype=np.int64)
+    rows = linalg.Padded.of([r])
+    assert rows.cols.shape == (m, 1)
+    low = linalg.int_product(rows, [x])[0]
+    assert einsum_dtypes.pop() == {np.dtype(np.int32)}
+    assert low.dtype == np.int64 and (low == big * (big - 1)).all()
+    linalg.int_product([r], [x])
+    assert einsum_dtypes.pop() == {np.dtype(np.int64)}
+    r[np.arange(m), (3 * np.arange(m) + 1) % m] = big
+    rows = linalg.Padded.of([r])
+    assert rows.cols.shape == (m, 2)
+    high = linalg.int_product(rows, [x + 1])[0]
+    assert einsum_dtypes.pop() == {np.dtype(np.int64)}
+    assert high.dtype == np.int64 and (high == 2 ** 31).all()
+
+
+def test_ext_int32_bound_sums_rule_coefficients(einsum_dtypes):
+    # each component product of 2 * 2**28 = 2**29 fits int32's bound, but the
+    # i component sums 1 + 1 + 2 + 2 = 6 of them, 3 * 2**30, past 2**31
+    for m, dtype in ((2 ** 13, np.int32), (2 ** 14, np.int64)):
+        a = [np.full((2, 2), m, dtype=np.int64) for _ in range(4)]
+        got = linalg.int_product(a, a)
+        assert {d for seen in einsum_dtypes for d in seen} == {np.dtype(dtype)}
+        einsum_dtypes.clear()
+        assert all(c.dtype == np.int64 for c in got)
+        assert (assemble(got) == naive_matmul(assemble(a), assemble(a))).all()
+        assert got[2][0, 0] == 6 * 2 * m * m
+
+
+def test_no_int32_array_leaves_the_kernel():
+    # small entries contract in int32; numpy 2 would keep an int32 result
+    # int32 in arithmetic with Python ints and wrap, so it comes back int64
+    r = np.zeros((16, 16), dtype=np.int64)
+    r[np.arange(16), np.arange(16)] = 3
+    x = np.arange(32, dtype=np.int64).reshape(16, 2)
+    ext = [x, x, -x, x]
+    for got in (linalg.int_product([r], [x]), linalg.int_product(linalg.padded([r]), [x]),
+                linalg.int_product([r, r, r, r], ext), linalg.int_product([r], ext),
+                linalg.int_product([r, r, r, r], [np.zeros_like(x)]),
+                linalg.apply_legs([r], [x.reshape(4, 4, 2)], (1, 2)),
+                linalg.apply_legs(linalg.padded([r]), ext, (1,))):
+        assert all(c.dtype == np.int64 for c in got)
+
+
+def test_max_abs_at_the_int64_edges():
+    # -2**63 has no int64 absolute value; max_abs returns it as a Python int
+    edge = 2 ** 62 - 1
+    for values, want in (([edge, -3], edge), ([3, -edge], edge),
+                         ([np.iinfo(np.int64).min, 1], 2 ** 63),
+                         ([np.iinfo(np.int64).max, 0], 2 ** 63 - 1)):
+        assert linalg.max_abs(np.array(values, dtype=np.int64)) == want
+        assert linalg.max_abs(np.array(values, dtype=object)) == want
+    assert linalg.max_abs(np.zeros((0, 3), dtype=np.int64)) == 0
 
 
 def test_int_sum_pads_widths_and_guards_the_bound():
@@ -607,12 +706,13 @@ def scatter(rows, values):
 
 
 @st.composite
-def sparse_stacks(draw, layers=1):
+def sparse_stacks(draw, layers=1, big=None):
     """A component list of shape (layers, m, m): each row has its own number
-    of nonzeros, some rows none, and now and then the matrix is all zero."""
+    of nonzeros, some rows none, and now and then the matrix is all zero;
+    big as int_entries takes it, drawn when None."""
     m = draw(st.integers(1, 6))
-    ext, big = draw(st.booleans()), draw(st.booleans())
-    entries = int_entries(ext, big)
+    ext = draw(st.booleans())
+    entries = int_entries(ext, draw(st.booleans()) if big is None else big)
     empty = draw(st.integers(0, 9)) == 0
     out = np.zeros((layers, m, m), dtype=object)
     for i in range(m):
@@ -638,8 +738,9 @@ def test_padded_layout_is_the_union_of_every_layer_and_component(stack):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sparse_stacks(), st.integers(1, 4), st.booleans(), st.booleans(), st.data())
-def test_padded_product_matches_dense_and_object_products(stack, cols, ext, big, data):
+@given(st.integers(1, 4), st.booleans(), SIZES, st.data())
+def test_padded_product_matches_dense_and_object_products(cols, ext, big, data):
+    stack = data.draw(sparse_stacks(big=big))
     m = stack[0].shape[-1]
     r = [c[0] for c in stack]
     x = np.array(data.draw(st.lists(int_entries(ext, big), min_size=m * cols,

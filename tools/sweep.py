@@ -24,7 +24,7 @@ records how many products of the integer kernel ran inside
 `check_commutation` and how many of them in Python ints.
 
     python3 tools/sweep.py --src parent=../parent/src --src change=src \\
-        --out BENCH_pr19.json
+        --out BENCH_pr22.json
 
 Cases (see CASES): spectral so(N), N = 3..9, in both realizations and
 sl(n), n = 2..4, whose numerators satisfy R21 = R12; the skew twisted
@@ -32,7 +32,7 @@ solution, N = 4..7, whose numerator does not; `--method poly` on so(3)
 and so(4); `chain transfer` on the baxterized n = 2 family at tau = 1
 and on yangian sl(2), L = 3..6; `chain hamiltonian` at xi = 1 on a
 periodic chain, L = 3..8; `chain commute --report` on the baxterized
-n = 2 family at tau = 1, L = 3..8, and on yangian sl(2), L = 7, 8;
+n = 2 family at tau = 1, L = 3..9, and on yangian sl(2), L = 7..9;
 `chain derive` on the baxterized n = 2 family at tau = 1, L = 3..6;
 `verify unitarity --in` the twisted solution, N = 4..6, in both
 realizations; `verify ybe --spectral --in` so(N), N = 3..7, antidiagonal;
@@ -145,8 +145,8 @@ CASES = {
        for L in range(3, 9)},
     **{f"commute-{name}-{L}": COMMAND.format(build=build, option="--report",
                                              argv=["chain", "commute", "--sites", str(L)])
-       for name, build, sites in (("bx2", "baxterize(example1_R(2, 1))", range(3, 9)),
-                                  ("sl2", "yangian_sl_R(2)", (7, 8)))
+       for name, build, sites in (("bx2", "baxterize(example1_R(2, 1))", range(3, 10)),
+                                  ("sl2", "yangian_sl_R(2)", (7, 8, 9)))
        for L in sites},
     **{f"derive-bx2-{L}": COMMAND.format(build="baxterize(example1_R(2, 1))", option="--out",
                                          argv=["chain", "derive", "--sites", str(L)])
