@@ -12,22 +12,24 @@ The integer kernel (int_product, int_sum, apply_legs) works on matrices
 already cleared to integers, given as component lists: one array for a
 rational matrix, four for a Q(i, sqrt2) matrix on the basis (1, sqrt2, i,
 i*sqrt2).  A sparse left factor may come in padded rows instead (Padded,
-chosen by padded).  Every product is one np.einsum contraction per left
-component, in the narrowest of three integer types that a bound on its
-entries and sums proves exact: int32 below 2**30, int64 below 2**62, and
-Python ints otherwise.  numpy's integer matmul has no BLAS path, and its
-loop is slower than einsum's: a 512 x 512 product took 362 ms by matmul
-and 73 ms by einsum in int64, and 44 ms by einsum in int32 with both
-conversions (2-core x86_64, numpy 2.4).  An int32 product is
-widened to int64 before it leaves int_product, so every array the kernel
-hands out is int64 or Python ints.
+chosen by padded).  Every product is one contraction per left component,
+in the narrowest of three integer types that a bound on its entries and
+sums proves exact: int32 below 2**30, int64 below 2**62, and Python ints
+otherwise.  numpy's integer matmul has no BLAS path, and its loop is
+slower than np.einsum's: a 512 x 512 product took 362 ms by matmul and
+73 ms by einsum in int64, and 44 ms by einsum in int32 with both
+conversions (2-core x86_64, numpy 2.4).  Below 2**14 multiply-adds
+(SMALL_PRODUCT) a dense product stays on np.matmul in int64 or Python
+ints, where einsum's dispatch and the int32 conversions cost more than
+they save.  An int32 product is widened to int64 before it leaves
+int_product, so every array the kernel hands out is int64 or Python ints.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 
 import numpy as np
@@ -37,6 +39,8 @@ from .scalars import Ext
 
 INT64_SAFE = 2 ** 62
 INT32_SAFE = 2 ** 30
+# multiply-adds below which a dense product stays on int64 np.matmul
+SMALL_PRODUCT = 2 ** 14
 
 
 class SingularMatrixError(ValueError):
@@ -108,8 +112,12 @@ def max_abs(a: np.ndarray) -> int:
     """Largest absolute entry of an integer array (int64 or Python ints)."""
     if a.dtype == object:
         return max(map(abs, a.ravel().tolist()), default=0)
+    if a.size < 2 ** 12:
+        # np.abs and one reduction cost less on small arrays; read as
+        # uint64, np.abs(-2**63) is 2**63
+        return int(np.abs(a).view(np.uint64).max()) if a.size else 0
     # no np.abs temporary; the Python int takes -(-2**63) without wrapping
-    return max(int(a.max()), -int(a.min())) if a.size else 0
+    return max(int(a.max()), -int(a.min()))
 
 
 def kernel_dtype(bound: int):
@@ -167,12 +175,15 @@ def padded(stack: list):
 
     This is the one sparse-or-dense rule of the kernel: padded rows pay
     when the longest row needs at most half of the m slots, 2K <= m, and
-    m >= 16.  Measured against the dense einsum on an (m, m) by (m, m^2)
+    m >= 16.  Measured against the dense product on an (m, m) by (m, m^2)
     product, as the spectral grid applies R (padded / dense time, median of
-    9, in int32 and in int64, 2-core x86_64, numpy 2.4): 0.93-1.15 at m = 9
-    for every K; at 2K = m, 0.97 and 0.81 at m = 16, 1.20 and 0.93 at
-    m = 36, 1.7 at m = 64; at 4K = m, 0.44-0.81.  The rule holds through
-    m = 36 and is loose above, where no shipped R has 3K > m.
+    9, in int32 and in int64, 2-core x86_64, numpy 2.4): 0.78-1.19 at m = 9;
+    at 4K = m, 0.42-0.88 and at 3K ~ m, 0.40-0.99 for m = 16..64; at
+    2K = m, 0.92 and 0.81 at m = 16 and 0.85 and 0.78 at m = 25, but 1.21
+    and 0.58 at m = 36 and 1.77 and 2.09 at m = 64.  So the rule is loose
+    at the 2K = m edge from m = 36 on.  The shipped R nearest that edge
+    have m <= 25 (twisted N = 4 antidiagonal, K = 7 of 16; N = 5 skew,
+    K = 11 of 25), and none with m > 25 has 3K > m.
     """
     m = stack[0].shape[-1]
     if m < 16:
@@ -192,7 +203,9 @@ def int_product(a, b: list) -> list:
     each output component.  The contractions (np.einsum, "ik,kc->ic" or
     "ik,ikc->ic") run in int32 when the bound is below 2**30, in int64 below
     2**62, and in Python ints otherwise; an int32 result is returned as
-    int64.  The result has four components when either operand has.
+    int64.  A dense product of fewer than SMALL_PRODUCT multiply-adds is
+    one np.matmul in int64 or Python ints instead.  The result has four
+    components when either operand has.
     """
     if isinstance(a, Padded):
         rows, a, inner = a, a.vals, a.cols.shape[1]
@@ -207,12 +220,14 @@ def int_product(a, b: list) -> list:
             k, coeff = _EXT_RULE[i, j]
             bound[k] += abs(coeff) * ma * mb
     top = max(*max_a, *max_b, inner * max(bound))
-    dtype = np.int32 if top < INT32_SAFE else kernel_dtype(top)
-    spec = "ik,kc->ic" if rows is None else "ik,ikc->ic"
+    if rows is None and a[0].shape[0] * inner * b[0].shape[1] < SMALL_PRODUCT:
+        dtype, contract = kernel_dtype(top), np.matmul
+    else:
+        dtype = np.int32 if top < INT32_SAFE else kernel_dtype(top)
+        contract = partial(np.einsum, "ik,kc->ic" if rows is None else "ik,ikc->ic")
     if width == 1:
         x = b[0].astype(dtype, copy=False)
-        out = [np.einsum(spec, a[0].astype(dtype, copy=False),
-                         x if rows is None else x[rows.cols])]
+        out = [contract(a[0].astype(dtype, copy=False), x if rows is None else x[rows.cols])]
     else:
         cols = b[0].shape[1]
         out = [np.zeros((a[0].shape[0], cols), dtype=dtype) for _ in range(width)]
@@ -226,7 +241,7 @@ def int_product(a, b: list) -> list:
             for i, x in enumerate(a):
                 if not max_a[i]:
                     continue
-                prod = np.einsum(spec, x.astype(dtype, copy=False), stacked)
+                prod = contract(x.astype(dtype, copy=False), stacked)
                 for slot, j in enumerate(live):
                     k, coeff = _EXT_RULE[i, j]
                     out[k] += coeff * prod[:, slot * cols:(slot + 1) * cols]

@@ -506,17 +506,28 @@ def test_apply_legs_matches_index_embedding(count, n, ext, big, data):
     assert (assemble([c.reshape(n ** count, -1) for c in got]) == want).all()
 
 
+def einsum_product(a, b):
+    """int_product with every dense product, however small, contracted by
+    np.einsum in the tier its bound picks, as products of SMALL_PRODUCT
+    multiply-adds and more are."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "SMALL_PRODUCT", 0)
+        return linalg.int_product(a, b)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.booleans(), st.booleans(), SIZES, st.data())
-def test_int_product_matches_object_product(size, ext_a, ext_b, big, data):
+@given(st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+def test_int_product_matches_object_product(size, ext_a, ext_b, data):
     def matrix(ext):
+        big = data.draw(SIZES)
         values = data.draw(st.lists(int_entries(ext, big), min_size=size * size,
                                     max_size=size * size))
         return np.array(values, dtype=object).reshape(size, size)
 
     a, b = matrix(ext_a), matrix(ext_b)
-    got = assemble(linalg.int_product(components(a), components(b)))
-    assert (got == naive_matmul(a, b)).all()
+    want = naive_matmul(a, b)
+    for product in (linalg.int_product, einsum_product):
+        assert (assemble(product(components(a), components(b))) == want).all()
 
 
 def test_int_product_bound_edge():
@@ -558,12 +569,26 @@ def einsum_dtypes(monkeypatch):
     return seen
 
 
+def test_small_dense_products_stay_on_int64_matmul(einsum_dtypes):
+    # below SMALL_PRODUCT multiply-adds, einsum's dispatch and the int32
+    # conversions cost more than they save
+    a = np.full((4, 4), 3, dtype=np.int64)
+    cols = linalg.SMALL_PRODUCT // 16
+    small = linalg.int_product([a], [np.ones((4, cols - 1), dtype=np.int64)])[0]
+    assert not einsum_dtypes
+    assert small.dtype == np.int64 and (small == 12).all()
+    large = linalg.int_product([a], [np.ones((4, cols), dtype=np.int64)])[0]
+    assert einsum_dtypes.pop() == {np.dtype(np.int32)}
+    assert large.dtype == np.int64 and (large == 12).all()
+
+
 def test_int_product_int32_edge(einsum_dtypes):
     # inner * max|a| * max|b| below 2**30 contracts in int32; above it, in
     # int64, here with products that reach 2**31, where int32 wraps
+    cols = linalg.SMALL_PRODUCT // 16
     a = np.full((4, 4), 2 ** 14, dtype=np.int64)
-    below = np.full((4, 4), 2 ** 14 - 1, dtype=np.int64)
-    at = np.full((4, 4), 2 ** 15, dtype=np.int64)
+    below = np.full((4, cols), 2 ** 14 - 1, dtype=np.int64)
+    at = np.full((4, cols), 2 ** 15, dtype=np.int64)
     low = linalg.int_product([a], [below])[0]
     assert einsum_dtypes.pop() == {np.dtype(np.int32)}
     assert low.dtype == np.int64 and (low == 4 * 2 ** 14 * (2 ** 14 - 1)).all()
@@ -579,7 +604,8 @@ def test_padded_int32_bound_counts_row_slots(einsum_dtypes):
     m, big = 16, 2 ** 15
     r = np.zeros((m, m), dtype=np.int64)
     r[np.arange(m), (3 * np.arange(m)) % m] = big
-    x = np.full((m, 2), big - 1, dtype=np.int64)
+    # wide enough that the dense product is not a small one
+    x = np.full((m, linalg.SMALL_PRODUCT // m ** 2), big - 1, dtype=np.int64)
     rows = linalg.Padded.of([r])
     assert rows.cols.shape == (m, 1)
     low = linalg.int_product(rows, [x])[0]
@@ -600,11 +626,12 @@ def test_ext_int32_bound_sums_rule_coefficients(einsum_dtypes):
     # i component sums 1 + 1 + 2 + 2 = 6 of them, 3 * 2**30, past 2**31
     for m, dtype in ((2 ** 13, np.int32), (2 ** 14, np.int64)):
         a = [np.full((2, 2), m, dtype=np.int64) for _ in range(4)]
-        got = linalg.int_product(a, a)
+        b = [np.full((2, linalg.SMALL_PRODUCT // 4), m, dtype=np.int64) for _ in range(4)]
+        got = linalg.int_product(a, b)
         assert {d for seen in einsum_dtypes for d in seen} == {np.dtype(dtype)}
         einsum_dtypes.clear()
         assert all(c.dtype == np.int64 for c in got)
-        assert (assemble(got) == naive_matmul(assemble(a), assemble(a))).all()
+        assert (assemble(got) == naive_matmul(assemble(a), assemble(b))).all()
         assert got[2][0, 0] == 6 * 2 * m * m
 
 
@@ -613,25 +640,30 @@ def test_no_int32_array_leaves_the_kernel():
     # int32 in arithmetic with Python ints and wrap, so it comes back int64
     r = np.zeros((16, 16), dtype=np.int64)
     r[np.arange(16), np.arange(16)] = 3
-    x = np.arange(32, dtype=np.int64).reshape(16, 2)
+    x = np.arange(16 * 64, dtype=np.int64).reshape(16, 64)
+    assert r.size * x.shape[1] >= linalg.SMALL_PRODUCT
     ext = [x, x, -x, x]
     for got in (linalg.int_product([r], [x]), linalg.int_product(linalg.padded([r]), [x]),
                 linalg.int_product([r, r, r, r], ext), linalg.int_product([r], ext),
                 linalg.int_product([r, r, r, r], [np.zeros_like(x)]),
-                linalg.apply_legs([r], [x.reshape(4, 4, 2)], (1, 2)),
+                linalg.apply_legs([r], [x.reshape(4, 4, 64)], (1, 2)),
                 linalg.apply_legs(linalg.padded([r]), ext, (1,))):
         assert all(c.dtype == np.int64 for c in got)
 
 
 def test_max_abs_at_the_int64_edges():
-    # -2**63 has no int64 absolute value; max_abs returns it as a Python int
+    # -2**63 has no int64 absolute value; max_abs returns it as a Python int,
+    # on small arrays (np.abs) and on large ones (two reductions) alike
     edge = 2 ** 62 - 1
     for values, want in (([edge, -3], edge), ([3, -edge], edge),
                          ([np.iinfo(np.int64).min, 1], 2 ** 63),
                          ([np.iinfo(np.int64).max, 0], 2 ** 63 - 1)):
-        assert linalg.max_abs(np.array(values, dtype=np.int64)) == want
-        assert linalg.max_abs(np.array(values, dtype=object)) == want
+        for pad in (0, 2 ** 12):
+            a = np.array(values + [-2] * pad, dtype=np.int64)
+            assert linalg.max_abs(a) == want
+            assert linalg.max_abs(a.astype(object)) == want
     assert linalg.max_abs(np.zeros((0, 3), dtype=np.int64)) == 0
+    assert linalg.max_abs(np.array(-7, dtype=np.int64)) == 7
 
 
 def test_int_sum_pads_widths_and_guards_the_bound():
@@ -706,13 +738,12 @@ def scatter(rows, values):
 
 
 @st.composite
-def sparse_stacks(draw, layers=1, big=None):
+def sparse_stacks(draw, layers=1):
     """A component list of shape (layers, m, m): each row has its own number
-    of nonzeros, some rows none, and now and then the matrix is all zero;
-    big as int_entries takes it, drawn when None."""
+    of nonzeros, some rows none, and now and then the matrix is all zero."""
     m = draw(st.integers(1, 6))
-    ext = draw(st.booleans())
-    entries = int_entries(ext, draw(st.booleans()) if big is None else big)
+    ext, big = draw(st.booleans()), draw(SIZES)
+    entries = int_entries(ext, big)
     empty = draw(st.integers(0, 9)) == 0
     out = np.zeros((layers, m, m), dtype=object)
     for i in range(m):
@@ -738,16 +769,16 @@ def test_padded_layout_is_the_union_of_every_layer_and_component(stack):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4), st.booleans(), SIZES, st.data())
-def test_padded_product_matches_dense_and_object_products(cols, ext, big, data):
-    stack = data.draw(sparse_stacks(big=big))
+@given(sparse_stacks(), st.integers(1, 4), st.booleans(), SIZES, st.data())
+def test_padded_product_matches_dense_and_object_products(stack, cols, ext, big, data):
     m = stack[0].shape[-1]
     r = [c[0] for c in stack]
     x = np.array(data.draw(st.lists(int_entries(ext, big), min_size=m * cols,
                                     max_size=m * cols)), dtype=object).reshape(m, cols)
     rows = linalg.Padded.of(r)
     got = assemble(linalg.int_product(rows, components(x)))
-    assert (got == assemble(linalg.int_product(r, components(x)))).all()
+    for product in (linalg.int_product, einsum_product):
+        assert (got == assemble(product(r, components(x)))).all()
     assert (got == naive_matmul(assemble(r), x)).all()
 
 
