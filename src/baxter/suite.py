@@ -295,11 +295,11 @@ def cli_interface() -> list:
 
 CRITERIA = (
     ("triangular-family", triangular_family, 5),
-    ("baxterized-family", baxterized_family, 0.5),
-    ("yangian-families", yangian_families, 6),
-    ("twisted-orthogonal", twisted_orthogonal, 12),
+    ("baxterized-family", baxterized_family, 0.2),
+    ("yangian-families", yangian_families, 2.2),
+    ("twisted-orthogonal", twisted_orthogonal, 4.2),
     ("frobenius-construction", frobenius_construction, 0.2),
-    ("classical-equivalence", classical_equivalence, 1),
+    ("classical-equivalence", classical_equivalence, 0.25),
     ("chain-checks", chain_checks, 1.5),
     ("cli-interface", cli_interface, None),
 )

@@ -3,17 +3,17 @@
 Identities are decided on integer layers cleared by linalg.clear, with
 factors applied on their legs (linalg.apply_legs); only the constant braid
 identity forms object products, of the integer numerator, whose entries
-need no clearing.  The spectral braid identity is the braid
-word W(x, y, z) = x12 y13 z23 - z23 y13 x12 at the points of a grid of
+need no clearing.  The braid and the classical identity are term tables,
+_BRAID and _CLASSICAL, of weighted differences of words on three legs,
+and one routine, _word, applies a word to the identity on three legs.
+The spectral grid takes the braid table at the points of a grid of
 degree + 1 points in each variable, (2d+1)^2 for a numerator of degree d,
 so vanishing there is identical vanishing; the witness is interpolated
 from the grid with the integer Lagrange weights.  When R21 = R12 exactly
-on the cleared numerator, the right-hand word at (x, y) is P13 L(y, x) P13 for
-the left-hand word L(x, y) = R12(x) R13(x+y) R23(y), and the grid builds
-left-hand words alone, two per pair of points mirrored in the diagonal.
+on the cleared numerator, the right-hand word at (x, y) is P13 L(y, x) P13
+for the left-hand word L(x, y), and the grid builds left-hand words alone.
 The method "poly" and the classical identity compare every
-(a, b)-coefficient instead, summed over the monomial layers with weights
-a^x (a+b)^y b^z.
+(a, b)-coefficient of their table over the monomial layers instead.
 
 Scalar factors are handled by clearing denominators uniformly; every
 identity here is invariant under per-factor scaling, and witnesses are
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache
 from itertools import product
 
 import numpy as np
@@ -167,18 +166,59 @@ def _three_legs(n: int) -> list:
     return [np.eye(dense_dim(n, 3), dtype=np.int64).reshape(n, n, n, -1)]
 
 
-@cache
-def _weights(x: int, y: int, z: int) -> dict:
-    """a^x (a+b)^y b^z as {(power of a, power of b): coefficient}."""
-    return {(x + m, y - m + z): math.comb(y, m) for m in range(y + 1)}
+# The identities on three legs as sums of weighted differences of words.  A
+# factor is (argument, legs), for the arguments a, a+b and b numbered 0, 1
+# and 2; a term (weight, p, q) is a^x (a+b)^y b^z (p - q) for the powers
+# (x, y, z) of its weight and the words p and q, their factors left to right.
+_12A, _13AB, _23B = (0, (1, 2)), (1, (1, 3)), (2, (2, 3))
+# R12(a) R13(a+b) R23(b) - R23(b) R13(a+b) R12(a)
+_BRAID = (((0, 0, 0), (_12A, _13AB, _23B), (_23B, _13AB, _12A)),)
+# b [X12(a), X13(a+b)] + (a+b) [X12(a), X23(b)] + a [X13(a+b), X23(b)]
+_CLASSICAL = tuple((weight, (x, y), (y, x)) for weight, x, y in
+                   (((0, 0, 1), _12A, _13AB), ((0, 1, 0), _12A, _23B), ((1, 0, 0), _13AB, _23B)))
 
 
-def _add_weighted(sums: dict, weights: dict, term: list):
-    """sums[e] += c * term for every monomial e with coefficient c in
-    weights; c * term runs in Python ints where int64 could overflow."""
-    for exps, c in weights.items():
-        scaled = linalg.scaled(term, c)
-        sums[exps] = linalg.int_sum(sums[exps], scaled) if exps in sums else scaled
+def _word(word, point, value, eye, memo: dict) -> list:
+    """The product of word's factors applied to eye, the identity on three
+    legs, as components of shape (n, n, n, n^3).  A factor (argument, legs)
+    is value[point[argument]] on legs, value holding two-leg matrices as
+    linalg.apply_legs takes them.  The rightmost factor is applied first, and
+    that application is kept in memo under its (point[argument], legs)."""
+    arg, legs = word[-1]
+    first = point[arg], legs
+    if first not in memo:
+        memo[first] = linalg.apply_legs(value[point[arg]], eye, legs)
+    out = memo[first]
+    for arg, legs in word[-2::-1]:
+        out = linalg.apply_legs(value[point[arg]], out, legs)
+    return out
+
+
+def _coefficients(terms, layers: list, eye, constant: bool) -> dict:
+    """{monomial: (n^3, n^3) components}: every (a, b)-coefficient of the sum
+    of the terms when each factor is X(t) = sum_e t^e layers[e] at its
+    argument t.  The words of the layers (e_a, e_ab, e_b) of their arguments
+    take the weight a^(x+e_a) (a+b)^(y+e_ab) b^(z+e_b) for their term's
+    weight (x, y, z), and a^x (a+b)^y b^z is the sum of comb(y, m) a^(x+m)
+    b^(y-m+z); with constant every weight is 1, at the one monomial ().
+    A word's int64 entries are below 2**62 (linalg.int_product), so p - q
+    is exact; the sums go to Python ints where int64 could overflow."""
+    sums, memo = {}, {}
+    for weight, left, right in terms:
+        used = {arg for arg, _ in left}
+        # an argument the term does not use stays at layer 0, of power 0
+        for point in product(*(range(len(layers) if arg in used else 1) for arg in range(3))):
+            x, y, z = [w + e for w, e in zip(weight, point)]
+            # p and q stay held until the next pick: freed at once, their memory
+            # went back to the system, and the rational classical identity at
+            # n = 6 took twice the page faults
+            p, q =_word(left, point, layers, eye, memo), _word(right, point, layers, eye, memo)
+            diff = [(a - b).reshape(-1, a.shape[-1]) for a, b in zip(p, q)]
+            for m in range(1 if constant else y + 1):
+                at = () if constant else (x + m, y - m + z)
+                part = linalg.scaled(diff, math.comb(y, m))
+                sums[at] = linalg.int_sum(sums[at], part) if at in sums else part
+    return sums
 
 
 def interpolate_grid(table: list):
@@ -259,21 +299,6 @@ def _ybe_constant(m: TensorMatrix) -> VerificationReport:
     return VerificationReport("ybe-constant", witness is None, witness)
 
 
-def _left_word(x, y, z23: list) -> list:
-    """x12 y13 z23 on three legs, for two-leg factors x and y as
-    linalg.apply_legs takes them and z23, z applied on legs (2, 3) of the
-    identity on three legs."""
-    return linalg.apply_legs(x, linalg.apply_legs(y, z23, (1, 3)), (1, 2))
-
-
-def _braid_word(x, y, z, z23: list, x12: list) -> list:
-    """W(x, y, z) = x12 y13 z23 - z23 y13 x12 as (n^3, n^3) components, for
-    two-leg factors x, y, z as linalg.apply_legs takes them; z23 and x12 are
-    z and x already applied on their legs of the identity on three legs."""
-    rhs = linalg.apply_legs(z, linalg.apply_legs(y, x12, (1, 3)), (2, 3))
-    return [(p - q).reshape(-1, p.shape[-1]) for p, q in zip(_left_word(x, y, z23), rhs)]
-
-
 def _leg_symmetric(stack: list, swap: np.ndarray) -> bool:
     """R21 = R12 exactly: every layer and component of the cleared two-leg
     stack is unchanged when the legs of its rows and of its columns swap
@@ -287,30 +312,24 @@ def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
     degree = len(stack[0]) - 1
     symmetric = _leg_symmetric(stack, swap)
     rows = linalg.padded(stack)
-    values, lefts, right = {}, {}, {}
+    # R at every argument the grid takes, x, y and x + y up to 4 degree
+    values = [int_values(stack, t) if rows is None else
+              linalg.Padded(rows.cols, int_values(rows.vals, t)) for t in range(4 * degree + 1)]
+    lefts, rights = {}, {}
     n = num.site_dim
     eye = _three_legs(n)
-
-    def value_at(t):
-        if t not in values:
-            values[t] = (int_values(stack, t) if rows is None else
-                         linalg.Padded(rows.cols, int_values(rows.vals, t)))
-        return values[t]
-
-    def first(memo, t, legs):
-        """R(t) on legs of the identity, once per argument in memo."""
-        if t not in memo:
-            memo[t] = linalg.apply_legs(value_at(t), eye, legs)
-        return memo[t]
+    ((_, left, right),) = _BRAID
 
     def diff_at(x, y):
-        # W(R(x), R(x+y), R(y)): its outer factors depend on one argument
-        # each and are built once by first().  x is grid_report's row, so
-        # R12(x) on the identity is kept for one row.
-        if x not in right:
-            right.clear()
-        return _braid_word(value_at(x), value_at(x + y), value_at(y),
-                           first(lefts, y, (2, 3)), first(right, x, (1, 2)))
+        # the braid table at (a, a+b, b) = (x, x+y, y).  Each word's first
+        # factor is memoised: R23(y) for every y, and R12(x) for its row
+        # only, which grid_report starts at y = 0.
+        if y == 0:
+            rights.clear()
+        point = (x, x + y, y)
+        return [(p - q).reshape(n ** 3, -1)
+                for p, q in zip(_word(left, point, values, eye, lefts),
+                                _word(right, point, values, eye, rights))]
 
     # With R21 = R12, conjugation by P13 turns R12, R13, R23 into R23, R13,
     # R12, so the right-hand word at (x, y) is P13 L(y, x) P13 for the
@@ -322,7 +341,7 @@ def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
     def word(x, y):
         """L(x, y) with one axis per leg of its rows and of its columns."""
         return [c.reshape((n,) * 6)
-                for c in _left_word(value_at(x), value_at(x + y), first(lefts, y, (2, 3)))]
+                for c in _word(left, (x, x + y, y), values, eye, lefts)]
 
     def minus_mirror(p, q):
         """p - P13 q P13 as (n^3, n^3) components, or views of one zero when
@@ -355,19 +374,12 @@ def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
 
 
 def _ybe_spectral_poly(num: TensorMatrix) -> VerificationReport:
-    """Cross-check without a grid: for the cleared layers R_e of the
-    numerator, the difference is the sum of a^i (a+b)^k b^l W(R_i, R_k, R_l),
-    and every (a, b)-coefficient of it is compared with zero."""
+    """Cross-check without a grid: every (a, b)-coefficient of the braid
+    table over the cleared layers of the numerator is compared with zero."""
     scale, stack = num.cleared((_single_variable(num),))
     layers = [[c[e] for c in stack] for e in range(len(stack[0]))]
-    eye = _three_legs(num.site_dim)
-    x12 = [linalg.apply_legs(r, eye, (1, 2)) for r in layers]
-    z23 = [linalg.apply_legs(r, eye, (2, 3)) for r in layers]
-    coefficients = {}
-    for i, k, l in product(range(len(layers)), repeat=3):
-        # with no power of the variable every entry is a scalar, at no monomial
-        _add_weighted(coefficients, _weights(i, k, l) if len(layers) > 1 else {(): 1},
-                      _braid_word(layers[i], layers[k], layers[l], z23[l], x12[i]))
+    # with no power of the variable every entry is a scalar, at no monomial
+    coefficients = _coefficients(_BRAID, layers, _three_legs(num.site_dim), len(layers) == 1)
     witness = _first_offence(coefficients, scale ** 3)
     return VerificationReport("ybe-spectral", witness is None, witness)
 
@@ -399,14 +411,6 @@ def check_ybe(r, mode: str | None = None, method: str = "grid") -> VerificationR
 # -- classical Yang-Baxter ---------------------------------------------------
 
 
-# b [X12(a), X13(a+b)] + (a+b) [X12(a), X23(b)] + a [X13(a+b), X23(b)]: the
-# legs of each commutator's factors and, for their layers i and j, the
-# exponents (x, y, z) of its weight a^x (a+b)^y b^z
-_CYBE_TERMS = (((1, 2), (1, 3), lambda i, j: (i, j, 1)),
-               ((1, 2), (2, 3), lambda i, j: (i, 1, j)),
-               ((1, 3), (2, 3), lambda i, j: (1, i, j)))
-
-
 def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
                mode: str = "constant") -> VerificationReport:
     """Classical Yang-Baxter identity for r, constant or rational.
@@ -414,10 +418,10 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
     Rational mode checks X(u, v) = omega/(u - v) + r in the two difference
     variables a = u1 - u2, b = u2 - u3 after clearing a (a+b) b; with
     X(t) = omega + t r, of layers [omega, r], each (a, b)-coefficient of
-    the residual (_CYBE_TERMS) is a weighted sum of commutators of layers.
-    Constant mode has the one layer r and weight 1.  Both modes bring the
-    memoised cleared layers to one common scale and apply each factor of a
-    commutator on its legs in integers; only the witness becomes a scalar.
+    the residual, the table _CLASSICAL, is compared with zero.  Constant
+    mode has the one layer r and weight 1.  Both modes bring the memoised
+    cleared layers to one common scale and build the words in integers;
+    only the witness becomes a scalar.
     """
     if r.legs != 2:
         raise ValueError("classical Yang-Baxter check expects a two-leg matrix")
@@ -430,18 +434,8 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
         raise ValueError(f"unknown mode {mode!r}")
     factors = [omega, r] if mode == "rational" else [r]
     scale, layers = _on_one_scale(*(m.cleared() for m in factors))
-    eye = _three_legs(r.site_dim)
-    on_legs = {(k, legs): linalg.apply_legs(x, eye, legs)
-               for k, x in enumerate(layers) for legs in ((1, 2), (1, 3), (2, 3))}
-    coefficients = {}
-    for s, t, weight in _CYBE_TERMS:
-        for i, j in product(range(len(layers)), repeat=2):
-            xy = linalg.apply_legs(layers[i], on_legs[j, t], s)
-            yx = linalg.apply_legs(layers[j], on_legs[i, s], t)
-            _add_weighted(coefficients, _weights(*weight(i, j)) if mode == "rational"
-                          else {(): 1}, linalg.int_sum(xy, [-c for c in yx]))
-    witness = _first_offence({exps: [c.reshape(-1, c.shape[-1]) for c in comps]
-                              for exps, comps in coefficients.items()}, scale ** 2)
+    coefficients = _coefficients(_CLASSICAL, layers, _three_legs(r.site_dim), mode == "constant")
+    witness = _first_offence(coefficients, scale ** 2)
     return VerificationReport(f"cybe-{mode}", witness is None, witness)
 
 

@@ -643,6 +643,36 @@ def test_leg_symmetry_of_the_spectral_families(name):
     assert verify._leg_symmetric(stack, swap) is want
 
 
+# Spectral solutions that are not leg-symmetric (LEG_SYMMETRIC), so the grid
+# builds both words at every point, and whether their cleared stack takes
+# padded rows.
+SKEWED_GRID = {"twisted4-antidiag": True, "twisted4-skew": False, "twisted5-antidiag": True,
+               "twisted5-skew": True, "bx3": False}
+
+
+@cache
+def _skewed_numerator(name):
+    return LEG_SYMMETRIC[name][0]().numerator
+
+
+@pytest.mark.parametrize("name", sorted(SKEWED_GRID))
+@pytest.mark.parametrize("change", [None, (0, Ext(Fraction(1, 3), 0, 0, 1)),
+                                    (1, Ext(0, -2, Fraction(1, 2), 0)), (2, Ext(3, 1, 0, -1))])
+def test_grid_and_poly_agree_off_the_mirror_path(name, change):
+    num = _skewed_numerator(name)
+    n = num.site_dim
+    assert (linalg.padded(num.cleared(num.variables())[1]) is not None) is SKEWED_GRID[name]
+    if change is not None:
+        # one entry changed by c u^k over Q(i, sqrt2), at a place moved by k
+        k, c = change
+        at = ((k + 1) * n + 1) % (n * n), (k * n + 2) % (n * n)
+        num = num + TensorMatrix.from_entries(n, 2, {at: c * Poly.variable("u") ** k})
+    grid = check_ybe(num)
+    poly = check_ybe(num, method="poly")
+    assert grid.passed == poly.passed == (change is None)
+    assert grid.witness == poly.witness
+
+
 def fraction_interpolation(pts_a, pts_b, table):
     """The bivariate coefficients of values on the grid 0..pts_a-1 by
     0..pts_b-1 as Fraction object products with the inverse Vandermonde

@@ -36,6 +36,9 @@ n = 2 family at tau = 1, L = 3..9, and on yangian sl(2), L = 7..9;
 `chain derive` on the baxterized n = 2 family at tau = 1, L = 3..6;
 `verify unitarity --in` the twisted solution, N = 4..6, in both
 realizations; `verify ybe --spectral --in` so(N), N = 3..7, antidiagonal;
+`verify ybe --spectral --method poly --in` the baxterized n = 3 family
+and the skew twisted solution, N = 4, 5; `verify cybe --in` and
+`verify cybe --rational --in` the triangular r, example1_r(n), n = 3..6;
 `verify ybe --constant --in` the triangular solution example1_R(n),
 n = 3..7; `verify cocycle --report` on the triangular basis,
 n = 4, 6, 8, 10; `build frobenius-r --out`, n = 4, 6.
@@ -94,8 +97,8 @@ def check_commutation(*args):
         linalg.int_product = int_product
 
 spin_chain.check_commutation = check_commutation
-from baxter.solutions import (Realization, baxterize, example1_R, example2_solution,
-                              yangian_sl_R, yangian_so_R)
+from baxter.solutions import (Realization, baxterize, example1_r, example1_R,
+                              example2_solution, yangian_sl_R, yangian_so_R)
 with tempfile.TemporaryDirectory() as folder:
     source, out = Path(folder, "in.yb"), Path(folder, "out.yb")
     argv, built = {argv!r}, {build}
@@ -158,6 +161,15 @@ CASES = {
     **{f"ybe-file-so{N}-antidiag": COMMAND.format(build=f"yangian_so_R({N})", option="--report",
                                                   argv=["verify", "ybe", "--spectral"])
        for N in range(3, 8)},
+    **{f"ybe-poly-file-{name}": COMMAND.format(build=build, option="--report",
+                                               argv=["verify", "ybe", "--spectral",
+                                                     "--method", "poly"])
+       for name, build in (("bx3", "baxterize(example1_R(3))"),
+                           *((f"twisted{N}-skew", f"example2_solution({N}, Realization.SKEW)")
+                             for N in (4, 5)))},
+    **{f"cybe{mode}-r{n}": COMMAND.format(build=f"example1_r({n})", option="--report",
+                                          argv=["verify", "cybe", *flag])
+       for mode, flag in (("", ()), ("-rational", ("--rational",))) for n in range(3, 7)},
     **{f"ybe-constant-R{n}": COMMAND.format(build=f"example1_R({n}, 1)", option="--report",
                                             argv=["verify", "ybe", "--constant"])
        for n in range(3, 8)},
