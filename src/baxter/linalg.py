@@ -8,21 +8,31 @@ arrays are convolved over monomials by the integer kernel, and the entries
 are rebuilt once (rebuild).  A rational or Q(i, sqrt2) matrix is the
 degree-0 case.
 
-The integer kernel (int_product, int_sum, apply_legs) works on matrices
-already cleared to integers, given as component lists: one array for a
-rational matrix, four for a Q(i, sqrt2) matrix on the basis (1, sqrt2, i,
-i*sqrt2).  A sparse left factor may come in padded rows instead (Padded,
-chosen by padded).  Every product is one contraction per left component,
-in the narrowest of three integer types that a bound on its entries and
-sums proves exact: int32 below 2**30, int64 below 2**62, and Python ints
-otherwise.  numpy's integer matmul has no BLAS path, and its loop is
-slower than np.einsum's: a 512 x 512 product took 362 ms by matmul and
-73 ms by einsum in int64, and 44 ms by einsum in int32 with both
-conversions (2-core x86_64, numpy 2.4).  Below 2**14 multiply-adds
+The integer kernel (int_product, int_sum, apply_legs, apply_word) works on
+matrices already cleared to integers, given as component lists: one array
+for a rational matrix, four for a Q(i, sqrt2) matrix on the basis (1,
+sqrt2, i, i*sqrt2).  A sparse left factor may come in padded rows instead
+(Padded, chosen by padded).  Every product is one contraction per left
+component, in the narrowest of three integer types that a bound on its
+entries and sums proves exact: int32 below 2**30, int64 below 2**62, and
+Python ints otherwise.  numpy's integer matmul has no BLAS path, and its
+loop is slower than np.einsum's: a 512 x 512 product took 362 ms by
+matmul and 73 ms by einsum in int64, and 44 ms by einsum in int32 with
+both conversions (2-core x86_64, numpy 2.4).  Below 2**14 multiply-adds
 (SMALL_PRODUCT) a dense product stays on np.matmul in int64 or Python
 ints, where einsum's dispatch and the int32 conversions cost more than
-they save.  An int32 product is widened to int64 before it leaves
-int_product, so every array the kernel hands out is int64 or Python ints.
+they save, and a dense product in Python ints takes np.matmul at any size.
+
+A word, a chain of factors applied on legs one after another (apply_word),
+carries its bounds: an operand applied many times is held (hold), scanned
+with max_abs and converted to int32 once, and the bound each product
+proves is the next product's operand bound.  A product rescans its
+operands only when the bound it carries cannot prove the lowest tier the
+product can take, so every product takes the tier a fresh scan picks.  A
+word stays in int32 between its factors and is widened to int64 once, as
+it leaves apply_word; an int32 product is widened before it leaves
+int_product or apply_legs, so every array the kernel hands out is int64
+or Python ints.
 """
 
 from __future__ import annotations
@@ -109,13 +119,14 @@ _EXT_RULE = {
 
 
 def max_abs(a: np.ndarray) -> int:
-    """Largest absolute entry of an integer array (int64 or Python ints)."""
+    """Largest absolute entry of an integer array (int32, int64 or Python
+    ints)."""
     if a.dtype == object:
         return max(map(abs, a.ravel().tolist()), default=0)
     if a.size < 2 ** 12:
-        # np.abs and one reduction cost less on small arrays; read as
-        # uint64, np.abs(-2**63) is 2**63
-        return int(np.abs(a).view(np.uint64).max()) if a.size else 0
+        # np.abs and one reduction cost less on small arrays; read unsigned,
+        # np.abs(-2**63) is 2**63 and np.abs(-2**31) is 2**31
+        return int(np.abs(a).view(f"u{a.itemsize}").max()) if a.size else 0
     # no np.abs temporary; the Python int takes -(-2**63) without wrapping
     return max(int(a.max()), -int(a.min()))
 
@@ -192,6 +203,99 @@ def padded(stack: list):
     return rows if 2 * rows.cols.shape[1] <= m else None
 
 
+class Held:
+    """An operand of the kernel with a bound on each component: op is a
+    component list (see int_product) or a Padded matrix, and bounds holds,
+    per component, a bound on its absolute entries, or is None while none
+    is known.  hold makes one from a scan, and every product from the bound
+    it proved, so a word carries its bounds from factor to factor.  A held
+    operand may be int32 inside; its arrays never leave the kernel."""
+    __slots__ = ("op", "bounds")
+
+    def __init__(self, op, bounds=None):
+        self.op, self.bounds = op, bounds
+
+
+def hold(a) -> Held:
+    """a, a component list or a Padded matrix, held with its scanned bounds,
+    in int32 when every entry is below 2**30: an operand applied many times,
+    as each R(t) of the spectral grid is, is scanned and converted once."""
+    comps = a.vals if isinstance(a, Padded) else a
+    bounds = [max_abs(c) for c in comps]
+    if max(bounds) < INT32_SAFE:
+        comps = [c.astype(np.int32, copy=False) for c in comps]
+        a = Padded(a.cols, comps) if isinstance(a, Padded) else comps
+    return Held(a, bounds)
+
+
+def _bound(max_a: list, max_b: list, inner: int):
+    """(top, bounds): per output component, inner * sum |coefficient| *
+    max|a_i| * max|b_j| over the terms of the rule that land on it, and top
+    the largest of these and of every operand bound."""
+    bound = [0] * max(len(max_a), len(max_b))
+    for i, ma in enumerate(max_a):
+        for j, mb in enumerate(max_b):
+            k, coeff = _EXT_RULE[i, j]
+            bound[k] += abs(coeff) * ma * mb
+    bound = [inner * x for x in bound]
+    return max(*max_a, *max_b, *bound), bound
+
+
+def _product(a: Held, b: Held) -> Held:
+    """int_product on held operands, in the tier a fresh scan would pick,
+    with its result held unwidened under the bounds the product proved.
+
+    The operands' bounds are used when they prove the lowest tier the
+    product can take, int32 (int64 for a small dense product): the entries
+    are below the bound, so a scan would find the same tier.  Otherwise, or
+    when a bound is unknown, both operands are scanned with max_abs."""
+    rows = a.op if isinstance(a.op, Padded) else None
+    left, right = a.op if rows is None else rows.vals, b.op
+    inner = left[0].shape[1] if rows is None else rows.cols.shape[1]
+    small = rows is None and left[0].shape[0] * inner * right[0].shape[1] < SMALL_PRODUCT
+    max_a, max_b = a.bounds, b.bounds
+    top = None
+    if max_a is not None and max_b is not None:
+        top, bound = _bound(max_a, max_b, inner)
+    if top is None or top >= (INT64_SAFE if small else INT32_SAFE):
+        max_a, max_b = [max_abs(x) for x in left], [max_abs(x) for x in right]
+        top, bound = _bound(max_a, max_b, inner)
+    dtype = np.int32 if not small and top < INT32_SAFE else kernel_dtype(top)
+    if rows is None and (small or dtype is object):
+        # numpy's object matmul loop is about 1.4x faster than einsum's
+        contract = np.matmul
+    else:
+        contract = partial(np.einsum, "ik,kc->ic" if rows is None else "ik,ikc->ic")
+    if len(bound) == 1:
+        x = right[0].astype(dtype, copy=False)
+        out = [contract(left[0].astype(dtype, copy=False), x if rows is None else x[rows.cols])]
+    else:
+        cols = right[0].shape[1]
+        out = [np.zeros((left[0].shape[0], cols), dtype=dtype) for _ in bound]
+        # a component that is zero throughout adds nothing: the twisted
+        # solutions over Q(i, sqrt2) have no sqrt2 parts
+        live = [j for j, mb in enumerate(max_b) if mb]
+        if live:
+            stacked = np.concatenate([right[j].astype(dtype, copy=False) for j in live], axis=1)
+            if rows is not None:
+                stacked = stacked[rows.cols]
+            for i, x in enumerate(left):
+                if not max_a[i]:
+                    continue
+                prod = contract(x.astype(dtype, copy=False), stacked)
+                for slot, j in enumerate(live):
+                    k, coeff = _EXT_RULE[i, j]
+                    out[k] += coeff * prod[:, slot * cols:(slot + 1) * cols]
+    return Held(out, bound)
+
+
+def _widened(comps: list) -> list:
+    """comps with int32 arrays widened to int64: numpy 2 keeps int32 in
+    arithmetic with Python ints (NEP 50), so an int32 array must not reach
+    a caller."""
+    return [c.astype(np.int64) if c.dtype == np.int32 else c for c in comps]
+
+
 def int_product(a, b: list) -> list:
     """Exact product of integer matrices given as component lists.
 
@@ -203,51 +307,30 @@ def int_product(a, b: list) -> list:
     each output component.  The contractions (np.einsum, "ik,kc->ic" or
     "ik,ikc->ic") run in int32 when the bound is below 2**30, in int64 below
     2**62, and in Python ints otherwise; an int32 result is returned as
-    int64.  A dense product of fewer than SMALL_PRODUCT multiply-adds is
-    one np.matmul in int64 or Python ints instead.  The result has four
-    components when either operand has.
+    int64.  A dense product of fewer than SMALL_PRODUCT multiply-adds, and
+    a dense product in Python ints, is one np.matmul in int64 or Python
+    ints instead.  The result has four components when either operand has.
     """
-    if isinstance(a, Padded):
-        rows, a, inner = a, a.vals, a.cols.shape[1]
-    else:
-        rows, inner = None, a[0].shape[1]
-    max_a = [max_abs(x) for x in a]
-    max_b = [max_abs(x) for x in b]
-    width = max(len(a), len(b))
-    bound = [0] * width
-    for i, ma in enumerate(max_a):
-        for j, mb in enumerate(max_b):
-            k, coeff = _EXT_RULE[i, j]
-            bound[k] += abs(coeff) * ma * mb
-    top = max(*max_a, *max_b, inner * max(bound))
-    if rows is None and a[0].shape[0] * inner * b[0].shape[1] < SMALL_PRODUCT:
-        dtype, contract = kernel_dtype(top), np.matmul
-    else:
-        dtype = np.int32 if top < INT32_SAFE else kernel_dtype(top)
-        contract = partial(np.einsum, "ik,kc->ic" if rows is None else "ik,ikc->ic")
-    if width == 1:
-        x = b[0].astype(dtype, copy=False)
-        out = [contract(a[0].astype(dtype, copy=False), x if rows is None else x[rows.cols])]
-    else:
-        cols = b[0].shape[1]
-        out = [np.zeros((a[0].shape[0], cols), dtype=dtype) for _ in range(width)]
-        # a component that is zero throughout adds nothing: the twisted
-        # solutions over Q(i, sqrt2) have no sqrt2 parts
-        live = [j for j, mb in enumerate(max_b) if mb]
-        if live:
-            stacked = np.concatenate([b[j].astype(dtype, copy=False) for j in live], axis=1)
-            if rows is not None:
-                stacked = stacked[rows.cols]
-            for i, x in enumerate(a):
-                if not max_a[i]:
-                    continue
-                prod = contract(x.astype(dtype, copy=False), stacked)
-                for slot, j in enumerate(live):
-                    k, coeff = _EXT_RULE[i, j]
-                    out[k] += coeff * prod[:, slot * cols:(slot + 1) * cols]
-    # numpy 2 keeps int32 in arithmetic with Python ints (NEP 50), so an
-    # int32 array must not reach a caller
-    return [c.astype(np.int64) for c in out] if dtype is np.int32 else out
+    return _widened(_product(Held(a), Held(b)).op)
+
+
+@cache
+def _leg_plan(ndim: int, legs: tuple):
+    """(axes, back): the transpose that moves the legs (1-based) of a tensor
+    with ndim axes to the front, and the one that moves them back."""
+    at = tuple(leg - 1 for leg in legs)
+    axes = at + tuple(k for k in range(ndim) if k not in at)
+    return axes, tuple(np.argsort(axes).tolist())
+
+
+def _apply(r: Held, x: Held, legs: tuple) -> Held:
+    """apply_legs on held operands, its result held unwidened."""
+    axes, back = _leg_plan(x.op[0].ndim, legs)
+    moved = [c.transpose(axes) for c in x.op]
+    shape = moved[0].shape
+    rows = math.prod(shape[:len(legs)])
+    out = _product(r, Held([c.reshape(rows, -1) for c in moved], x.bounds))
+    return Held([c.reshape(shape).transpose(back) for c in out.op], out.bounds)
 
 
 def apply_legs(r, x: list, legs) -> list:
@@ -261,13 +344,30 @@ def apply_legs(r, x: list, legs) -> list:
     is built and a product costs n^(count + k) * cols, or K n^count * cols
     in padded rows.
     """
-    at = tuple(leg - 1 for leg in legs)
-    axes = at + tuple(k for k in range(x[0].ndim) if k not in at)
-    moved = [c.transpose(axes) for c in x]
-    shape = moved[0].shape
-    flat = [c.reshape(math.prod(shape[:len(at)]), -1) for c in moved]
-    back = np.argsort(axes)
-    return [c.reshape(shape).transpose(back) for c in int_product(r, flat)]
+    return apply_word([(r, tuple(legs))], x)
+
+
+def apply_word(factors, x, memo: dict | None = None) -> list:
+    """x with every factor (r, legs) applied in turn, first to last, as
+    apply_legs applies one; r and x may be held (hold).
+
+    Each product's bound is the next one's operand bound, so a word is
+    scanned with max_abs only where that bound cannot prove the int32 tier
+    (see _product), and the word is widened to int64 once, when it leaves.
+    With memo, the first factor's application is kept there under its
+    (r, legs), r being held and hashed by identity; every call sharing memo
+    must pass the same x.
+    """
+    x = x if isinstance(x, Held) else Held(x)
+    for at, (r, legs) in enumerate(factors):
+        r = r if isinstance(r, Held) else Held(r)
+        if at == 0 and memo is not None:
+            if (r, legs) not in memo:
+                memo[r, legs] = _apply(r, x, legs)
+            x = memo[r, legs]
+        else:
+            x = _apply(r, x, legs)
+    return _widened(x.op)
 
 
 def int_sum(*terms) -> list:

@@ -94,8 +94,12 @@ def example1_r(n: int, scale=1) -> TensorMatrix:
 
 def example1_R(n: int, scale=1) -> TensorMatrix:
     """exp(scale * r) truncated exactly: the cube of the exponent vanishes."""
-    rho = example1_r(n, scale)
-    return TensorMatrix.identity(n, 2) + rho + HALF * (rho @ rho)
+    return truncated_exp(example1_r(n, scale))
+
+
+def truncated_exp(rho: TensorMatrix) -> TensorMatrix:
+    """1 + rho + rho^2 / 2, which is exp(rho) when rho^3 = 0."""
+    return TensorMatrix.identity(rho.site_dim, rho.legs) + rho + HALF * (rho @ rho)
 
 
 def baxterize(r_const: TensorMatrix, label: str = "") -> SpectralRMatrix:

@@ -157,13 +157,13 @@ def _transfer_stack(r: SpectralRMatrix, spec: ChainSpec):
     size = tensor.dense_dim(n, sites + 1) // n
     scale, stack = r.numerator.cleared((r.variable,))
     points = sites * (len(stack[0]) - 1) + 1
-    eye = [np.eye(n * size, dtype=np.int64).reshape((n,) * (sites + 1) + (-1,))]
+    eye = linalg.hold([np.eye(n * size, dtype=np.int64).reshape((n,) * (sites + 1) + (-1,))])
     tables = []
     for x in range(points):
-        value = verify.int_values(stack, x)
-        prod = eye
-        for k in range(1, sites + 1):
-            prod = linalg.apply_legs(value, prod, (1, k + 1))
+        # N(x) is scanned and converted once, and the chain of its L
+        # applications carries its bounds from factor to factor
+        value = linalg.hold(verify.int_values(stack, x))
+        prod = linalg.apply_word([(value, (1, k + 1)) for k in range(1, sites + 1)], eye)
         blocks = [[c.reshape(n, size, n, size)[a, :, a, :] for c in prod]
                   for a in range(n)]
         tables.append([c.reshape(1, -1) for c in linalg.int_sum(*blocks)])

@@ -1,7 +1,8 @@
 """Exact verifiers for the Yang-Baxter family of identities.
 
 Identities are decided on integer layers cleared by linalg.clear, with
-factors applied on their legs (linalg.apply_legs); only the constant braid
+factors applied on their legs by linalg.apply_word, which carries each
+word's bounds from factor to factor; only the constant braid
 identity forms object products, of the integer numerator, whose entries
 need no clearing.  The braid and the classical identity are term tables,
 _BRAID and _CLASSICAL, of weighted differences of words on three legs,
@@ -132,8 +133,10 @@ def int_values(stack: list, value: int) -> list:
 def _first_int_hit(arrays):
     """(row, col) of the first entry, in row-major order, that is nonzero in
     any of the integer arrays, or None."""
-    hits = np.argwhere(np.logical_or.reduce([a != 0 for a in arrays]))
-    return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
+    nonzero = np.logical_or.reduce([a != 0 for a in arrays])
+    # argmax finds the first True without listing every nonzero entry
+    at = int(nonzero.argmax())
+    return divmod(at, nonzero.shape[1]) if nonzero.flat[at] else None
 
 
 def _first_offence(layers: dict, scale: int):
@@ -181,17 +184,13 @@ _CLASSICAL = tuple((weight, (x, y), (y, x)) for weight, x, y in
 def _word(word, point, value, eye, memo: dict) -> list:
     """The product of word's factors applied to eye, the identity on three
     legs, as components of shape (n, n, n, n^3).  A factor (argument, legs)
-    is value[point[argument]] on legs, value holding two-leg matrices as
-    linalg.apply_legs takes them.  The rightmost factor is applied first, and
-    that application is kept in memo under its (point[argument], legs)."""
-    arg, legs = word[-1]
-    first = point[arg], legs
-    if first not in memo:
-        memo[first] = linalg.apply_legs(value[point[arg]], eye, legs)
-    out = memo[first]
-    for arg, legs in word[-2::-1]:
-        out = linalg.apply_legs(value[point[arg]], out, legs)
-    return out
+    is value[point[argument]] on legs, value holding two-leg matrices held
+    by linalg.hold.  linalg.apply_word applies the rightmost factor first,
+    keeps that application in memo, and carries each product's bound to
+    the next factor, so the word is scanned only where its bound cannot
+    prove the int32 tier and is widened to int64 once, as it leaves."""
+    return linalg.apply_word([(value[point[arg]], legs) for arg, legs in reversed(word)],
+                             eye, memo)
 
 
 def _coefficients(terms, layers: list, eye, constant: bool) -> dict:
@@ -204,6 +203,7 @@ def _coefficients(terms, layers: list, eye, constant: bool) -> dict:
     A word's int64 entries are below 2**62 (linalg.int_product), so p - q
     is exact; the sums go to Python ints where int64 could overflow."""
     sums, memo = {}, {}
+    layers, eye = [linalg.hold(layer) for layer in layers], linalg.hold(eye)
     for weight, left, right in terms:
         used = {arg for arg, _ in left}
         # an argument the term does not use stays at layer 0, of power 0
@@ -237,7 +237,12 @@ def grid_report(identity_name, diff_at, degree_a, degree_b, scale=1) -> Verifica
     """Check a bivariate polynomial matrix identity on a conclusive grid.
 
     diff_at(x, y) returns the integer components (see linalg.int_product)
-    of the scaled difference matrix at integer points.  The grid is
+    of the scaled difference matrix at integer points, or no components
+    where it is known to be zero.  They are int64 or Python ints, as the
+    kernel hands them out: the words behind them carry their bounds in
+    int32 through linalg.apply_word and are widened once, as they leave.
+    A point is first tested for zero by counting its nonzeros, and only a
+    nonzero point has its first nonzero entry located.  The grid is
     0..degree_a by 0..degree_b: a polynomial of degree at most degree_a in
     x and degree_b in y that vanishes there is zero (Alon, Combinatorial
     Nullstellensatz, Lemma 2.1), so all-zero on the grid proves the
@@ -253,7 +258,9 @@ def grid_report(identity_name, diff_at, degree_a, degree_b, scale=1) -> Verifica
     first, kept = None, {}
     for x, y in product(*map(range, grid)):
         comps = diff_at(x, y)
-        hit = _first_int_hit(comps)
+        # most points are zero: a count of nonzeros, cheaper than .any() on
+        # integer arrays, tells them apart before a hit is located
+        hit = _first_int_hit(comps) if any(map(np.count_nonzero, comps)) else None
         if hit is not None:
             cols = comps[0].shape[1]
             at = hit[0] * cols + hit[1]
@@ -312,12 +319,14 @@ def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
     degree = len(stack[0]) - 1
     symmetric = _leg_symmetric(stack, swap)
     rows = linalg.padded(stack)
-    # R at every argument the grid takes, x, y and x + y up to 4 degree
-    values = [int_values(stack, t) if rows is None else
-              linalg.Padded(rows.cols, int_values(rows.vals, t)) for t in range(4 * degree + 1)]
+    # R at every argument the grid takes, x, y and x + y up to 4 degree,
+    # scanned and converted once
+    values = [linalg.hold(int_values(stack, t) if rows is None else
+                          linalg.Padded(rows.cols, int_values(rows.vals, t)))
+              for t in range(4 * degree + 1)]
     lefts, rights = {}, {}
     n = num.site_dim
-    eye = _three_legs(n)
+    eye = linalg.hold(_three_legs(n))
     ((_, left, right),) = _BRAID
 
     def diff_at(x, y):
@@ -335,7 +344,6 @@ def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
     # R12, so the right-hand word at (x, y) is P13 L(y, x) P13 for the
     # left-hand word L(x, y) = R12(x) R13(x+y) R23(y): a pair of points
     # mirrored in the diagonal shares its two left-hand words.
-    zero = np.broadcast_to(np.int64(0), (n ** 3, n ** 3))
     held = {}
 
     def word(x, y):
@@ -344,12 +352,12 @@ def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
                 for c in _word(left, (x, x + y, y), values, eye, lefts)]
 
     def minus_mirror(p, q):
-        """p - P13 q P13 as (n^3, n^3) components, or views of one zero when
+        """p - P13 q P13 as (n^3, n^3) components, or no components when
         p = P13 q P13: P13 reverses the order of the legs of the rows and of
         the columns."""
         q = [b.transpose(2, 1, 0, 5, 4, 3) for b in q]
         if all(map(np.array_equal, p, q)):
-            return [zero] * len(p)
+            return []
         return [(a - b).reshape(n ** 3, -1) for a, b in zip(p, q)]
 
     def mirrored_diff_at(x, y):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from baxter import linalg
 from baxter.poly import Poly
 from baxter.tensor import TensorMatrix, permutation_op, swap_factors
 from baxter.verify import VerificationReport, Witness
@@ -69,6 +70,46 @@ def naive_matmul(a, b):
                 acc = acc + a[i, t] * b[t, j]
             out[i, j] = acc
     return out
+
+
+def fresh_tier(a, b):
+    """The dtype a product of the held operands a and b takes when both are
+    scanned afresh: int32 below 2**30 and int64 below 2**62, for inner *
+    sum |coefficient| * max|a_i| * max|b_j| per output component and every
+    operand entry, and Python ints otherwise; a dense product of fewer than
+    SMALL_PRODUCT multiply-adds is never int32.  On the basis (1, sqrt2, i,
+    i*sqrt2) component i times component j lands on component i ^ j, with
+    coefficient 2 in absolute value when both hold sqrt2, else 1."""
+    rows = a.op if isinstance(a.op, linalg.Padded) else None
+    left = a.op if rows is None else rows.vals
+    inner = left[0].shape[1] if rows is None else rows.cols.shape[1]
+    max_a, max_b = [linalg.max_abs(c) for c in left], [linalg.max_abs(c) for c in b.op]
+    bound = [0] * 4
+    for i, ma in enumerate(max_a):
+        for j, mb in enumerate(max_b):
+            bound[i ^ j] += (2 if i & j & 1 else 1) * ma * mb
+    top = max(*max_a, *max_b, inner * max(bound))
+    small = rows is None and left[0].shape[0] * inner * b.op[0].shape[1] < linalg.SMALL_PRODUCT
+    if top >= 2 ** 62:
+        return np.dtype(object)
+    return np.dtype(np.int64 if small or top >= 2 ** 30 else np.int32)
+
+
+@pytest.fixture
+def kernel_tiers(monkeypatch):
+    """(tier taken, tier a fresh scan picks) of every product of the integer
+    kernel, in order; the tier taken is the dtype of the product's result,
+    which linalg._product returns unwidened."""
+    seen, product = [], linalg._product
+
+    def spy(a, b):
+        want = fresh_tier(a, b)
+        out = product(a, b)
+        seen.append((out.op[0].dtype, want))
+        return out
+
+    monkeypatch.setattr(linalg, "_product", spy)
+    return seen
 
 
 # -- object references of the unitarity, regularity and classical-limit checks

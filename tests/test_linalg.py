@@ -643,27 +643,74 @@ def test_no_int32_array_leaves_the_kernel():
     x = np.arange(16 * 64, dtype=np.int64).reshape(16, 64)
     assert r.size * x.shape[1] >= linalg.SMALL_PRODUCT
     ext = [x, x, -x, x]
+    held = linalg.hold([r])
+    assert held.op[0].dtype == np.int32
+    tensor = [x.reshape(4, 4, 64)]
+    memo = {}
     for got in (linalg.int_product([r], [x]), linalg.int_product(linalg.padded([r]), [x]),
                 linalg.int_product([r, r, r, r], ext), linalg.int_product([r], ext),
                 linalg.int_product([r, r, r, r], [np.zeros_like(x)]),
-                linalg.apply_legs([r], [x.reshape(4, 4, 64)], (1, 2)),
-                linalg.apply_legs(linalg.padded([r]), ext, (1,))):
+                linalg.apply_legs([r], tensor, (1, 2)),
+                linalg.apply_legs(linalg.padded([r]), ext, (1,)),
+                # a word of held int32 factors on a held int32 tensor, with
+                # and without its first application memoised
+                linalg.apply_word([(held, (1, 2)), (held, (2, 1))], linalg.hold(tensor)),
+                linalg.apply_word([(held, (1, 2))], linalg.hold(tensor), memo),
+                linalg.apply_word([(held, (1, 2)), (held, (1, 2))], linalg.hold(tensor), memo),
+                linalg.apply_word([(linalg.hold(linalg.padded([r])), (1,))], ext)):
         assert all(c.dtype == np.int64 for c in got)
+    # the memo keeps the held first application, which never leaves
+    assert [c.dtype for c in memo[held, (1, 2)].op] == [np.dtype(np.int32)]
 
 
 def test_max_abs_at_the_int64_edges():
-    # -2**63 has no int64 absolute value; max_abs returns it as a Python int,
-    # on small arrays (np.abs) and on large ones (two reductions) alike
+    # -2**63 has no int64 absolute value, nor -2**31 an int32 one; max_abs
+    # returns them as Python ints, on small arrays (np.abs) and on large ones
+    # (two reductions) alike
     edge = 2 ** 62 - 1
-    for values, want in (([edge, -3], edge), ([3, -edge], edge),
-                         ([np.iinfo(np.int64).min, 1], 2 ** 63),
-                         ([np.iinfo(np.int64).max, 0], 2 ** 63 - 1)):
+    for values, want, dtype in (([edge, -3], edge, np.int64), ([3, -edge], edge, np.int64),
+                                ([np.iinfo(np.int64).min, 1], 2 ** 63, np.int64),
+                                ([np.iinfo(np.int64).max, 0], 2 ** 63 - 1, np.int64),
+                                ([np.iinfo(np.int32).min, 1], 2 ** 31, np.int32),
+                                ([np.iinfo(np.int32).max, 0], 2 ** 31 - 1, np.int32),
+                                ([-5, 2 ** 30 - 1], 2 ** 30 - 1, np.int32)):
         for pad in (0, 2 ** 12):
-            a = np.array(values + [-2] * pad, dtype=np.int64)
+            a = np.array(values + [-2] * pad, dtype=dtype)
             assert linalg.max_abs(a) == want
             assert linalg.max_abs(a.astype(object)) == want
+            # a strided view, as a transposed word is
+            assert linalg.max_abs(np.stack([a, a])[:, ::-1].T) == want
     assert linalg.max_abs(np.zeros((0, 3), dtype=np.int64)) == 0
     assert linalg.max_abs(np.array(-7, dtype=np.int64)) == 7
+
+
+def test_large_python_int_products_contract_with_matmul(monkeypatch):
+    # numpy's object einsum loop is about 1.4x slower than its object matmul,
+    # so a dense product in Python ints takes np.matmul whatever its size
+    calls = []
+    for name in ("einsum", "matmul"):
+        def spy(*args, original=getattr(np, name), name=name, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    rng = random.Random(7)
+    for width in (1, 4):
+        a = np.array([rng.randrange(-2 ** 40, 2 ** 40) for _ in range(8 * 8)],
+                     dtype=object).reshape(8, 8)
+        b = np.array([rng.randrange(-2 ** 40, 2 ** 40) for _ in range(8 * 300)],
+                     dtype=object).reshape(8, 300)
+        assert a.shape[0] * a.shape[1] * b.shape[1] >= linalg.SMALL_PRODUCT
+        comps_a = [a * (k + 1) for k in range(width)]
+        comps_b = [b - k for k in range(width)]
+        calls.clear()
+        got = linalg.int_product(comps_a, comps_b)
+        assert calls and set(calls) == {"matmul"}
+        assert all(c.dtype == object for c in got)
+        assert (assemble(got) == naive_matmul(assemble(comps_a), assemble(comps_b))).all()
+    # an int64 product of the same size still contracts with einsum
+    calls.clear()
+    linalg.int_product([np.ones((8, 8), dtype=np.int64)], [np.ones((8, 300), dtype=np.int64)])
+    assert calls == ["einsum"]
 
 
 def test_int_sum_pads_widths_and_guards_the_bound():

@@ -307,6 +307,26 @@ def test_transfer_matches_dense_product(monkeypatch):
     assert np.dtype(object) in dtypes
 
 
+def test_every_transfer_product_takes_the_tier_of_a_fresh_scan(kernel_tiers):
+    # the chain of L factors carries its bounds from factor to factor; every
+    # product must still take the dtype a max_abs scan of its operands picks.
+    # The scaled numerators make chains whose products cross from int32 to
+    # int64 and to Python ints part of the way along.
+    def scaled(r, k):
+        return SpectralRMatrix(r.numerator * 2 ** k, Poly.variable("u"))
+
+    tau1, sl2, skew = (baxterize(example1_R(2, 1)), yangian_sl_R(2),
+                       example2_solution(4, Realization.SKEW))
+    tiers = set()
+    for r, sites in ((tau1, 3), (tau1, 5), (sl2, 5), (scaled(sl2, 8), 5), (scaled(sl2, 25), 3),
+                     (skew, 2), (scaled(skew, 10), 3)):
+        kernel_tiers.clear()
+        transfer_matrix(r, ChainSpec(sites))
+        assert kernel_tiers and all(used == want for used, want in kernel_tiers)
+        tiers.update(used for used, _ in kernel_tiers)
+    assert tiers == {np.dtype(np.int32), np.dtype(np.int64), np.dtype(object)}
+
+
 def test_transfer_matrix_needs_periodic():
     with pytest.raises(ValueError):
         transfer_matrix(yangian_sl_R(2), ChainSpec(3, "open"))

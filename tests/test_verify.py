@@ -344,29 +344,54 @@ def test_grid_and_poly_agree_on_perturbations():
     assert isinstance(check_ybe(extension).witness.value, Ext)
 
 
-def test_forced_overflow_takes_python_int_fallback(monkeypatch):
+def test_forced_overflow_takes_python_int_fallback(kernel_tiers):
     # The braid identity is homogeneous, so 2**40 times a solution is one;
     # its grid products exceed the int64 bound and must run in Python ints.
-    dtypes = []
-    product = linalg.int_product
-
-    def spy(a, b):
-        out = product(a, b)
-        dtypes.append(out[0].dtype)
-        return out
-
-    monkeypatch.setattr(linalg, "int_product", spy)
-    assert check_ybe(yangian_so_R(4)).passed
-    assert set(dtypes) == {np.dtype(np.int64)}
-    dtypes.clear()
-    big = yangian_so_R(4).numerator * 2 ** 40
+    plain = yangian_so_R(4)
+    assert check_ybe(plain).passed
+    tiers = {used for used, _ in kernel_tiers}
+    assert tiers and np.dtype(object) not in tiers
+    kernel_tiers.clear()
+    big = plain.numerator * 2 ** 40
     assert check_ybe(big).passed
-    assert np.dtype(object) in dtypes
+    assert np.dtype(object) in {used for used, _ in kernel_tiers}
     u = Poly.variable("u")
     bad = big + kron(matrix_unit(4, 1, 1), matrix_unit(4, 2, 2)) * u
     grid = check_ybe(bad)
     assert not grid.passed
     assert grid.witness == check_ybe(bad, method="poly").witness
+
+
+def one_entry_perturbed(num):
+    """num with u added to one entry, which breaks the braid identity."""
+    n = num.site_dim
+    return num + kron(matrix_unit(n, 1, 1), matrix_unit(n, 2, 2)) * Poly.variable("u")
+
+
+TIER_CASES = {
+    **{f"so{N}-{r.value}": lambda N=N, r=r: yangian_so_R(N, r).numerator
+       for N in (3, 4, 5) for r in Realization},
+    **{f"sl{n}": lambda n=n: yangian_sl_R(n).numerator for n in (2, 3, 4)},
+    **{f"twisted{N}-{r.value}": lambda N=N, r=r: example2_solution(N, r).numerator
+       for N in (4, 5) for r in Realization},
+    # words whose products cross from int32 to int64 and to Python ints
+    # part of the way along, and the case of the forced overflow
+    "so4-times-2^9": lambda: yangian_so_R(4).numerator * 2 ** 9,
+    "sl3-times-2^18": lambda: yangian_sl_R(3).numerator * 2 ** 18,
+    "twisted4-skew-times-2^15": lambda: example2_solution(4, Realization.SKEW).numerator * 2 ** 15,
+    "so4-times-2^40": lambda: yangian_so_R(4).numerator * 2 ** 40,
+}
+
+
+@pytest.mark.parametrize("build", TIER_CASES.values(), ids=TIER_CASES)
+def test_every_grid_product_takes_the_tier_of_a_fresh_scan(kernel_tiers, build):
+    # the words carry their bounds from factor to factor; every product must
+    # still take the dtype a max_abs scan of both its operands picks
+    num = build()
+    for m, passed in ((num, True), (one_entry_perturbed(num), False)):
+        kernel_tiers.clear()
+        assert check_ybe(m).passed == passed
+        assert kernel_tiers and all(used == want for used, want in kernel_tiers)
 
 
 def object_ybe_witness(num):
