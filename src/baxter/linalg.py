@@ -145,12 +145,15 @@ def narrow(stack: list) -> list:
     return [c.astype(dtype, copy=False) for c in stack]
 
 
-def scaled(stack: list, factor: int) -> list:
+def scaled(stack: list, factor: int, bound: int | None = None) -> list:
     """factor * stack for a component list and a positive int factor, in
-    int64 when every product stays below 2**62, else in Python ints."""
+    int64 when every product stays below 2**62, else in Python ints.  bound,
+    when given, bounds every entry of stack, which is then not scanned."""
     if factor == 1:
         return stack
-    dtype = kernel_dtype(max(1, *map(max_abs, stack)) * factor)
+    if bound is None:
+        bound = max(map(max_abs, stack))
+    dtype = kernel_dtype(max(1, bound) * factor)
     return [c.astype(dtype, copy=False) * factor for c in stack]
 
 
@@ -370,11 +373,15 @@ def apply_word(factors, x, memo: dict | None = None) -> list:
     return _widened(x.op)
 
 
-def int_sum(*terms) -> list:
+def int_sum(*terms, bounds=None) -> list:
     """Exact sum of integer component lists, the narrower ones padded with
     zeros; int64 when the sum of the terms' largest entries stays below
-    2**62, Python ints otherwise."""
-    dtype = kernel_dtype(sum(max_abs(c) for term in terms for c in term))
+    2**62, Python ints otherwise.  bounds, when given, holds a bound on
+    every entry of each term, and the terms are not scanned: a running sum
+    carries the sum of its terms' bounds."""
+    if bounds is None:
+        bounds = [max(map(max_abs, term)) for term in terms]
+    dtype = kernel_dtype(sum(bounds))
     out = [np.zeros(terms[0][0].shape, dtype=dtype) for _ in range(max(map(len, terms)))]
     for term in terms:
         for acc, c in zip(out, term):

@@ -7,6 +7,13 @@ identity forms object products, of the integer numerator, whose entries
 need no clearing.  The braid and the classical identity are term tables,
 _BRAID and _CLASSICAL, of weighted differences of words on three legs,
 and one routine, _word, applies a word to the identity on three legs.
+Every word is held on sector-packed columns (_Packed): the three-leg basis
+states split into sectors, the connected components of the states that
+some factor links (_sectors), every word is block diagonal by sector, and
+row r keeps only the columns of r's sector, B slots for B the largest
+sector, where a dense word keeps n^3.  Witnesses map a slot back to its
+column.  Small identities hold every word at one sector, B = n^3, by a
+measured rule (_three_legs).
 The spectral grid takes the braid table at the points of a grid of
 degree + 1 points in each variable, (2d+1)^2 for a numerator of degree d,
 so vanishing there is identical vanishing; the witness is interpolated
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -139,11 +147,12 @@ def _first_int_hit(arrays):
     return divmod(at, nonzero.shape[1]) if nonzero.flat[at] else None
 
 
-def _first_offence(layers: dict, scale: int):
+def _first_offence(layers: dict, scale: int, columns=None):
     """The witness of every check but the spectral grid: the first entry, in
     row-major order, that is nonzero in some layer, at its lowest monomial,
     divided by scale, or None.  layers maps exponent tuples to component
-    lists of integer matrices."""
+    lists of integer matrices; with columns, they are packed words (see
+    _Packed), whose slot j of row r is column columns[r, j]."""
     best = None
     for exps, comps in layers.items():
         hit = _first_int_hit(comps)
@@ -152,7 +161,8 @@ def _first_offence(layers: dict, scale: int):
     if best is None:
         return None
     (row, col, exps), comps = best
-    return Witness(row, col, exps, linalg.ext_value([int(c[row, col]) for c in comps], scale))
+    value = linalg.ext_value([int(c[row, col]) for c in comps], scale)
+    return Witness(row, col if columns is None else int(columns[row, col]), exps, value)
 
 
 def _on_one_scale(*cleared) -> tuple:
@@ -163,10 +173,133 @@ def _on_one_scale(*cleared) -> tuple:
     return scale, [linalg.scaled(stack, scale // s) for s, stack in cleared]
 
 
-def _three_legs(n: int) -> list:
-    """The identity on three legs of C^n, one int64 component of shape
-    (n, n, n, n^3), refused above the dense limit before it is allocated."""
-    return [np.eye(dense_dim(n, 3), dtype=np.int64).reshape(n, n, n, -1)]
+# entries of a dense three-leg word times the square of the factors'
+# layers, up to which every word is held at one sector (see _three_legs)
+PACKED_WORK = 2 ** 12
+
+
+def _sectors(n: int, layers: list) -> np.ndarray:
+    """The sector of every three-leg basis state i1 n^2 + i2 n + i3, named by
+    its smallest state.
+
+    Two states are linked when a factor can connect them: some component
+    of some layer, layers being component lists of (n^2, n^2) integer
+    matrices, has a nonzero between them on legs (1, 2), (1, 3) or (2, 3).
+    The sectors are the connected components of the links, read off the
+    matrix: they are at least as fine as any additive grading, and exist
+    where there is none.  Each pass takes, leg pair by leg pair, the
+    smallest label among a state's neighbours and itself, and then the
+    label of that label; labels only fall and stay states of their own
+    sector, and a pass that changes nothing leaves every link joining equal
+    labels."""
+    m = n * n
+    linked = np.logical_or.reduce([c != 0 for layer in layers for c in layer])
+    linked = linked | linked.T | np.eye(m, dtype=bool)
+    # every two-leg index links itself, so each has one run of links, in order
+    near = linked.nonzero()[1]
+    starts = np.concatenate(([0], linked.sum(axis=1).cumsum()[:-1]))
+    labels = np.arange(m * n)
+    while True:
+        old = labels
+        # legs (1, 2), (1, 3) and (2, 3) in turn, each as the rows of an
+        # (n^2, n) view of the labels
+        labels = np.minimum.reduceat(labels.reshape(m, n)[near], starts).ravel()
+        labels = labels.reshape(n, n, n).transpose(0, 2, 1).reshape(m, n)
+        labels = np.minimum.reduceat(labels[near], starts).reshape(n, n, n).transpose(0, 2, 1)
+        labels = np.minimum.reduceat(labels.reshape(n, m).T[near], starts).T.ravel()
+        labels = labels[labels]
+        # all labels 0 is one sector, which no further pass changes
+        if not labels.any() or np.array_equal(labels, old):
+            return labels
+
+
+class _Packed:
+    """Three-leg words on sector-packed columns.
+
+    Every factor of a word is a two-leg matrix whose nonzeros lie in the
+    links _sectors reads, so it maps each sector's states into that sector:
+    applied on any two legs, it mixes only rows of one sector.  The
+    identity is block diagonal by sector, and a factor applied to a block
+    diagonal matrix keeps it block diagonal, so by induction every word
+    is.  Row r of a word therefore needs only the columns of r's sector:
+    slot j of row r holds the j-th column of that sector, in ascending
+    order (columns), and the B slots of a row, B the largest sector, are
+    padded past its sector's size.  All rows of a sector share one column
+    list, so a factor, mixing rows of one sector, mixes slots of one column
+    each, and linalg.apply_word, padded rows and the carried bounds run on
+    the (n, n, n, B) words as on dense ones.  Padding slots start at zero
+    in the identity (eye) and stay zero: a padding slot of row r is a sum
+    of the same slot over rows of r's sector, all padding.  Within a row,
+    slot order is column order, so the first nonzero slot in row-major
+    order is the first nonzero entry of the dense word, at the column its
+    slot maps to."""
+    __slots__ = ("n", "columns", "slot", "eye")
+
+    def __init__(self, n: int, labels: np.ndarray):
+        count = len(labels)
+        order = np.argsort(labels, kind="stable")
+        sizes = np.bincount(labels, minlength=count)
+        # a state's slot is its rank in its sector, in ascending order
+        rank = np.arange(count) - (sizes.cumsum() - sizes)[labels[order]]
+        width = int(sizes.max())
+        # row s lists the columns of the sector named s, then padding
+        # columns n^3, n^3 + 1, ..., so slot order is column order
+        table = np.tile(np.arange(count, count + width), (count, 1))
+        table[labels[order], rank] = order
+        self.n, self.columns, self.slot = n, table[labels], np.empty_like(rank)
+        self.slot[order] = rank
+        # the identity on three legs, one int64 component, read-only
+        eye = np.zeros((count, width), dtype=np.int64)
+        eye[np.arange(count), self.slot] = 1
+        eye.flags.writeable = False
+        self.eye = [eye.reshape(n, n, n, width)]
+
+    def mirror(self) -> np.ndarray:
+        """The flat positions of P13 W P13 in a packed word W, as an (n^3, B)
+        index into W's flat entries.  (P13 W P13) at row r and column c is
+        W at P13 r and P13 c, for P13 the swap of legs 1 and 3, so slot j of
+        row r takes the slot of P13 columns[r, j] in row P13 r.  That slot
+        lies in row P13 r's sector when P13 maps sectors to sectors, as it
+        does when R21 = R12; a padding column is its own mirror."""
+        n, (count, width) = self.n, self.columns.shape
+        flip = np.arange(count).reshape(n, n, n).transpose(2, 1, 0).ravel()
+        flip = np.concatenate([flip, np.arange(count, count + width)])
+        slot = np.concatenate([self.slot, np.arange(width)])
+        return flip[:count, None] * width + slot[flip[self.columns]]
+
+
+@cache
+def _one_sector(n: int) -> _Packed:
+    """Every three-leg state of C^n in one sector, B = n^3: the dense
+    layout, kept for each n as its identity is read-only."""
+    return _Packed(n, np.zeros(n ** 3, dtype=np.intp))
+
+
+def _three_legs(n: int, layers: list) -> _Packed:
+    """The packed columns of the three-leg words of factors with the given
+    layers (see _sectors), refused above the dense limit before anything is
+    allocated.
+
+    Sectors are sought when n^6 L^2 exceeds PACKED_WORK, for L layers:
+    the entries of a dense word times a measure of how many words an
+    identity builds, as the grid's (2L-1)^2 points and the classical
+    modes' L^2 layer pairs grow.  Otherwise every word is held at one
+    sector, B = n^3, by the same code.  Finding sectors costs about
+    30-90 us for n = 2..5.  Measured on the braid grid, --method poly and
+    both classical modes (packed / one-sector time, median of 40
+    interleaved in-process pairs, two runs, 2-core x86_64, numpy 2.4):
+    n = 2, 1.09-1.41; n = 3 with one layer (constant classical mode),
+    1.28-1.37, with two (sl(3), baxterized, rational classical), 0.97-1.07,
+    with three (so(3)), 0.85-0.94; n = 4 with one layer, 0.98-1.14
+    (example1_r(4) and the jordanian r0 in constant mode); n = 4 with two
+    or more, 0.65-0.97 where sectors exist and 0.99-1.02 for the skew
+    twisted N = 4 solution, one sector; n = 5, 0.39-0.49.  So so(3), n = 4
+    with two layers or more and every n >= 5 pack; n = 2, and n = 3 and 4
+    with fewer layers, stay at one sector.  When the sectors found are one,
+    the one-sector layout is used as well."""
+    count = dense_dim(n, 3)
+    labels = _sectors(n, layers) if count * count * len(layers) ** 2 > PACKED_WORK else None
+    return _one_sector(n) if labels is None or not labels.any() else _Packed(n, labels)
 
 
 # The identities on three legs as sums of weighted differences of words.  A
@@ -183,26 +316,29 @@ _CLASSICAL = tuple((weight, (x, y), (y, x)) for weight, x, y in
 
 def _word(word, point, value, eye, memo: dict) -> list:
     """The product of word's factors applied to eye, the identity on three
-    legs, as components of shape (n, n, n, n^3).  A factor (argument, legs)
-    is value[point[argument]] on legs, value holding two-leg matrices held
-    by linalg.hold.  linalg.apply_word applies the rightmost factor first,
-    keeps that application in memo, and carries each product's bound to
-    the next factor, so the word is scanned only where its bound cannot
-    prove the int32 tier and is widened to int64 once, as it leaves."""
+    legs, as components of shape (n, n, n, B) (see _Packed).  A factor
+    (argument, legs) is value[point[argument]] on legs, value holding
+    two-leg matrices held by linalg.hold.  linalg.apply_word applies the
+    rightmost factor first, keeps that application in memo, and carries
+    each product's bound to the next factor, so the word is scanned only
+    where its bound cannot prove the int32 tier and is widened to int64
+    once, as it leaves."""
     return linalg.apply_word([(value[point[arg]], legs) for arg, legs in reversed(word)],
                              eye, memo)
 
 
 def _coefficients(terms, layers: list, eye, constant: bool) -> dict:
-    """{monomial: (n^3, n^3) components}: every (a, b)-coefficient of the sum
+    """{monomial: (n^3, B) components}: every (a, b)-coefficient of the sum
     of the terms when each factor is X(t) = sum_e t^e layers[e] at its
     argument t.  The words of the layers (e_a, e_ab, e_b) of their arguments
     take the weight a^(x+e_a) (a+b)^(y+e_ab) b^(z+e_b) for their term's
     weight (x, y, z), and a^x (a+b)^y b^z is the sum of comb(y, m) a^(x+m)
     b^(y-m+z); with constant every weight is 1, at the one monomial ().
     A word's int64 entries are below 2**62 (linalg.int_product), so p - q
-    is exact; the sums go to Python ints where int64 could overflow."""
-    sums, memo = {}, {}
+    is exact; the sums go to Python ints where int64 could overflow.  Each
+    difference is scanned once, and each sum carries the sum of its terms'
+    bounds, so no sum is rescanned as it grows."""
+    sums, bounds, memo = {}, {}, {}
     layers, eye = [linalg.hold(layer) for layer in layers], linalg.hold(eye)
     for weight, left, right in terms:
         used = {arg for arg, _ in left}
@@ -214,10 +350,15 @@ def _coefficients(terms, layers: list, eye, constant: bool) -> dict:
             # n = 6 took twice the page faults
             p, q =_word(left, point, layers, eye, memo), _word(right, point, layers, eye, memo)
             diff = [(a - b).reshape(-1, a.shape[-1]) for a, b in zip(p, q)]
+            top = max(map(linalg.max_abs, diff))
             for m in range(1 if constant else y + 1):
-                at = () if constant else (x + m, y - m + z)
-                part = linalg.scaled(diff, math.comb(y, m))
-                sums[at] = linalg.int_sum(sums[at], part) if at in sums else part
+                at, times = () if constant else (x + m, y - m + z), math.comb(y, m)
+                part = linalg.scaled(diff, times, top)
+                if at in sums:
+                    sums[at] = linalg.int_sum(sums[at], part, bounds=(bounds[at], top * times))
+                    bounds[at] += top * times
+                else:
+                    sums[at], bounds[at] = part, top * times
     return sums
 
 
@@ -233,7 +374,8 @@ def interpolate_grid(table: list):
     return d_a * d_b, linalg.int_product(rows, linalg.narrow([w_b.T]))
 
 
-def grid_report(identity_name, diff_at, degree_a, degree_b, scale=1) -> VerificationReport:
+def grid_report(identity_name, diff_at, degree_a, degree_b, scale=1,
+                columns=None) -> VerificationReport:
     """Check a bivariate polynomial matrix identity on a conclusive grid.
 
     diff_at(x, y) returns the integer components (see linalg.int_product)
@@ -248,7 +390,10 @@ def grid_report(identity_name, diff_at, degree_a, degree_b, scale=1) -> Verifica
     Nullstellensatz, Lemma 2.1), so all-zero on the grid proves the
     identity.  The witness is the first nonzero coefficient, in row-major
     order of its exponents, of the first offending entry, divided by scale
-    to return to unscaled units.
+    to return to unscaled units.  With columns, the components are packed
+    words (see _Packed): slot order is column order within a row, so the
+    first nonzero slot is the first nonzero entry, at column
+    columns[row, slot].
     """
     grid = (degree_a + 1, degree_b + 1)
     # The witness entry is the first nonzero one, in row-major order, over
@@ -279,6 +424,8 @@ def grid_report(identity_name, diff_at, degree_a, degree_b, scale=1) -> Verifica
         raise AssertionError("nonzero grid value with zero interpolant")
     value = linalg.ext_value([int(c[hit]) for c in coeff], scale * denominator)
     row, col = divmod(first, cols)
+    if columns is not None:
+        col = int(columns[row, col])
     return VerificationReport(identity_name, False, Witness(row, col, hit, value),
                               grid_size=grid)
 
@@ -318,6 +465,8 @@ def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
     _, _, scale, stack, swap = _cleared_two_leg(num, "Yang-Baxter")
     degree = len(stack[0]) - 1
     symmetric = _leg_symmetric(stack, swap)
+    n = num.site_dim
+    packed = _three_legs(n, [[c[e] for c in stack] for e in range(degree + 1)])
     rows = linalg.padded(stack)
     # R at every argument the grid takes, x, y and x + y up to 4 degree,
     # scanned and converted once
@@ -325,8 +474,7 @@ def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
                           linalg.Padded(rows.cols, int_values(rows.vals, t)))
               for t in range(4 * degree + 1)]
     lefts, rights = {}, {}
-    n = num.site_dim
-    eye = linalg.hold(_three_legs(n))
+    eye = linalg.hold(packed.eye)
     ((_, left, right),) = _BRAID
 
     def diff_at(x, y):
@@ -344,21 +492,19 @@ def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
     # R12, so the right-hand word at (x, y) is P13 L(y, x) P13 for the
     # left-hand word L(x, y) = R12(x) R13(x+y) R23(y): a pair of points
     # mirrored in the diagonal shares its two left-hand words.
-    held = {}
+    held, mirror = {}, packed.mirror() if symmetric else None
 
     def word(x, y):
-        """L(x, y) with one axis per leg of its rows and of its columns."""
-        return [c.reshape((n,) * 6)
-                for c in _word(left, (x, x + y, y), values, eye, lefts)]
+        """L(x, y) as (n^3, B) components."""
+        return [c.reshape(n ** 3, -1) for c in _word(left, (x, x + y, y), values, eye, lefts)]
 
     def minus_mirror(p, q):
-        """p - P13 q P13 as (n^3, n^3) components, or no components when
-        p = P13 q P13: P13 reverses the order of the legs of the rows and of
-        the columns."""
-        q = [b.transpose(2, 1, 0, 5, 4, 3) for b in q]
+        """p - P13 q P13, or no components when they are equal (see
+        _Packed.mirror)."""
+        q = [b.reshape(-1)[mirror] for b in q]
         if all(map(np.array_equal, p, q)):
             return []
-        return [(a - b).reshape(n ** 3, -1) for a, b in zip(p, q)]
+        return [a - b for a, b in zip(p, q)]
 
     def mirrored_diff_at(x, y):
         # grid_report walks its square grid row by row, so (y, x) below the
@@ -373,7 +519,7 @@ def _ybe_spectral_grid(num: TensorMatrix) -> VerificationReport:
         return minus_mirror(here, there)
 
     report = grid_report("ybe-spectral", mirrored_diff_at if symmetric else diff_at,
-                         2 * degree, 2 * degree, scale=scale ** 3)
+                         2 * degree, 2 * degree, scale=scale ** 3, columns=packed.columns)
     if degree == 0 and report.witness is not None:
         # with no power of the variable every entry is a scalar, at no
         # monomial, as --method poly reports it
@@ -386,9 +532,10 @@ def _ybe_spectral_poly(num: TensorMatrix) -> VerificationReport:
     table over the cleared layers of the numerator is compared with zero."""
     scale, stack = num.cleared((_single_variable(num),))
     layers = [[c[e] for c in stack] for e in range(len(stack[0]))]
+    packed = _three_legs(num.site_dim, layers)
     # with no power of the variable every entry is a scalar, at no monomial
-    coefficients = _coefficients(_BRAID, layers, _three_legs(num.site_dim), len(layers) == 1)
-    witness = _first_offence(coefficients, scale ** 3)
+    coefficients = _coefficients(_BRAID, layers, packed.eye, len(layers) == 1)
+    witness = _first_offence(coefficients, scale ** 3, packed.columns)
     return VerificationReport("ybe-spectral", witness is None, witness)
 
 
@@ -442,8 +589,9 @@ def check_cybe(r: TensorMatrix, omega: TensorMatrix | None = None,
         raise ValueError(f"unknown mode {mode!r}")
     factors = [omega, r] if mode == "rational" else [r]
     scale, layers = _on_one_scale(*(m.cleared() for m in factors))
-    coefficients = _coefficients(_CLASSICAL, layers, _three_legs(r.site_dim), mode == "constant")
-    witness = _first_offence(coefficients, scale ** 2)
+    packed = _three_legs(r.site_dim, layers)
+    coefficients = _coefficients(_CLASSICAL, layers, packed.eye, mode == "constant")
+    witness = _first_offence(coefficients, scale ** 2, packed.columns)
     return VerificationReport(f"cybe-{mode}", witness is None, witness)
 
 

@@ -24,9 +24,9 @@ records how many products of the integer kernel ran inside
 `check_commutation` and how many of them in Python ints.
 
     python3 tools/sweep.py --src parent=../parent/src --src change=src \\
-        --out BENCH_pr22.json
+        --out BENCH_pr25.json
 
-Cases (see CASES): spectral so(N), N = 3..9, in both realizations and
+Cases (see CASES): spectral so(N), N = 3..12, in both realizations and
 sl(n), n = 2..4, whose numerators satisfy R21 = R12; the skew twisted
 solution, N = 4..7, whose numerator does not; `--method poly` on so(3)
 and so(4); `chain transfer` on the baxterized n = 2 family at tau = 1
@@ -131,7 +131,7 @@ GRID = re.compile(r" grid=\d+x\d+")
 CASES = {
     **{f"so{N}-{r}": YBE.format(build=f"yangian_so_R({N}, Realization.{r.upper()})",
                                 method="grid")
-       for N in range(3, 10) for r in ("antidiag", "skew")},
+       for N in range(3, 13) for r in ("antidiag", "skew")},
     **{f"sl{n}": YBE.format(build=f"yangian_sl_R({n})", method="grid") for n in (2, 3, 4)},
     **{f"twisted{N}-skew": YBE.format(build=f"example2_solution({N}, Realization.SKEW)",
                                       method="grid")
