@@ -59,7 +59,6 @@ from .spin_chain import (
     TransferFamily,
     calibrate,
     check_commutation,
-    compare_up_to_affine,
     derive_hamiltonian,
     remark_hamiltonian,
     transfer_matrix,

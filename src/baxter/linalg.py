@@ -16,12 +16,11 @@ sqrt2, i, i*sqrt2).  A sparse left factor may come in padded rows instead
 component, in the narrowest of three integer types that a bound on its
 entries and sums proves exact: int32 below 2**30, int64 below 2**62, and
 Python ints otherwise.  numpy's integer matmul has no BLAS path, and its
-loop is slower than np.einsum's: a 512 x 512 product took 362 ms by
-matmul and 73 ms by einsum in int64, and 44 ms by einsum in int32 with
-both conversions (2-core x86_64, numpy 2.4).  Below 2**14 multiply-adds
-(SMALL_PRODUCT) a dense product stays on np.matmul in int64 or Python
-ints, where einsum's dispatch and the int32 conversions cost more than
-they save, and a dense product in Python ints takes np.matmul at any size.
+loop is slower than np.einsum's (CHANGES.md gives the timings).  Below
+2**14 multiply-adds (SMALL_PRODUCT) a dense product stays on np.matmul in
+int64 or Python ints, where einsum's dispatch and the int32 conversions
+cost more than they save, and a dense product in Python ints takes
+np.matmul at any size.
 
 A word, a chain of factors applied on legs one after another (apply_word),
 carries its bounds: an operand applied many times is held (hold), scanned
@@ -189,15 +188,8 @@ def padded(stack: list):
 
     This is the one sparse-or-dense rule of the kernel: padded rows pay
     when the longest row needs at most half of the m slots, 2K <= m, and
-    m >= 16.  Measured against the dense product on an (m, m) by (m, m^2)
-    product, as the spectral grid applies R (padded / dense time, median of
-    9, in int32 and in int64, 2-core x86_64, numpy 2.4): 0.78-1.19 at m = 9;
-    at 4K = m, 0.42-0.88 and at 3K ~ m, 0.40-0.99 for m = 16..64; at
-    2K = m, 0.92 and 0.81 at m = 16 and 0.85 and 0.78 at m = 25, but 1.21
-    and 0.58 at m = 36 and 1.77 and 2.09 at m = 64.  So the rule is loose
-    at the 2K = m edge from m = 36 on.  The shipped R nearest that edge
-    have m <= 25 (twisted N = 4 antidiagonal, K = 7 of 16; N = 5 skew,
-    K = 11 of 25), and none with m > 25 has 3K > m.
+    m >= 16.  Below that the gather costs more than the skipped zeros save
+    (CHANGES.md gives the timings against the dense product).
     """
     m = stack[0].shape[-1]
     if m < 16:

@@ -214,11 +214,6 @@ class Poly:
             return total.constant_value()
         return total
 
-    def __call__(self, *values):
-        if len(values) != len(self.vars):
-            raise ValueError(f"expected {len(self.vars)} values")
-        return self.substitute(dict(zip(self.vars, values)))
-
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):

@@ -163,14 +163,3 @@ IM = Ext(0, 0, 1)
 
 def is_exact_scalar(x) -> bool:
     return isinstance(x, _RATIONAL_TYPES + (Ext,)) and not isinstance(x, bool)
-
-
-def is_zero(x) -> bool:
-    return not x
-
-
-def as_fraction(x) -> Fraction:
-    """Rational value of x, failing on genuinely irrational Ext values."""
-    if isinstance(x, Ext):
-        return x.as_fraction()
-    return _frac(x)

@@ -112,8 +112,7 @@ def _derived_density(r: SpectralRMatrix) -> TensorMatrix:
     # the slope N'(0) is layer 1 of the cleared numerator, and row (i, j) of
     # P N'(0) is its row (j, i); 1 / c is cleared as a 1 x 1 matrix
     n = r.site_dim
-    scale, stack = r.numerator.cleared((r.variable,))
-    swap = np.arange(n * n).reshape(n, n).T.ravel()
+    _, _, scale, stack, swap = verify._cleared_two_leg(r, "regularity")
     slope = [(c[1][swap] if len(c) > 1 else np.zeros_like(c[0])).reshape(-1, 1) for c in stack]
     inverse = linalg.object_matrix([[1 / report.scalar_factor]])
     scale_c, stack_c = linalg.clear(inverse)
@@ -201,17 +200,13 @@ def check_commutation(a, b) -> verify.VerificationReport:
     if ma.site_dim != mb.site_dim or ma.legs != mb.legs:
         raise ValueError("operands act on different spaces")
 
-    def cleared(m):
-        names = m.variables()
-        if len(names) > 1:
-            raise ValueError(f"expected at most one variable, found {names}")
-        # a constant is a polynomial of degree 0 in a placeholder variable
-        scale, stack = m.cleared(names)
-        return scale, stack if names else [c[None] for c in stack]
-
+    for m in (ma, mb):
+        if len(m.variables()) > 1:
+            raise ValueError(f"expected at most one variable, found {m.variables()}")
     same = mb is ma
-    scale_a, stack_a = cleared(ma)
-    scale_b, stack_b = (scale_a, stack_a) if same else cleared(mb)
+    # a constant is a polynomial of degree 0 in a placeholder variable
+    scale_a, stack_a = ma.cleared(ma.variables() or ("u",))
+    scale_b, stack_b = (scale_a, stack_a) if same else mb.cleared(mb.variables() or ("u",))
     commutators = {}
     for i, j in product(range(len(stack_a[0])), range(len(stack_b[0]))):
         if same and i >= j:
@@ -235,34 +230,18 @@ def check_chain(r: SpectralRMatrix, spec: ChainSpec):
             check_commutation(hamiltonian, family))
 
 
-def _affine_fit(first, second, n: int, legs: int, conj):
-    """(alpha, beta) with h1 = alpha * (C h2 C^{-1}) + beta * 1, or None.
+def _affine_fit(first, second):
+    """(alpha, beta) with h1 = alpha * h2 + beta * 1, or None.
 
-    first and second are linalg.clear's (scale, stack) of h1 and h2 on one
-    monomial grid.  C, the one-site conj repeated on every site, is
-    applied on each row leg of h2, and the transposed inverse of conj on
-    each column leg.  Each nonzero coefficient, and the constant term of
-    each diagonal entry, gives one equation in (alpha, beta).
+    first and second are linalg.clear's (scale, stack) of the constant
+    matrices h1 and h2.  Each nonzero entry, and each diagonal entry, gives
+    one equation in (alpha, beta).
     """
     (scale1, stack1), (scale2, stack2) = first, second
-    size = n ** legs
-    if conj is not None:
-        scale_c, c = conj.cleared()
-        scale_i, inv_t = linalg.clear(conj.inverse().data.T)
-        grid2 = stack2[0].shape[:-2]
-        # one axis per row leg, one per column leg, then the monomials
-        x = [np.moveaxis(comp.reshape(-1, size * size), 0, -1).reshape((n,) * (2 * legs) + (-1,))
-             for comp in stack2]
-        for k in range(1, legs + 1):
-            x = linalg.apply_legs(inv_t, linalg.apply_legs(c, x, (k,)), (legs + k,))
-        stack2 = [np.moveaxis(comp.reshape(size * size, -1), -1, 0).reshape(grid2 + (size, size))
-                  for comp in x]
-        scale2 *= (scale_c * scale_i) ** legs
     width = max(len(stack1), len(stack2))
     zero = np.zeros(stack1[0].shape, dtype=np.int64)
     h1, h2 = (stack + [zero] * (width - len(stack)) for stack in (stack1, stack2))
-    diagonal = np.zeros(zero.shape, dtype=bool)
-    diagonal[(0,) * (zero.ndim - 2)] = np.eye(size, dtype=bool)
+    diagonal = np.eye(len(zero), dtype=bool)
     at = np.nonzero(np.logical_or.reduce([c != 0 for c in h1 + h2] + [diagonal]))
     # h2 / scale2 * alpha + beta = h1 / scale1, times scale1 * scale2
     equations = dict.fromkeys(zip(zip(*(c[at].tolist() for c in h2)), diagonal[at].tolist(),
@@ -273,18 +252,6 @@ def _affine_fit(first, second, n: int, legs: int, conj):
     if solution is None:
         return None
     return solution[0, 0], solution[1, 0]
-
-
-def compare_up_to_affine(h1: TensorMatrix, h2: TensorMatrix, conj: TensorMatrix = None):
-    """Solve h1 = alpha * (C h2 C^{-1}) + beta * 1 exactly.
-
-    conj, when given, is a one-site matrix applied on every site to h2.
-    Returns (alpha, beta) or None when no exact match exists.
-    """
-    names = tuple(sorted(set(h1.variables()) | set(h2.variables())))
-    scale, stack = linalg.clear(np.stack([h1.data, h2.data]), names)
-    return _affine_fit((scale, [c[..., 0, :, :] for c in stack]),
-                       (scale, [c[..., 1, :, :] for c in stack]), h2.site_dim, h2.legs, conj)
 
 
 def substitute_square(h: TensorMatrix, var: str, value) -> TensorMatrix:
@@ -329,6 +296,8 @@ def calibrate(sites: int, tau):
     # xi^2 = tau^2 / 2 = p^2 / (2 q^2): the folded chain, times 2 q^2
     p, q = tau.numerator, tau.denominator
     folded = remark[0].astype(object) * (2 * q * q) + remark[2].astype(object) * (p * p)
+    # F = F^{-1} maps the composite index r to 2^L - 1 - r, so F H F^{-1}
+    # is H with its rows and columns reversed
+    scale_d, derived = derive_hamiltonian(spectral, ChainSpec(sites)).cleared(())
     return _affine_fit((2 * q * q * scale, [folded]),
-                       derive_hamiltonian(spectral, ChainSpec(sites)).cleared(()),
-                       2, sites, sigma_x())
+                       (scale_d, [c[::-1, ::-1] for c in derived]))

@@ -299,8 +299,8 @@ CRITERIA = (
     ("baxterized-family", baxterized_family, 0.2),
     ("yangian-families", yangian_families, 1.8),
     ("twisted-orthogonal", twisted_orthogonal, 4.1),
-    ("frobenius-construction", frobenius_construction, 0.2),
-    ("classical-equivalence", classical_equivalence, 0.25),
+    ("frobenius-construction", frobenius_construction, 0.1),
+    ("classical-equivalence", classical_equivalence, 0.2),
     ("chain-checks", chain_checks, 0.5),
     ("cli-interface", cli_interface, None),
 )

@@ -216,14 +216,6 @@ class TensorMatrix:
         self._check_same(other)
         return self._derived(linalg.matmul(self.data, other.data))
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = TensorMatrix.identity(self.site_dim, self.legs)
-        for _ in range(exponent):
-            out = out @ self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, TensorMatrix):
             return NotImplemented

@@ -283,20 +283,10 @@ def _three_legs(n: int, layers: list) -> _Packed:
     Sectors are sought when n^6 L^2 exceeds PACKED_WORK, for L layers:
     the entries of a dense word times a measure of how many words an
     identity builds, as the grid's (2L-1)^2 points and the classical
-    modes' L^2 layer pairs grow.  Otherwise every word is held at one
-    sector, B = n^3, by the same code.  Finding sectors costs about
-    30-90 us for n = 2..5.  Measured on the braid grid, --method poly and
-    both classical modes (packed / one-sector time, median of 40
-    interleaved in-process pairs, two runs, 2-core x86_64, numpy 2.4):
-    n = 2, 1.09-1.41; n = 3 with one layer (constant classical mode),
-    1.28-1.37, with two (sl(3), baxterized, rational classical), 0.97-1.07,
-    with three (so(3)), 0.85-0.94; n = 4 with one layer, 0.98-1.14
-    (example1_r(4) and the jordanian r0 in constant mode); n = 4 with two
-    or more, 0.65-0.97 where sectors exist and 0.99-1.02 for the skew
-    twisted N = 4 solution, one sector; n = 5, 0.39-0.49.  So so(3), n = 4
-    with two layers or more and every n >= 5 pack; n = 2, and n = 3 and 4
-    with fewer layers, stay at one sector.  When the sectors found are one,
-    the one-sector layout is used as well."""
+    modes' L^2 layer pairs grow.  Below it packing costs more than it
+    saves (CHANGES.md gives the timings).  Otherwise, and when the sectors
+    found are one, every word is held at one sector, B = n^3, by the same
+    code."""
     count = dense_dim(n, 3)
     labels = _sectors(n, layers) if count * count * len(layers) ** 2 > PACKED_WORK else None
     return _one_sector(n) if labels is None or not labels.any() else _Packed(n, labels)

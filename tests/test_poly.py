@@ -146,7 +146,6 @@ def test_substitution():
     assert shifted == U ** 2 + 2 * U + 3
     with pytest.raises(ValueError):
         p.substitute({"w": 1})
-    assert p(0, 0) == 2  # positional, in variable order
 
 
 def test_substitute_returns_scalar_when_constant():

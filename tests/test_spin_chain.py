@@ -1,6 +1,7 @@
 """Tests for chain Hamiltonians, transfer matrices, and calibration."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,8 +16,7 @@ from baxter.scalars import IM, SQRT2, Ext
 from baxter.solutions import (Realization, SpectralRMatrix, baxterize, example1_R,
                               example2_solution, yangian_sl_R, yangian_so_R)
 from baxter.spin_chain import (ChainSpec, bonds, calibrate, check_commutation,
-                               compare_up_to_affine, derive_hamiltonian,
-                               exchange_density, remark_hamiltonian,
+                               derive_hamiltonian, exchange_density, remark_hamiltonian,
                                sigma_minus, sigma_x, sigma_z, substitute_square,
                                transfer_matrix)
 from baxter.tensor import (TensorMatrix, embed_two_leg, kron, matrix_unit,
@@ -127,18 +127,46 @@ def test_exchange_vs_derived_affine_relation():
     for sites in (3, 4):
         h0 = remark_hamiltonian(ChainSpec(sites, deformation=0))
         hd = derive_hamiltonian(yangian_sl_R(2), ChainSpec(sites))
-        assert compare_up_to_affine(h0, hd) == (2, -sites)
+        assert spin_chain._affine_fit(h0.cleared(), hd.cleared()) == (2, -sites)
 
 
-def test_compare_up_to_affine():
-    # the deformed chain is not flip-invariant, so conj matters here
+def flip_chain(sites):
+    """F = sigma_x (x) ... (x) sigma_x, the spin flip on every site, by kron."""
+    full = sigma_x()
+    for _ in range(sites - 1):
+        full = kron(full, sigma_x())
+    return full
+
+
+def flipped_stack(m):
+    """The cleared stack of F m F^{-1}, as calibrate forms it: m's stack with
+    its rows and columns reversed."""
+    scale, stack = m.cleared()
+    return scale, [c[::-1, ::-1] for c in stack]
+
+
+@pytest.mark.parametrize("sites", [2, 3, 4, 5])
+def test_the_spin_flip_reverses_the_composite_index(sites):
+    rng = random.Random(sites)
+    size, flip = 2 ** sites, flip_chain(sites)
+    rational = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(size)]
+                for _ in range(size)]
+    ext = [[Ext(*(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)))
+            for _ in range(size)] for _ in range(size)]
+    for rows in (rational, ext):
+        h = TensorMatrix(2, sites, rows)
+        want = flip @ h @ flip.inverse()
+        assert (want.data == h.data[::-1, ::-1]).all()
+        assert_same_cleared(flipped_stack(h), want.cleared())
+
+
+def test_affine_fit_under_the_spin_flip():
+    # the deformed chain is not flip-invariant, so the flip matters here
     h = remark_hamiltonian(ChainSpec(3, deformation=1))
-    flip = sigma_x()
-    flipped = kron(kron(flip, flip), flip)
-    target = flipped @ h @ flipped.inverse()
-    synthetic = target * 3 - TensorMatrix.identity(2, 3) * 5
-    assert compare_up_to_affine(synthetic, h, conj=sigma_x()) == (3, -5)
-    assert compare_up_to_affine(synthetic, h) is None
+    flipped = flip_chain(3)
+    synthetic = (flipped @ h @ flipped.inverse()) * 3 - TensorMatrix.identity(2, 3) * 5
+    assert spin_chain._affine_fit(synthetic.cleared(), flipped_stack(h)) == (3, -5)
+    assert spin_chain._affine_fit(synthetic.cleared(), h.cleared()) is None
 
 
 # -- the integer chain builders against the dense object path -----------------
@@ -152,14 +180,13 @@ def dense_bond_sum(density, spec):
     return total
 
 
-def lifted_rows_fit(h1, h2, conj=None):
-    """The affine fit by a kron chain of conj over the sites, object
-    products, and one equation per coefficient of the lifted entries."""
-    if conj is not None:
-        full, full_inv = conj, conj.inverse()
-        for _ in range(h2.legs - 1):
-            full, full_inv = kron(full, conj), kron(full_inv, conj.inverse())
-        h2 = full @ h2 @ full_inv
+def lifted_rows_fit(h1, h2, flip=False):
+    """The affine fit of h1 against h2, or against F h2 F^{-1} for the spin
+    flip F by a kron chain and object products, with one equation per
+    coefficient of the lifted entries."""
+    if flip:
+        full = flip_chain(h2.legs)
+        h2 = full @ h2 @ full.inverse()
     names = tuple(sorted(set(h1.variables()) | set(h2.variables())))
     origin = (0,) * len(names)
     rows, rhs = [], []
@@ -183,8 +210,9 @@ SCALARS = {
 
 
 @st.composite
-def densities(draw, n=2):
-    entries = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+def densities(draw, n=2, entries=None):
+    if entries is None:
+        entries = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
     values = draw(st.lists(entries, min_size=n ** 4, max_size=n ** 4))
     return TensorMatrix(n, 2, np.array(values, dtype=object).reshape(n * n, n * n))
 
@@ -219,47 +247,26 @@ def test_bond_sum_forced_overflow_takes_python_ints(monkeypatch):
     assert max(got.data.flat) > 2 ** 63
 
 
-def flip_conjugates():
-    """One-site conjugators: the spin flip, a rational and a Q(i, sqrt2) one."""
-    rational = TensorMatrix(2, 1, [[2, Fraction(1, 3)], [-1, 1]])
-    ext = TensorMatrix(2, 1, [[1, IM], [SQRT2, 1]])
-    return [None, sigma_x(), rational, ext]
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_compare_up_to_affine_matches_lifted_rows_solve(data):
+def test_affine_fit_matches_lifted_rows_solve(data):
+    # constant chains over Q and Q(i, sqrt2), against h2 or its spin flip
     sites = data.draw(st.integers(2, 3))
     spec = ChainSpec(sites, data.draw(st.sampled_from(["periodic", "open"])))
-    h2 = dense_bond_sum(data.draw(densities()), spec)
-    conj = data.draw(st.sampled_from(flip_conjugates()))
+    entries = SCALARS[data.draw(st.sampled_from(["Q", "Q(i,sqrt2)"]))]
+    h2 = dense_bond_sum(data.draw(densities(entries=entries)), spec)
+    flip = data.draw(st.booleans())
     alpha, beta = data.draw(SCALARS["Q(i,sqrt2)"]), data.draw(SMALL)
-    h1 = h2
-    if conj is not None:
-        full, full_inv = conj, conj.inverse()
-        for _ in range(sites - 1):
-            full, full_inv = kron(full, conj), kron(full_inv, conj.inverse())
-        h1 = full @ h2 @ full_inv
+    full = flip_chain(sites)
+    h1 = (full @ h2 @ full.inverse()) if flip else h2
     h1 = h1 * alpha + TensorMatrix.identity(2, sites) * beta
     if data.draw(st.booleans()):
         i, j = data.draw(st.integers(0, 2 ** sites - 1)), data.draw(st.integers(0, 2 ** sites - 1))
         bump = np.zeros(h1.data.shape, dtype=object)
-        bump[i, j] = data.draw(SCALARS["xi"])
+        bump[i, j] = data.draw(entries)
         h1 = h1 + TensorMatrix(2, sites, bump)
-    assert compare_up_to_affine(h1, h2, conj) == lifted_rows_fit(h1, h2, conj)
-
-
-def test_compare_up_to_affine_over_the_extension():
-    h = remark_hamiltonian(ChainSpec(3, deformation=Poly.variable("xi")))
-    conj = flip_conjugates()[-1]
-    alpha = Ext(1, 2, 0, -1)
-    full = kron(kron(conj, conj), conj)
-    target = (full @ h @ full.inverse()) * alpha + TensorMatrix.identity(2, 3) * IM
-    assert compare_up_to_affine(target, h, conj) == (alpha, IM)
-    assert lifted_rows_fit(target, h, conj) == (alpha, IM)
-    # without the conjugation no affine match exists
-    assert compare_up_to_affine(target, h) is None
-    assert lifted_rows_fit(target, h) is None
+    second = flipped_stack(h2) if flip else h2.cleared()
+    assert spin_chain._affine_fit(h1.cleared(), second) == lifted_rows_fit(h1, h2, flip)
 
 
 def test_shift_operator():

@@ -1,24 +1,24 @@
-"""Interleaved in-process A/B of two source trees on the three-leg command
-lines of the benchmark, n = 2..5.
+"""Interleaved in-process A/B of two source trees on the benchmark's cases.
 
     python3 tools/ab.py --src parent=../parent/src --src change=src \\
         --rounds 40 --out ab.json
 
+Run from the root of a checkout.  The cases are those of the perfbench
+workloads (perfbench.workloads.WORKLOADS, read as they are): every
+command line of spectral-grid, constant-ext and spin-chain, or of the
+workloads named with --workload, on seed --seed.  Their input files are
+written once, by the workloads' own set-up, with the first tree imported
+as `baxter`.
+
 Both trees are imported into one interpreter, each under its own package
 name (the `baxter` package of each is copied to a temporary directory), so
 a case runs on both in the same process, heap and phase of the host's
-drift.  Each case is one `baxter verify ... --report` command line through
-the tree's `cli.main`, on input files built once by the first tree; the
-reports of the two trees must agree byte for byte.  A round times the case
-once per tree, in alternating order, after `gc.collect()`.  The output
-gives, per case, each tree's median time and the median and quartiles of
-the per-round ratio second / first.
-
-Cases: spectral `ybe` of so(N), N = 3, 4, 5, in both realizations, of the
-twisted solution, N = 4, 5, in both realizations, of sl(n), n = 2, 3, 4,
-and of the baxterized family, n = 2, 3, 4; `--method poly` on baxterized
-n = 2 and so(4); `cybe` in both modes on example1_r(n), n = 2..5, and on
-the jordanian r0, N = 4 (both modes antidiagonal, constant mode skew).
+drift.  A case is run through each tree's `cli.main`; the exit code, the
+printed lines and the files it writes must agree between the trees byte
+for byte.  A round times the case once per tree, in alternating order,
+after `gc.collect()`.  The output gives, per case, each tree's median
+time and the median and quartiles of the per-round ratio second / first,
+and per workload the ratio of the sums of the two trees' medians.
 """
 
 from __future__ import annotations
@@ -36,40 +36,26 @@ import tempfile
 import time
 from pathlib import Path
 
-BUILDS = {
-    **{f"so{N}-{r}": ["yangian-so", "--N", N, "--realization", r]
-       for N in (3, 4, 5) for r in ("antidiag", "skew")},
-    **{f"twisted{N}-{r}": ["example2", "--N", N, "--realization", r]
-       for N in (4, 5) for r in ("antidiag", "skew")},
-    **{f"sl{n}": ["yangian-sl", "--n", n] for n in (2, 3, 4)},
-    **{f"R{n}": ["example1-R", "--n", n] for n in (2, 3, 4)},
-    **{f"r{n}": ["example1-r", "--n", n] for n in (2, 3, 4, 5)},
-    **{f"r0-{r}": ["jordanian", "--part", "r0", "--N", 4, "--realization", r]
-       for r in ("antidiag", "skew")},
-}
-SPECTRAL = [name for name in BUILDS if name.startswith(("so", "twisted", "sl"))]
-CASES = {
-    **{name: ["ybe", "--spectral", "--in", name] for name in SPECTRAL},
-    **{f"bx{n}": ["ybe", "--spectral", "--in", f"bx{n}"] for n in (2, 3, 4)},
-    "bx2-poly": ["ybe", "--spectral", "--method", "poly", "--in", "bx2"],
-    "so4-antidiag-poly": ["ybe", "--spectral", "--method", "poly", "--in", "so4-antidiag"],
-    **{f"cybe{mode}-r{n}": ["cybe", *flag, "--in", f"r{n}"]
-       for n in (2, 3, 4, 5) for mode, flag in (("", ()), ("-rational", ("--rational",)))},
-    "cybe-r0-antidiag": ["cybe", "--in", "r0-antidiag"],
-    "cybe-rational-r0-antidiag": ["cybe", "--rational", "--in", "r0-antidiag"],
-    "cybe-r0-skew": ["cybe", "--in", "r0-skew"],
-}
+sys.path.insert(0, ".")
+
+from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
-def run(cli, argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main([str(a) for a in argv])
+def run(cli, case) -> tuple:
+    """(exit code, stdout, the files the case wrote) of one command line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([str(a) for a in case.argv])
+    return code, out.getvalue(), [Path(path).read_bytes() for _, path in case.files]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", required=True, metavar="LABEL=PATH",
                         help="a label and the src directory to import baxter from (twice)")
+    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
+                        help="a workload to compare (repeatable; default all three)")
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
@@ -85,43 +71,51 @@ def main(argv=None) -> int:
             name = f"baxter_ab{k}"
             shutil.copytree(Path(path) / "baxter", work / "pkgs" / name)
             trees[label] = name
-        sys.path.insert(0, str(work / "pkgs"))
+        # the workloads' set-up writes the inputs through `baxter`
+        sys.path[:0] = [str(work / "pkgs"), str(Path(args.src[0].partition("=")[2]).resolve())]
         clis = {label: importlib.import_module(f"{name}.cli") for label, name in trees.items()}
         first, second = clis
-        for name, build in BUILDS.items():
-            run(clis[first], ["build", *build, "--out", work / f"{name}.yb"])
-        for n in (2, 3, 4):
-            run(clis[first], ["build", "baxterize", "--in", work / f"R{n}.yb",
-                              "--out", work / f"bx{n}.yb"])
-        results = {}
-        for case, line in CASES.items():
-            line = ["verify", *line[:-1], work / f"{line[-1]}.yb", "--report"]
-            reports = []
-            for label in clis:
-                code = run(clis[label], [*line, work / f"{label}.json"])
-                reports.append((code, (work / f"{label}.json").read_bytes()))
-            if reports[0] != reports[1]:
-                raise SystemExit(f"{case}: the reports differ")
-            times = {label: [] for label in clis}
-            for k in range(args.rounds):
-                for label in (clis if k % 2 == 0 else reversed(list(clis))):
-                    gc.collect()
-                    start = time.perf_counter()
-                    run(clis[label], [*line, work / "timed.json"])
-                    times[label].append(time.perf_counter() - start)
-            ratios = [b / a for a, b in zip(times[first], times[second])]
-            low, mid, high = statistics.quantiles(ratios, n=4)
-            results[case] = {**{f"{label}_median_ms": round(statistics.median(ts) * 1e3, 3)
-                                for label, ts in times.items()},
-                             "ratio_median": round(statistics.median(ratios), 3),
-                             "ratio_quartiles": [round(low, 3), round(high, 3)]}
-            print(f"{case}: {second}/{first} {results[case]['ratio_median']} "
-                  f"[{low:.3f}, {high:.3f}]", file=sys.stderr, flush=True)
+        results, totals = {}, {}
+        for workload in args.workload or sorted(WORKLOADS):
+            dirs = [work / workload / part for part in ("prepare", "setup")]
+            for path in dirs:
+                path.mkdir(parents=True)
+            spec = WORKLOADS[workload]
+            cases = spec.setup(dirs[1], spec.prepare(dirs[0], args.seed))
+            medians = {label: [] for label in clis}
+            for case in cases:
+                if run(clis[first], case) != run(clis[second], case):
+                    raise SystemExit(f"{workload}/{case.id}: the outputs differ")
+                times = {label: [] for label in clis}
+                for k in range(args.rounds):
+                    for label in (clis if k % 2 == 0 else reversed(list(clis))):
+                        gc.collect()
+                        start = time.perf_counter()
+                        run(clis[label], case)
+                        times[label].append(time.perf_counter() - start)
+                ratios = [b / a for a, b in zip(times[first], times[second])]
+                low, _, high = statistics.quantiles(ratios, n=4)
+                for label, ts in times.items():
+                    medians[label].append(statistics.median(ts))
+                results[f"{workload}/{case.id}"] = {
+                    **{f"{label}_median_ms": round(medians[label][-1] * 1e3, 3)
+                       for label in clis},
+                    "ratio_median": round(statistics.median(ratios), 3),
+                    "ratio_quartiles": [round(low, 3), round(high, 3)]}
+                print(f"{workload}/{case.id}: {second}/{first} "
+                      f"{results[f'{workload}/{case.id}']['ratio_median']} "
+                      f"[{low:.3f}, {high:.3f}]", file=sys.stderr, flush=True)
+            totals[workload] = {
+                **{f"{label}_sum_of_medians_ms": round(sum(ms) * 1e3, 3)
+                   for label, ms in medians.items()},
+                "ratio": round(sum(medians[second]) / sum(medians[first]), 3)}
     finally:
         shutil.rmtree(work)
-    out = {"what": f"interleaved in-process A/B, {args.rounds} rounds: per case each tree's "
-                   "median time of one verify command line and the median and quartiles of "
-                   f"the per-round ratio {second}/{first}",
+    out = {"what": f"interleaved in-process A/B on the perfbench cases, seed {args.seed}, "
+                   f"{args.rounds} rounds: per case each tree's median time of one command "
+                   f"line and the median and quartiles of the per-round ratio {second}/{first}; "
+                   "per workload the sums of those medians and their ratio",
+           "workloads": totals,
            "cases": results}
     if args.out:
         args.out.write_text(json.dumps(out, indent=1) + "\n")
