@@ -279,6 +279,13 @@ def main(argv=None) -> int:
             missing.append("--in")
         if args.identity == "classical-limit" and not args.against:
             missing.append("--against")
+        clash = ("--constant with --spectral" if args.constant and args.spectral
+                 else "--method poly with --constant" if args.constant and args.method == "poly"
+                 else "--omega without --rational" if args.omega and not args.rational
+                 else None)
+        if clash:
+            print(f"error: contradictory options: {clash}", file=sys.stderr)
+            return 2
     if getattr(args, "func", None) is _chain:
         if args.action in ("derive", "transfer", "commute") and not args.input:
             missing.append("--in")

@@ -254,50 +254,35 @@ def _affine_fit(first, second):
     return solution[0, 0], solution[1, 0]
 
 
-def substitute_square(h: TensorMatrix, var: str, value) -> TensorMatrix:
-    """Replace var^2 by a scalar; every power of var must be even."""
-    data = np.empty(h.data.shape, dtype=object)
-    for idx, entry in np.ndenumerate(h.data):
-        if not isinstance(entry, Poly) or var not in entry.vars:
-            data[idx] = entry
-            continue
-        i = entry.vars.index(var)
-        rest = tuple(v for k, v in enumerate(entry.vars) if k != i)
-        table = {}
-        for exps, c in entry.coeffs.items():
-            if exps[i] % 2:
-                raise ValueError(f"odd power of {var} at entry {idx}")
-            key = tuple(e for k, e in enumerate(exps) if k != i)
-            term = c * value ** (exps[i] // 2)
-            table[key] = table.get(key, 0) + term
-        out = Poly(rest, table)
-        data[idx] = out.constant_value() if out.is_constant() else out
-    return TensorMatrix(h.site_dim, h.legs, data)
+def folded_remark(sites: int, tau):
+    """linalg.clear's (scale, stack) of the remark chain on a periodic chain
+    of that many sites, with xi^2 = tau^2 / 2 folded in.  Its linear part
+    must telescope away; ValueError otherwise."""
+    scale, (remark,) = remark_hamiltonian(ChainSpec(sites, deformation=Poly.variable("xi"))
+                                          ).cleared(("xi",))
+    if (remark[1] != 0).any():
+        raise ValueError("linear deformation term did not telescope away")
+    # xi^2 = tau^2 / 2 = p^2 / (2 q^2): the folded chain, times 2 q^2
+    tau = Fraction(tau)
+    p, q = tau.numerator, tau.denominator
+    return 2 * q * q * scale, [remark[0].astype(object) * (2 * q * q)
+                               + remark[2].astype(object) * (p * p)]
 
 
 def calibrate(sites: int, tau):
     """Match the deformed exchange chain against the derived chain.
 
-    Builds the remark Hamiltonian with symbolic deformation, checks that its
-    linear part vanishes (periodic telescoping), substitutes xi^2 = tau^2/2,
-    and solves for (alpha, beta) in
+    Folds xi^2 = tau^2/2 into the remark Hamiltonian (folded_remark) and
+    solves for (alpha, beta) in
         H_remark = alpha * (F H_derived F^{-1}) + beta * 1
     with F the all-site spin flip.  Returns (alpha, beta) or None.  Both
     chains stay cleared integer stacks throughout.
     """
     from . import solutions
 
-    tau = Fraction(tau)
-    spectral = solutions.baxterize(solutions.example1_R(2, tau))
-    scale, (remark,) = remark_hamiltonian(ChainSpec(sites, deformation=Poly.variable("xi"))
-                                          ).cleared(("xi",))
-    if (remark[1] != 0).any():
-        raise ValueError("linear deformation term did not telescope away")
-    # xi^2 = tau^2 / 2 = p^2 / (2 q^2): the folded chain, times 2 q^2
-    p, q = tau.numerator, tau.denominator
-    folded = remark[0].astype(object) * (2 * q * q) + remark[2].astype(object) * (p * p)
+    spectral = solutions.baxterize(solutions.example1_R(2, Fraction(tau)))
     # F = F^{-1} maps the composite index r to 2^L - 1 - r, so F H F^{-1}
     # is H with its rows and columns reversed
     scale_d, derived = derive_hamiltonian(spectral, ChainSpec(sites)).cleared(())
-    return _affine_fit((2 * q * q * scale, [folded]),
+    return _affine_fit(folded_remark(sites, tau),
                        (scale_d, [c[::-1, ::-1] for c in derived]))

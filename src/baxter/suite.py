@@ -7,9 +7,9 @@ the same functions so the two can never drift apart.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
-import subprocess
-import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -103,10 +103,10 @@ def twisted_orthogonal() -> list:
         _expect(problems, verify.check_classical_limit(family, data.r0).passed,
                 f"N={n}: classical limit is not the jordanian r")
     tee = solutions.conjugator_T(4)
-    pair = kron(tee, tee)
     anti = solutions.example2_solution(4, Realization.ANTIDIAG)
     skew = solutions.example2_solution(4, Realization.SKEW)
-    conjugated = pair @ anti.numerator @ pair.inverse()
+    inverse = tee.inverse()
+    conjugated = kron(tee, tee) @ anti.numerator @ kron(inverse, inverse)
     _expect(problems, conjugated == skew.numerator
             and anti.denominator == skew.denominator,
             "N=4: conjugation does not map antidiag to skew")
@@ -202,18 +202,14 @@ def chain_checks() -> list:
             _expect(problems, found == (2, -sites),
                     f"L={sites} tau={tau}: calibration gave {found!r}")
             if found is not None:
+                # F = F^{-1} maps the composite index r to 2^L - 1 - r, so
+                # F H_remark F^{-1} is the folded chain reversed both ways
                 alpha, beta = found
-                remark = spin_chain.substitute_square(
-                    spin_chain.remark_hamiltonian(ChainSpec(sites, deformation=xi)),
-                    "xi", Fraction(tau) ** 2 / 2)
-                flip = spin_chain.sigma_x()
-                full = flip
-                for _ in range(sites - 1):
-                    full = kron(full, flip)
+                scale, (remark,) = spin_chain.folded_remark(sites, tau)
+                flipped = TensorMatrix.from_cleared(2, sites, (), scale, [remark[::-1, ::-1]])
                 eye = TensorMatrix.identity(2, sites)
                 derived = spin_chain.derive_hamiltonian(spectral, ChainSpec(sites))
-                _expect(problems,
-                        derived * alpha + eye * beta == full @ remark @ full.inverse(),
+                _expect(problems, derived * alpha + eye * beta == flipped,
                         f"L={sites} tau={tau}: affine identity fails at the solved constants")
     return problems
 
@@ -223,28 +219,23 @@ def _non_solution_matrix() -> TensorMatrix:
     return solutions.example1_r(2) + kron(e, e)
 
 
-def _cli_env() -> dict:
-    """The process environment with this checkout's src first on PYTHONPATH.
+def _cli(*argv):
+    """The exit code of one command line run through cli.main in this
+    process, its output captured and dropped; argparse's usage errors exit
+    by SystemExit, whose code is returned."""
+    from . import cli
 
-    An empty PYTHONPATH entry would put the working directory on sys.path,
-    so the old value is appended only when it is non-empty.
-    """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    old = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + os.pathsep + old if old else src
-    return env
-
-
-def _cli(workdir, *argv) -> int:
-    proc = subprocess.run([sys.executable, "-m", "baxter.cli", *argv],
-                          cwd=workdir, capture_output=True, text=True, env=_cli_env())
-    return proc.returncode
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(list(argv))
+        except SystemExit as exit_:
+            return exit_.code
 
 
 def cli_interface() -> list:
     """Byte-exact round-trips for every serializable kind, plus the three
-    documented command sequences with their exit codes."""
+    documented command sequences with their exit codes, run through the
+    command line's own entry point in this process."""
     problems = []
     xi = Poly.variable("xi")
     representatives = [
@@ -270,25 +261,25 @@ def cli_interface() -> list:
         _expect(problems, serialize.encode(back) == text,
                 f"{label}: re-encoding changed the bytes")
     with tempfile.TemporaryDirectory() as workdir:
+        def at(name):
+            return os.path.join(workdir, name)
+
+        serialize.save(_non_solution_matrix(), at("NotASolution.yb"))
         steps = [
-            (0, ("build", "example1-R", "--n", "3", "--out", "R.yb")),
-            (0, ("verify", "ybe", "--constant", "--in", "R.yb")),
-            (0, ("build", "baxterize", "--in", "R.yb", "--out", "Rs.yb")),
-            (0, ("verify", "ybe", "--spectral", "--in", "Rs.yb")),
+            (0, ("build", "example1-R", "--n", "3", "--out", at("R.yb"))),
+            (0, ("verify", "ybe", "--constant", "--in", at("R.yb"))),
+            (0, ("build", "baxterize", "--in", at("R.yb"), "--out", at("Rs.yb"))),
+            (0, ("verify", "ybe", "--spectral", "--in", at("Rs.yb"))),
+            (1, ("verify", "ybe", "--constant", "--in", at("NotASolution.yb"),
+                 "--report", at("bad.json"))),
         ]
         for wanted, argv in steps:
-            code = _cli(workdir, *argv)
-            _expect(problems, code == wanted,
-                    f"{' '.join(argv)}: exit {code}, wanted {wanted}")
-        serialize.save(_non_solution_matrix(), os.path.join(workdir, "NotASolution.yb"))
-        code = _cli(workdir, "verify", "ybe", "--constant", "--in", "NotASolution.yb",
-                    "--report", "bad.json")
-        _expect(problems, code == 1, f"non-solution: exit {code}, wanted 1")
-        report_path = os.path.join(workdir, "bad.json")
-        if not os.path.exists(report_path):
+            code = _cli(*argv)
+            _expect(problems, code == wanted, f"{' '.join(argv)}: exit {code}, wanted {wanted}")
+        if not os.path.exists(at("bad.json")):
             problems.append("non-solution: no report written")
         else:
-            report = serialize.load(report_path)
+            report = serialize.load(at("bad.json"))
             _expect(problems, not report.passed and report.witness is not None,
                     "non-solution: report lacks a witness")
     return problems
@@ -298,11 +289,11 @@ CRITERIA = (
     ("triangular-family", triangular_family, 1.4),
     ("baxterized-family", baxterized_family, 0.2),
     ("yangian-families", yangian_families, 1.8),
-    ("twisted-orthogonal", twisted_orthogonal, 4.1),
+    ("twisted-orthogonal", twisted_orthogonal, 3.5),
     ("frobenius-construction", frobenius_construction, 0.1),
     ("classical-equivalence", classical_equivalence, 0.2),
-    ("chain-checks", chain_checks, 0.5),
-    ("cli-interface", cli_interface, None),
+    ("chain-checks", chain_checks, 0.4),
+    ("cli-interface", cli_interface, 1.0),
 )
 
 
@@ -312,7 +303,7 @@ def run_all() -> bool:
         start = time.perf_counter()
         problems = fn()
         elapsed = time.perf_counter() - start
-        if budget is not None and elapsed >= budget:
+        if elapsed >= budget:
             problems.append(f"took {elapsed:.1f}s, budget {budget}s")
         status = "PASS" if not problems else "FAIL"
         line = f"[{status}] {label} ({elapsed:.1f}s)"

@@ -41,7 +41,7 @@ def baxter_command():
     An executable `baxter` on PATH is used as it is.  A checkout has none,
     so the `[project.scripts]` target is called the way pip's generated
     wrapper calls it, `sys.exit(main())`.  Either way the checkout's `src`
-    leads PYTHONPATH, as in `suite._cli`.
+    leads PYTHONPATH.
     """
     exe = shutil.which("baxter")
     if exe is not None:

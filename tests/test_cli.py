@@ -137,6 +137,23 @@ def test_missing_required_inputs_exit_2(capsys):
     assert "missing required" in err
 
 
+@pytest.mark.parametrize("identity, options", [
+    ("ybe", ["--constant", "--spectral"]),
+    ("ybe", ["--method", "poly", "--constant"]),
+    ("cybe", ["--omega", "missing.yb"]),
+])
+def test_contradictory_verify_options_exit_2(tmp_path, capsys, identity, options):
+    # refused before any file is read: missing.yb does not exist
+    path, report = str(tmp_path / "in.yb"), tmp_path / "report.json"
+    save(yangian_sl_R(2) if identity == "ybe" else example1_r(2), path)
+    options = [str(tmp_path / o) if o.endswith(".yb") else o for o in options]
+    assert main(["verify", identity, *options, "--in", path, "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "contradictory options" in captured.err
+    assert not report.exists()
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["verify", "ybe", "--in", str(tmp_path / "absent.yb")]) == 2
     garbled = tmp_path / "garbled.yb"

@@ -16,8 +16,8 @@ from baxter.scalars import IM, SQRT2, Ext
 from baxter.solutions import (Realization, SpectralRMatrix, baxterize, example1_R,
                               example2_solution, yangian_sl_R, yangian_so_R)
 from baxter.spin_chain import (ChainSpec, bonds, calibrate, check_commutation,
-                               derive_hamiltonian, exchange_density, remark_hamiltonian,
-                               sigma_minus, sigma_x, sigma_z, substitute_square,
+                               derive_hamiltonian, exchange_density, folded_remark,
+                               remark_hamiltonian, sigma_minus, sigma_x, sigma_z,
                                transfer_matrix)
 from baxter.tensor import (TensorMatrix, embed_two_leg, kron, matrix_unit,
                            permutation_op)
@@ -370,15 +370,13 @@ def test_commutation_validates_shapes():
         check_commutation(fam, permutation_op(2))
 
 
-def test_substitute_square():
-    xi = Poly.variable("xi")
-    h = remark_hamiltonian(ChainSpec(3, deformation=xi))
-    fixed = substitute_square(h, "xi", Fraction(1, 2))
-    assert fixed == remark_hamiltonian(ChainSpec(3, deformation=0)) \
-        + (h.coefficient("xi", 2)) * Fraction(1, 2)
-    open_h = remark_hamiltonian(ChainSpec(3, "open", xi))
-    with pytest.raises(ValueError):
-        substitute_square(open_h, "xi", 1)
+def test_folded_remark():
+    # the remark chain at xi^2 = tau^2 / 2, against its xi^0 and xi^2 parts
+    h = remark_hamiltonian(ChainSpec(3, deformation=Poly.variable("xi")))
+    for tau in (0, 1, Fraction(-2, 3)):
+        fixed = TensorMatrix.from_cleared(2, 3, (), *folded_remark(3, tau))
+        assert fixed == remark_hamiltonian(ChainSpec(3, deformation=0)) \
+            + h.coefficient("xi", 2) * (Fraction(tau) ** 2 / 2)
 
 
 def test_calibration_constants():

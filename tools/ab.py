@@ -58,9 +58,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--out", type=Path)
+    # usage errors are one line on stderr and exit 2, as in baxter's own parser
+    parser.error = lambda message: parser.exit(2, f"{parser.prog}: error: {message}\n")
     args = parser.parse_args(argv)
     if len(args.src) != 2:
         parser.error("give --src twice")
+    if len({item.partition("=")[0] for item in args.src}) != 2:
+        parser.error("give the two --src different labels")
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2: the quartiles need two ratios")
     work = Path(tempfile.mkdtemp())
     try:
         trees = {}
